@@ -294,16 +294,22 @@ def _cmd_construct(cfg: RunConfig, out: str) -> int:
     return EXIT_OK
 
 
-def _run_simulation(cfg: RunConfig, out: str, sol):
+def _simulation_config(cfg: RunConfig) -> SimulationConfig:
+    """Monte Carlo settings, checked before any solve runs."""
     if cfg.noise is None:
         raise ConfigError("simulate needs a noise block")
-    sim_cfg = SimulationConfig(
+    if cfg.boundary is None:
+        raise ConfigError("this command needs a boundary block")
+    return SimulationConfig(
         num_paths=int(cfg.options["paths"]),
         sigma0=cfg.boundary.sigma0,
         step_size=float(cfg.options["dt"]),
         master_seed=int(cfg.options["seed"]),
         checkpoint_times=tuple(cfg.options["checkpoints"]),
         retain_paths=int(cfg.options["retain_paths"]))
+
+
+def _run_simulation(cfg: RunConfig, out: str, sol, sim_cfg: SimulationConfig):
     result = simulate_paths(cfg.system, cfg.noise, sol.gain_grid, sim_cfg)
 
     n = cfg.system.n
@@ -345,13 +351,16 @@ def _run_simulation(cfg: RunConfig, out: str, sol):
         "cost_estimate": list(result.cost_estimate),
         "jump_mean_counts": list(result.jump_mean_counts),
         "martingale_mean": list(result.martingale_mean),
+        "draw_s": result.draw_s,
+        "step_s": result.step_s,
     })
     return result
 
 
 def _cmd_certify(cfg: RunConfig, out: str) -> int:
+    sim_cfg = _simulation_config(cfg)
     sol = _cmd_solve(cfg, out)
-    result = _run_simulation(cfg, out, sol)
+    result = _run_simulation(cfg, out, sol, sim_cfg)
     _, cov = empirical_moments(result, 1.0)
     target = cfg.boundary.sigma1
     rel = float(np.linalg.norm(cov - target) / np.linalg.norm(target))
@@ -386,11 +395,12 @@ def run(command: str, cfg: RunConfig, out: str) -> int:
     if command == "construct":
         return _cmd_construct(cfg, out)
     if command == "simulate":
+        sim_cfg = _simulation_config(cfg)
         _require_solvable(cfg)
         sol = solve_boundary(cfg.system, cfg.boundary,
                              grid_size=int(cfg.options["grid"]),
                              tol=float(cfg.options["newton_tol"]))
-        _run_simulation(cfg, out, sol)
+        _run_simulation(cfg, out, sol, sim_cfg)
         return EXIT_OK
     if command == "certify":
         return _cmd_certify(cfg, out)

@@ -4,20 +4,34 @@ Paths of dx = A x dt + B u dt + C dm + x dmu are generated by
 Euler-Maruyama under a gain schedule u = K(t) x.  Additive channels of m
 and the scalar multiplicative martingale mu are compositions of Wiener
 components (given by their diffusion-rate polynomials) and compound
-Poisson components (arrival-rate polynomial, zero-mean normal jumps);
-arrivals are drawn exactly per step by thinning against the polynomial's
-step supremum and applied at the step end, all increments evaluated at
-the left endpoint (Ito convention).
+Poisson components (arrival-rate polynomial, zero-mean normal jumps).
+Arrivals are drawn over the whole path from the piecewise-constant
+dominating intensity (each step's supremum of the rate) and thinned to the
+rate (Lewis & Shedler); accepted jumps are applied at the end of their
+step, all increments evaluated at the left endpoint (Ito convention).
 
-Every path has its own counter-based random stream keyed by
+Every path has its own counter-based random stream, Philox keyed by
 (master seed, path index), so results are bit-reproducible and
-independent of any batching or scheduling.
+independent of any batching or scheduling.  Within a path's stream the
+draws come in a fixed order:
+
+1. standard_normal(n + nsteps * nw): the initial state's n normals, then
+   the nw Wiener increments of each step in turn;
+2. for each compound component, in model order: N = poisson(sum of the
+   dominating step masses), random(2 N) (N placements inverting the
+   dominating intensity, then N accept variates) and standard_normal(N)
+   (the jump sizes).
+
+Noise is drawn for a block of paths at a time into step-major increment
+buffers that the Euler step loop then consumes.
 """
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import (
     InconsistentNoiseError,
@@ -28,6 +42,7 @@ from .errors import (
 from .matfun import MatrixPoly, SystemSpec, symmetrize
 
 _BLOCK = 4096  # fixed batching constant; results do not depend on it
+_DRAW_CHUNK = 256  # paths drawn between copies into the step-major buffers
 _CONSISTENCY_TOL = 1e-10
 
 
@@ -137,6 +152,9 @@ class SimulationConfig:
             raise ValueError("num_paths must be at least 1")
         if not 0.0 < self.step_size <= 0.01:
             raise ValueError("step size must lie in (0, 0.01]")
+        if not 0 <= self.master_seed < 2 ** 64:
+            raise ValueError(
+                f"master seed {self.master_seed} outside [0, 2**64)")
         object.__setattr__(self, "sigma0", np.asarray(self.sigma0, dtype=float))
         if self.initial_mean is not None:
             object.__setattr__(self, "initial_mean",
@@ -164,25 +182,48 @@ class SimulationResult:
     retained: tuple  # RetainedPath entries
     jump_mean_counts: tuple  # mean accepted arrivals per compound component
     martingale_mean: np.ndarray  # empirical mean of m(1) per channel
+    draw_s: float  # wall time drawing noise (perf_counter seconds)
+    step_s: float  # wall time in the Euler step loop
 
 
-def _poly_sup_on_step(coeffs: np.ndarray, lo: float, hi: float) -> float:
-    """Exact maximum of an ascending-coefficient polynomial on [lo, hi]."""
-    cands = [lo, hi]
-    if len(coeffs) > 2:
-        der = coeffs[1:] * np.arange(1, len(coeffs))
-        roots = np.roots(der[::-1])
-        cands.extend(float(r.real) for r in roots
-                     if abs(r.imag) < 1e-12 and lo < r.real < hi)
-    elif len(coeffs) == 2:
-        pass  # affine: endpoints suffice
-    vals = [sum(c * t ** k for k, c in enumerate(coeffs)) for t in cands]
-    return max(vals)
+def _step_suprema(coeffs: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Exact maximum of an ascending-coefficient polynomial on each step.
+
+    The maximum on [t_k, t_k+1] is at an endpoint or at a real critical
+    point strictly inside the step.
+    """
+    vals = P.polyval(times, coeffs)
+    sup = np.maximum(vals[:-1], vals[1:])
+    roots = P.polyroots(P.polyder(coeffs)) if len(coeffs) > 2 else ()
+    for r in roots:
+        if abs(r.imag) < 1e-12 and times[0] < r.real < times[-1]:
+            k = int(np.searchsorted(times, r.real)) - 1
+            if times[k] < r.real:
+                sup[k] = max(sup[k], float(P.polyval(r.real, coeffs)))
+    return sup
 
 
-def _path_generator(master_seed: int, path_index: int) -> np.random.Generator:
-    key = (int(master_seed) << 64) | int(path_index)
-    return np.random.Generator(np.random.Philox(key=key))
+class _PathStreams:
+    """Path i's stream is Generator(Philox(key=master_seed << 64 | i)).
+
+    One Philox is re-keyed through its state for each path: the same
+    stream, without seeding a new bit generator per path.
+    """
+
+    def __init__(self, master_seed: int):
+        self._bitgen = np.random.Philox(key=0)  # re-keyed before every use
+        self._key = np.array([0, master_seed], dtype=np.uint64)  # [path, seed]
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+        self._gen = np.random.Generator(self._bitgen)
+
+    def at(self, path_index: int) -> np.random.Generator:
+        self._key[0] = path_index
+        self._bitgen.state = self._state
+        return self._gen
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -191,8 +232,49 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.T
 
 
+def _gain_on_grid(gain, times: np.ndarray) -> np.ndarray:
+    """K at each time: linear between gain points, held beyond the ends."""
+    gts = np.array([t for t, _ in gain])
+    gks = np.stack([np.atleast_2d(k) for _, k in gain])
+    if gts[0] > 0.0 or gts[-1] < 1.0 - 1e-12:
+        raise PreconditionError("gain grid must cover [0, 1]")
+    idx = np.searchsorted(gts, times)
+    kmat = gks[np.minimum(idx, len(gts) - 1)]
+    inner = (idx > 0) & (idx < len(gts))
+    i = idx[inner]
+    w = ((times[inner] - gts[i - 1]) / (gts[i] - gts[i - 1]))[:, None, None]
+    kmat[inner] = (1.0 - w) * gks[i - 1] + w * gks[i]
+    return kmat
+
+
+class _Dominating:
+    """Thinning of one arrival rate against its per-step suprema."""
+
+    def __init__(self, coeffs: np.ndarray, times: np.ndarray):
+        self.coeffs = coeffs
+        self.times = times
+        self.lam_max = _step_suprema(coeffs, times)
+        if np.any(self.lam_max < 0.0):
+            raise ValueError("arrival rate is negative on the step grid")
+        self.mass = self.lam_max * np.diff(times)
+        self.cum = np.cumsum(self.mass)
+        self.total = float(self.cum[-1])
+
+    def thin(self, place: np.ndarray, accept: np.ndarray):
+        """Step index and acceptance of arrivals given their two uniforms.
+
+        place * total inverts the cumulative dominating intensity, which
+        gives the step and the point t inside it; the arrival is kept when
+        accept * lam_max <= lambda(t).
+        """
+        s = place * self.total
+        k = np.minimum(np.searchsorted(self.cum, s, side="right"), len(self.cum) - 1)
+        t_arr = self.times[k] + (s - (self.cum[k] - self.mass[k])) / self.lam_max[k]
+        return k, accept * self.lam_max[k] <= P.polyval(t_arr, self.coeffs)
+
+
 class _StepData:
-    """Per-step evaluations shared by every path."""
+    """Per-step evaluations shared by every path, stacked along axis 0."""
 
     def __init__(self, sys, noise, gain, dt):
         nsteps = int(math.ceil(1.0 / dt - 1e-12))
@@ -202,80 +284,79 @@ class _StepData:
         self.dts = np.diff(times)
         self.nsteps = nsteps
 
-        gts = np.array([t for t, _ in gain])
-        gks = np.stack([np.atleast_2d(k) for _, k in gain])
-        if gts[0] > 0.0 or gts[-1] < 1.0 - 1e-12:
-            raise PreconditionError("gain grid must cover [0, 1]")
-
-        def k_at(t):
-            idx = np.searchsorted(gts, t)
-            if idx == 0:
-                return gks[0]
-            if idx >= len(gts):
-                return gks[-1]
-            w = (t - gts[idx - 1]) / (gts[idx] - gts[idx - 1])
-            return (1.0 - w) * gks[idx - 1] + w * gks[idx]
-
-        self.acl = []
-        self.kmat = []
-        self.cmat = []
-        self.qmat = []
-        self.rmat = []
-        for t in times:
-            a = sys.A.eval(t)
-            b = sys.B.eval(t)
-            k = k_at(t)
-            self.kmat.append(k)
-            self.acl.append(a + b @ k)
-            self.cmat.append(sys.C.eval(t))
-            self.qmat.append(sys.Q.eval(t))
-            self.rmat.append(sys.R.eval(t))
+        tt = times[:, None, None]  # MatrixPoly.eval broadcasts over leading axes
+        self.kmat = _gain_on_grid(gain, times)
+        self.acl = sys.A.eval(tt) + sys.B.eval(tt) @ self.kmat
+        self.cmat = sys.C.eval(tt)
+        # Running cost x'Qx + u'Ru = x'(Q + K'RK)x under u = K x.
+        kt = self.kmat.transpose(0, 2, 1)
+        self.cost_w = sys.Q.eval(tt) + kt @ sys.R.eval(tt) @ self.kmat
+        self.trap_w = np.zeros(nsteps + 1)  # trapezoid weights on the grid
+        self.trap_w[:-1] += 0.5 * self.dts
+        self.trap_w[1:] += 0.5 * self.dts
 
         self.wiener = []  # (is_multiplicative, channel, per-step scale)
-        self.compound = []  # (is_multiplicative, channel, lam_max*dt, rate coeffs, jump std)
+        self.compound = []  # (is_multiplicative, channel, _Dominating, jump std)
         for comp in noise.additive + noise.multiplicative:
             mult = comp.channel is None
             if comp.kind == "wiener":
-                rate0 = np.array([float(comp.rate.eval(t)[0, 0]) for t in times[:-1]])
+                rate0 = comp.rate.eval(tt[:-1])[:, 0, 0]
                 scale = np.sqrt(np.clip(rate0, 0.0, None) * self.dts)
                 self.wiener.append((mult, comp.channel, scale))
             else:
                 coeffs = np.asarray(comp.rate.coeffs[0][0], dtype=float)
-                lam_max = np.array([
-                    _poly_sup_on_step(coeffs, times[k], times[k + 1])
-                    for k in range(nsteps)])
-                self.compound.append((mult, comp.channel, lam_max, coeffs,
+                self.compound.append((mult, comp.channel, _Dominating(coeffs, times),
                                       comp.jump_std))
 
 
-def _draw_block(step: _StepData, seed: int, lo: int, hi: int, n: int, mean0, l0):
-    """Noise realizations for paths lo..hi-1 under the per-path stream protocol."""
+def _draw_block(step: _StepData, streams: _PathStreams, lo: int, hi: int,
+                mean0, l0, dm: np.ndarray, dmu: np.ndarray):
+    """Noise of paths lo..hi-1 under the per-path stream protocol.
+
+    Writes the increments into dm[:, :hi - lo] and dmu[:, :hi - lo] and
+    returns the initial states and the accepted arrivals per compound
+    component.  Paths are drawn _DRAW_CHUNK at a time into a path-major
+    scratch buffer that is then copied step-major.
+    """
     bsize = hi - lo
-    nsteps = step.nsteps
+    n = len(mean0)
     nw = len(step.wiener)
+    dm[:, :bsize] = 0.0
+    dmu[:, :bsize] = 0.0
     x0 = np.empty((bsize, n))
-    wn = np.empty((bsize, nsteps, nw)) if nw else np.zeros((bsize, nsteps, 0))
-    jump_sums = [np.zeros((bsize, nsteps)) for _ in step.compound]
-    jump_counts = np.zeros((bsize, len(step.compound)))
-    for b, pid in enumerate(range(lo, hi)):
-        gen = _path_generator(seed, pid)
-        x0[b] = mean0 + l0 @ gen.standard_normal(n)
-        if nw:
-            wn[b] = gen.standard_normal((nsteps, nw))
-        for ci, (_, _, lam_max, coeffs, jstd) in enumerate(step.compound):
-            counts = gen.poisson(lam_max * step.dts)
-            for k in np.nonzero(counts)[0]:
-                cnt = int(counts[k])
-                offs = gen.random(cnt)
-                accept_u = gen.random(cnt)
-                jumps = gen.standard_normal(cnt) * jstd
-                t_arr = step.times[k] + offs * step.dts[k]
-                lam_val = np.array([sum(c * t ** m for m, c in enumerate(coeffs))
-                                    for t in t_arr])
-                mask = accept_u * lam_max[k] <= lam_val
-                jump_sums[ci][b, k] = float(np.sum(jumps[mask]))
-                jump_counts[b, ci] += int(np.count_nonzero(mask))
-    return x0, wn, jump_sums, jump_counts
+    arrivals = [([], [], [], []) for _ in step.compound]  # count, place, accept, size
+    z = np.empty((min(_DRAW_CHUNK, bsize), n + step.nsteps * nw))
+    for c0 in range(0, bsize, _DRAW_CHUNK):
+        zc = z[: min(_DRAW_CHUNK, bsize - c0)]
+        for j in range(len(zc)):
+            gen = streams.at(lo + c0 + j)
+            gen.standard_normal(out=zc[j])
+            for (count, place, accept, size), (_, _, dom, _) in zip(arrivals, step.compound):
+                cnt = gen.poisson(dom.total)
+                u = gen.random(2 * cnt)
+                count.append(cnt)
+                place.append(u[:cnt])
+                accept.append(u[cnt:])
+                size.append(gen.standard_normal(cnt))
+        c1 = c0 + len(zc)
+        # The column-vector product repeats the per-path l0 @ z arithmetic.
+        x0[c0:c1] = mean0 + (l0 @ zc[:, :n, None])[:, :, 0]
+        for wi, (mult, ch, scale) in enumerate(step.wiener):
+            inc = zc[:, n + wi::nw].T * scale[:, None]
+            if mult:
+                dmu[:, c0:c1] += inc
+            else:
+                dm[:, c0:c1, ch] += inc
+
+    accepted = np.zeros(len(step.compound))
+    for ci, ((count, place, accept, size), (mult, ch, dom, jstd)) in enumerate(
+            zip(arrivals, step.compound)):
+        paths = np.repeat(np.arange(bsize), count)
+        k, keep = dom.thin(np.concatenate(place), np.concatenate(accept))
+        jumps = np.concatenate(size)[keep] * jstd
+        np.add.at(dmu if mult else dm[:, :, ch], (k[keep], paths[keep]), jumps)
+        accepted[ci] = np.count_nonzero(keep)
+    return x0, accepted
 
 
 def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
@@ -302,6 +383,8 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
     nsteps = step.nsteps
     mean0 = cfg.initial_mean if cfg.initial_mean is not None else np.zeros(n)
     l0 = _psd_sqrt(cfg.sigma0)
+    kmat, acl, cmat, cost_w, trap_w, dts = \
+        step.kmat, step.acl, step.cmat, step.cost_w, step.trap_w, step.dts
 
     cp_idx = {}
     for t_cp in cfg.checkpoint_times:
@@ -309,8 +392,8 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
         if abs(step.times[idx] - t_cp) > 1e-9:
             raise ValueError(f"checkpoint {t_cp} is not on the step grid")
         cp_idx[float(t_cp)] = idx
-    cp_sum = {t: np.zeros(n) for t in cp_idx}
-    cp_outer = {t: np.zeros((n, n)) for t in cp_idx}
+    cp_sum = {idx: np.zeros(n) for idx in cp_idx.values()}
+    cp_outer = {idx: np.zeros((n, n)) for idx in cp_idx.values()}
 
     env_sum = np.zeros((nsteps + 1, n))
     env_sq = np.zeros((nsteps + 1, n))
@@ -318,77 +401,64 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
     jump_totals = np.zeros(len(step.compound))
     all_costs = np.empty(cfg.num_paths) if cfg.record_costs else None
     retained = []
+    streams = _PathStreams(cfg.master_seed)
+    width = min(_BLOCK, cfg.num_paths)
+    dm = np.empty((nsteps, width, q))
+    dmu = np.empty((nsteps, width))
+    draw_s = step_s = 0.0
 
     for lo in range(0, cfg.num_paths, _BLOCK):
         hi = min(lo + _BLOCK, cfg.num_paths)
         bsize = hi - lo
-        x0, wn, jump_sums, jump_counts = _draw_block(
-            step, cfg.master_seed, lo, hi, n, mean0, l0)
-        jump_totals += jump_counts.sum(axis=0)
+        start = time.perf_counter()
+        x, accepted = _draw_block(step, streams, lo, hi, mean0, l0, dm, dmu)
+        jump_totals += accepted
+        mid = time.perf_counter()
+        draw_s += mid - start
 
-        x = x0
         m_cum = np.zeros((bsize, q))
         cost = np.zeros(bsize)
-        g_prev = None
-        keep = [pid - lo for pid in range(lo, hi) if pid < cfg.retain_paths]
-        kept_x = np.empty((len(keep), nsteps + 1, n)) if keep else None
-        kept_u = np.empty((len(keep), nsteps + 1, p)) if keep else None
+        ones = np.ones(bsize)
+        nkeep = max(0, min(cfg.retain_paths - lo, bsize))
+        kept_x = np.empty((nkeep, nsteps + 1, n))
+        kept_u = np.empty((nkeep, nsteps + 1, p))
 
         for k in range(nsteps + 1):
-            u = x @ step.kmat[k].T
-            env_sum[k] += x.sum(axis=0)
-            env_sq[k] += (x ** 2).sum(axis=0)
-            for t_cp, idx in cp_idx.items():
-                if idx == k:
-                    cp_sum[t_cp] += x.sum(axis=0)
-                    cp_outer[t_cp] += x.T @ x
-            if keep:
-                kept_x[:, k] = x[keep]
-                kept_u[:, k] = u[keep]
+            # Matrix-vector sums: x.sum(axis=0) over (B, n) is far slower.
+            env_sum[k] += ones @ x
+            env_sq[k] += ones @ (x * x)
+            if k in cp_sum:
+                cp_sum[k] += x.sum(axis=0)
+                cp_outer[k] += x.T @ x
+            if nkeep:
+                kept_x[:, k] = x[:nkeep]
+                kept_u[:, k] = x[:nkeep] @ kmat[k].T
             if cfg.record_costs:
-                g = np.einsum("bi,ij,bj->b", x, step.qmat[k], x) \
-                    + np.einsum("bi,ij,bj->b", u, step.rmat[k], u)
-                if g_prev is not None:
-                    cost += 0.5 * (g_prev + g) * step.dts[k - 1]
-                g_prev = g
+                cost += trap_w[k] * np.einsum("bi,bi->b", x @ cost_w[k], x)
             if k == nsteps:
                 break
 
-            dt_k = step.dts[k]
-            dm = np.zeros((bsize, q))
-            dmu = np.zeros(bsize)
-            wi = 0
-            for mult, ch, scale in step.wiener:
-                inc = wn[:, k, wi] * scale[k]
-                wi += 1
-                if mult:
-                    dmu += inc
-                else:
-                    dm[:, ch] += inc
-            for ci, (mult, ch, _, _, _) in enumerate(step.compound):
-                inc = jump_sums[ci][:, k]
-                if mult:
-                    dmu += inc
-                else:
-                    dm[:, ch] += inc
-            m_cum += dm
-            x = x + (x @ step.acl[k].T) * dt_k + dm @ step.cmat[k].T \
-                + x * dmu[:, None]
+            dm_k = dm[k, :bsize]
+            m_cum += dm_k
+            x = x + (x @ acl[k].T) * dts[k] + dm_k @ cmat[k].T \
+                + x * dmu[k, :bsize, None]
 
+        step_s += time.perf_counter() - mid
         m_final_sum += m_cum.sum(axis=0)
         if cfg.record_costs:
             all_costs[lo:hi] = cost
-        for j, b in enumerate(keep):
-            retained.append(RetainedPath(path_id=lo + b, times=step.times,
+        for j in range(nkeep):
+            retained.append(RetainedPath(path_id=lo + j, times=step.times,
                                          states=kept_x[j], controls=kept_u[j]))
 
     n_paths = cfg.num_paths
     moments = []
     for t_cp in sorted(cp_idx):
-        mean = cp_sum[t_cp] / n_paths
+        idx = cp_idx[t_cp]
+        mean = cp_sum[idx] / n_paths
         cov = None
         if n_paths > 1:
-            cov = (cp_outer[t_cp] - n_paths * np.outer(mean, mean)) / (n_paths - 1)
+            cov = (cp_outer[idx] - n_paths * np.outer(mean, mean)) / (n_paths - 1)
             cov = symmetrize(cov)
         moments.append((t_cp, mean, cov))
 
@@ -413,7 +483,7 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
         envelope_var=env_var, cost_estimate=cost_estimate,
         path_costs=all_costs, retained=tuple(retained),
         jump_mean_counts=tuple(jump_totals / n_paths),
-        martingale_mean=m_final_sum / n_paths)
+        martingale_mean=m_final_sum / n_paths, draw_s=draw_s, step_s=step_s)
 
 
 def empirical_moments(result: SimulationResult, t: float):

@@ -125,6 +125,9 @@ def test_simulate_outputs_sorted_paths(tmp_path, example_raw):
     keys = [(r[0], r[1]) for r in rows]
     assert keys == sorted(keys)
     assert {int(r[1]) for r in rows} == {0, 1, 2, 3}
+    with open(os.path.join(out, "simulation.json"), encoding="utf-8") as fh:
+        sim = json.load(fh)
+    assert sim["draw_s"] > 0.0 and sim["step_s"] > 0.0
 
 
 def test_certify_pass_and_mismatch(tmp_path, example_raw):
@@ -142,6 +145,15 @@ def test_certify_pass_and_mismatch(tmp_path, example_raw):
     rc = main(["certify", "--config", write_cfg(tmp_path, example_raw),
                "--out", str(tmp_path / "o2"), "--seed", "2"])
     assert rc == EXIT_MISMATCH
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_certify_rejects_seed_before_solving(tmp_path, example_raw, seed):
+    out = str(tmp_path / "o")
+    rc = main(["certify", "--config", write_cfg(tmp_path, example_raw),
+               "--out", out, "--seed", seed])
+    assert rc == EXIT_CONFIG
+    assert not os.path.exists(os.path.join(out, "cost.json"))
 
 
 def test_construct_command(tmp_path, example_raw):

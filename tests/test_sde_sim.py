@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from covsteer import sde_sim
 from covsteer.errors import (
     InconsistentNoiseError,
     MissingCheckpointError,
@@ -142,6 +144,71 @@ def test_reproducibility_and_stream_independence():
     assert not np.array_equal(res1.retained[0].states, res1.retained[1].states)
 
 
+def _jump_run(num_paths, block=None, chunk=None):
+    cfg = SimulationConfig(num_paths=num_paths, sigma0=np.eye(2), step_size=1e-2,
+                           master_seed=57, retain_paths=num_paths)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(sde_sim, "_BLOCK", block)
+        if chunk is not None:
+            mp.setattr(sde_sim, "_DRAW_CHUNK", chunk)
+        return simulate_paths(example_system(), example_noise(), zero_gain(1, 2), cfg)
+
+
+@pytest.fixture(scope="module")
+def jump_reference():
+    return _jump_run(24)
+
+
+@settings(max_examples=8, deadline=None)
+@given(num_paths=st.integers(1, 24), block=st.integers(1, 9), chunk=st.integers(1, 5))
+def test_jump_paths_do_not_depend_on_batching(jump_reference, num_paths, block, chunk):
+    # Compound-Poisson arrivals are drawn from each path's own stream, so a
+    # path's trajectory depends on neither the path count nor the batching.
+    res = _jump_run(num_paths, block, chunk)
+    assert [rp.path_id for rp in res.retained] == list(range(num_paths))
+    for rp in res.retained:
+        assert np.array_equal(rp.states, jump_reference.retained[rp.path_id].states)
+    assert res.jump_mean_counts == _jump_run(num_paths).jump_mean_counts
+
+
+def test_thinning_law_with_interior_supremum():
+    # lambda(t) = 3 + 4t - 6t^2 peaks at t = 1/3, strictly inside a step.
+    # With A = 0, K = 0 and x0 = 0 the state moves only at accepted jumps.
+    coeffs = [3.0, 4.0, -6.0]
+    rate = MatrixPoly.from_entries([[coeffs]])
+    sys = make_system(1, 1, 1, [[0.0]], [[1.0]], [[1.0]], rate, [[0.0]],
+                      [[0.0]], [[1.0]])
+    noise = NoiseModel(
+        additive=(NoiseComponent("compound_poisson", rate, channel=0, jump_std=1.0),),
+        multiplicative=())
+    dt, n_paths = 2e-3, 2000
+    times = np.arange(501) * dt
+    sup = sde_sim._step_suprema(np.array(coeffs), times)
+    k = int(np.floor((1.0 / 3.0) / dt))
+    assert sup[k] == pytest.approx(3.0 + 2.0 / 3.0, abs=1e-12)
+    assert sup[k] > max(rate.eval(times[k])[0, 0], rate.eval(times[k + 1])[0, 0])
+
+    cfg = SimulationConfig(num_paths=n_paths, sigma0=np.zeros((1, 1)), step_size=dt,
+                           master_seed=41, retain_paths=n_paths, record_costs=False)
+    res = simulate_paths(sys, noise, zero_gain(1, 1), cfg)
+    hits = np.array([np.diff(rp.states[:, 0]) != 0.0 for rp in res.retained])
+    counts = hits.sum(axis=1)
+    # Accepted count ~ Poisson(int lambda = 3): mean and variance 3.  A
+    # step holding two arrivals counts once here, a bias of about
+    # dt/2 * int lambda^2 = 0.01.
+    mean_se = np.sqrt(3.0 / n_paths)
+    var_se = np.sqrt((3.0 * (1.0 + 3.0 * 3.0) - 9.0) / n_paths)  # Poisson mu4
+    assert abs(res.jump_mean_counts[0] - 3.0) <= 4.0 * mean_se
+    assert abs(counts.mean() - 3.0) <= 4.0 * mean_se + 0.02
+    assert abs(counts.var(ddof=1) - 3.0) <= 4.0 * var_se + 0.02
+    # Arrival times have density lambda / int lambda: mean (4/3) / 3.
+    t_mid = times[:-1] + 0.5 * dt
+    t_mean = float((hits * t_mid).sum() / hits.sum())
+    t_sd = np.sqrt(0.8 / 3.0 - (4.0 / 9.0) ** 2)
+    assert abs(t_mean - 4.0 / 9.0) <= 4.0 * t_sd / np.sqrt(hits.sum()) + dt
+
+
 def test_moments_single_path_guard():
     sys = s1()
     cfg = SimulationConfig(num_paths=1, sigma0=np.array([[1.0]]),
@@ -214,9 +281,20 @@ def test_inconsistent_noise_rejected():
 def test_step_size_and_gain_coverage_guards():
     with pytest.raises(ValueError):
         SimulationConfig(num_paths=10, sigma0=np.eye(1), step_size=0.02)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            SimulationConfig(num_paths=10, sigma0=np.eye(1), master_seed=seed)
     sys = s1()
     cfg = SimulationConfig(num_paths=10, sigma0=np.array([[1.0]]),
                            step_size=1e-2, master_seed=1)
     partial_gain = [(0.0, np.zeros((1, 1))), (0.4, np.zeros((1, 1)))]
     with pytest.raises(PreconditionError):
         simulate_paths(sys, unit_wiener_noise(), partial_gain, cfg)
+    # Zero-size jumps hide a negative arrival rate from the intensity check.
+    negative_rate = NoiseModel(
+        additive=(NoiseComponent("compound_poisson", const([[-1.0]]), channel=0),),
+        multiplicative=())
+    silent = make_system(1, 1, 1, [[0.0]], [[1.0]], [[1.0]], [[0.0]], [[0.0]],
+                         [[0.0]], [[1.0]])
+    with pytest.raises(ValueError, match="negative"):
+        simulate_paths(silent, negative_rate, zero_gain(1, 1), cfg)
