@@ -39,52 +39,52 @@ def _panel(f, a, b):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     ts = mid + half * _XK
-    vals = [np.asarray(f(t), dtype=float) for t in ts]
-    stacked = np.stack(vals)
-    k = half * np.tensordot(_WK, stacked, axes=(0, 0))
-    g = half * np.tensordot(_WG, stacked[1::2], axes=(0, 0))
+    vals = np.asarray(f(ts), dtype=float)
+    k = half * np.tensordot(_WK, vals, axes=(0, 0))
+    g = half * np.tensordot(_WG, vals[1::2], axes=(0, 0))
     err = float(np.max(np.abs(k - g)))
-    return k, err, list(zip(ts, vals))
+    return k, err, ts, vals
 
 
 def adaptive_gk(f, a, b, atol=1e-10, rtol=0.0, max_panels=2000,
                 collect_nodes=False):
     """Integrate an array-valued f over [a, b] by panel bisection.
 
-    Refinement stops when the error estimate falls below
-    atol + rtol * max|integral|; the relative guard keeps the work bounded
-    when the integrand magnitude blows up.  Returns (integral, error) or,
-    with collect_nodes, a third item: the (t, f(t)) pairs of the final
-    panel set, sorted by t.
+    f takes a 1-D array of times and returns an array whose leading axis
+    runs over those times; each panel's 15 nodes are one call.  Refinement
+    stops when the error estimate falls below atol + rtol * max|integral|;
+    the relative guard keeps the work bounded when the integrand magnitude
+    blows up.  Returns (integral, error) or, with collect_nodes, a third
+    item: the node times of the final panel set, sorted, and f at them.
     """
     if a == b:
-        z = np.zeros_like(np.asarray(f(a), dtype=float))
-        return (z, 0.0, []) if collect_nodes else (z, 0.0)
+        z = np.zeros_like(np.asarray(f(np.array([a])), dtype=float)[0])
+        return (z, 0.0, (np.empty(0), np.empty((0,) + z.shape))) if collect_nodes else (z, 0.0)
     sign = 1.0
     if b < a:
         a, b = b, a
         sign = -1.0
 
-    k, err, nodes = _panel(f, a, b)
-    heap = [(-err, 0, a, b, k, nodes)]
+    k, err, ts, vals = _panel(f, a, b)
+    heap = [(-err, 0, a, b, k, ts, vals)]
     counter = 1
     total_err = err
     running = np.array(k, dtype=float)
     while len(heap) < max_panels:
         if total_err <= atol + rtol * float(np.max(np.abs(running))):
             break
-        neg_err, _, lo, hi, whole, _nodes = heapq.heappop(heap)
+        neg_err, _, lo, hi, whole, _ts, _vals = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        k1, e1, n1 = _panel(f, lo, mid)
-        k2, e2, n2 = _panel(f, mid, hi)
+        k1, e1, t1, v1 = _panel(f, lo, mid)
+        k2, e2, t2, v2 = _panel(f, mid, hi)
         total_err += e1 + e2 - (-neg_err)
         running += k1 + k2 - whole
-        heapq.heappush(heap, (-e1, counter, lo, mid, k1, n1))
-        heapq.heappush(heap, (-e2, counter + 1, mid, hi, k2, n2))
+        heapq.heappush(heap, (-e1, counter, lo, mid, k1, t1, v1))
+        heapq.heappush(heap, (-e2, counter + 1, mid, hi, k2, t2, v2))
         counter += 2
     integral = sign * sum(item[4] for item in heap)
     if collect_nodes:
-        all_nodes = [pair for item in heap for pair in item[5]]
-        all_nodes.sort(key=lambda pair: pair[0])
-        return integral, total_err, all_nodes
+        heap.sort(key=lambda item: item[2])
+        return (integral, total_err, (np.concatenate([item[5] for item in heap]),
+                                      np.concatenate([item[6] for item in heap])))
     return integral, total_err

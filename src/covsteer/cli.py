@@ -441,6 +441,9 @@ def main(argv=None) -> int:
     except CovsteerError as exc:
         print(f"error: {exc}")
         return EXIT_PRECONDITION
+    except np.linalg.LinAlgError as exc:  # a ValueError, so caught first
+        print(f"numerical error: {exc}")
+        return EXIT_PRECONDITION
     except ValueError as exc:
         print(f"config error: {exc}")
         return EXIT_CONFIG

@@ -199,7 +199,8 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 
 def symmetrize(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (x + x.T)
+    """Symmetric part of a matrix, or of each matrix in a (..., n, n) stack."""
+    return 0.5 * (x + np.swapaxes(x, -1, -2))
 
 
 def spd_sqrt(x: np.ndarray, inverse: bool = False) -> np.ndarray:

@@ -19,10 +19,10 @@ from scipy.integrate import solve_ivp
 from .errors import RiccatiNonexistenceError, SingularTransitionError
 from .matfun import SystemSpec, symmetrize
 from .transition import (
+    COND_LIMIT,
     TransitionPath,
     bounds_on_grid,
     pi_bounds,
-    solve_with_cond_check,
     transition_blocks,
 )
 
@@ -58,15 +58,17 @@ def _growth_inverse(phi11, phi12, pi_s):
 
     A plain condition number misses the blow-up (the factor can be tiny in
     every direction), so the smallest singular value is measured against
-    the magnitude of the terms that cancel.
+    the magnitude of the terms that cancel.  On (k, n, n) stacks each
+    matrix is tested, and the first singular one raises.
     """
     growth = phi11 + phi12 @ pi_s
-    scale = np.linalg.norm(phi11) + np.linalg.norm(phi12 @ pi_s)
-    smin = np.min(np.linalg.svd(growth, compute_uv=False))
-    if smin <= max(scale, 1.0) / 1e12:
+    scale = np.linalg.norm(phi11, axis=(-2, -1)) + np.linalg.norm(phi12 @ pi_s, axis=(-2, -1))
+    smin = np.linalg.svd(growth, compute_uv=False)[..., -1]
+    bad = np.flatnonzero(smin <= np.maximum(scale, 1.0) / 1e12)
+    if bad.size:
         raise RiccatiNonexistenceError(
-            f"phi11 + phi12 Pi_s numerically singular "
-            f"(sigma_min={smin:.3e}, scale={scale:.3e})")
+            f"phi11 + phi12 Pi_s numerically singular (sigma_min="
+            f"{np.ravel(smin)[bad[0]]:.3e}, scale={np.ravel(scale)[bad[0]]:.3e})")
     return np.linalg.inv(growth)
 
 
@@ -81,9 +83,8 @@ def solve_closed_form(sys: SystemSpec, s: float, pi_s: np.ndarray,
     return symmetrize((b.phi21 + b.phi22 @ pi_s) @ inv)
 
 
-def closed_form_on_path(path: TransitionPath, pi_anchor: np.ndarray,
-                        t: float) -> np.ndarray:
-    """Closed-form Pi(t) reusing a dense transition path anchored at Pi_anchor's time."""
+def closed_form_on_path(path: TransitionPath, pi_anchor: np.ndarray, t) -> np.ndarray:
+    """Closed-form Pi(t) on a dense path anchored at Pi_anchor's time; stacked for k times."""
     p11, p12, p21, p22 = path.raw_blocks(t)
     inv = _growth_inverse(p11, p12, pi_anchor)
     return symmetrize((p21 + p22 @ pi_anchor) @ inv)
@@ -99,35 +100,33 @@ class MaximalInterval:
     t1_window_exceeded: bool
 
 
-def _inside_margin(sys, s, pi_s, t, side):
-    """Margin of the critical eigenvalue; positive means still inside."""
-    try:
-        b = transition_blocks(sys, t, s)
-        bound = symmetrize(-solve_with_cond_check(b.phi12, b.phi11, what="phi12"))
-    except SingularTransitionError:
-        # Asymptote region next to the anchor: the bound is unbounded there.
-        return math.inf
-    if side == "upper":  # t > s: inside while bound > Pi_s
-        return float(np.min(np.linalg.eigvalsh(bound - pi_s)))
-    return float(np.min(np.linalg.eigvalsh(pi_s - bound)))
+def _inside_margins(path, pi_s, ts, side):
+    """Margins of the critical eigenvalue at the times ts; positive means inside."""
+    p11, p12, _, _ = path.raw_blocks(ts)
+    # Asymptote region next to the anchor: the bound is unbounded there.
+    margins = np.full(len(ts), math.inf)
+    ok = np.linalg.cond(p12) <= COND_LIMIT  # False for NaN as well
+    if ok.any():
+        bound = symmetrize(-np.linalg.solve(p12[ok], p11[ok]))
+        inside = bound - pi_s if side == "upper" else pi_s - bound  # upper: t > s
+        margins[ok] = np.linalg.eigvalsh(inside)[:, 0]
+    return margins
 
 
-def _locate_crossing(sys, s, pi_s, limit, side, scan_points=64):
+def _locate_crossing(path, pi_s, limit, side, scan_points=64):
     """Scan toward the window edge, then bisect the first sign change."""
-    ts = np.linspace(s, limit, scan_points + 1)[1:]
-    prev = s
-    for t in ts:
-        if _inside_margin(sys, s, pi_s, t, side) <= 0.0:
-            lo, hi = prev, t
-            while abs(hi - lo) > BISECTION_TOL:
-                mid = 0.5 * (lo + hi)
-                if _inside_margin(sys, s, pi_s, mid, side) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi), False
-        prev = t
-    return limit, True
+    ts = np.linspace(path.anchor, limit, scan_points + 1)
+    crossed = np.flatnonzero(_inside_margins(path, pi_s, ts[1:], side) <= 0.0)
+    if not crossed.size:
+        return limit, True
+    lo, hi = ts[crossed[0]], ts[crossed[0] + 1]
+    while abs(hi - lo) > BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if _inside_margins(path, pi_s, np.array([mid]), side)[0] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), False
 
 
 def maximal_interval(sys: SystemSpec, s: float, pi_s: np.ndarray,
@@ -136,14 +135,16 @@ def maximal_interval(sys: SystemSpec, s: float, pi_s: np.ndarray,
 
     The interval endpoints are where the moving bound -phi12(t,s)^-1
     phi11(t,s) crosses Pi_s in the critical eigenvalue; ends outside the
-    search window are clamped and flagged, never extrapolated.
+    search window are clamped and flagged, never extrapolated.  All probes
+    read one transition path anchored at s over the window.
     """
     pi_s = symmetrize(np.asarray(pi_s, dtype=float))
     tmin, tmax = search_window
     if tmin > s or tmax < s:
         raise ValueError("search window must contain the anchor time")
-    t1, t1_exceeded = _locate_crossing(sys, s, pi_s, tmax, "upper")
-    t0, t0_exceeded = _locate_crossing(sys, s, pi_s, tmin, "lower")
+    path = TransitionPath(sys, anchor=s, span=(tmin, tmax))
+    t1, t1_exceeded = _locate_crossing(path, pi_s, tmax, "upper")
+    t0, t0_exceeded = _locate_crossing(path, pi_s, tmin, "lower")
     return MaximalInterval(t0=t0, t1=t1, t0_window_exceeded=t0_exceeded,
                            t1_window_exceeded=t1_exceeded)
 

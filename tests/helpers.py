@@ -155,6 +155,38 @@ def integrate_riccati_oracle(sys, s, pi_s, t, rtol=1e-11, atol=1e-13):
     return sol.y[:, -1].reshape(sys.n, sys.n)
 
 
+def lyapunov_oracle(sys, pi0, sigma0, times):
+    """Closed-loop covariance on a time grid by RK45 on the Lyapunov ODE.
+
+    dSigma = Acl Sigma + Sigma Acl' + C D C' + 2 nu Sigma with Acl = A -
+    B R^-1 B' Pi(t), integrated directly instead of through the explicit
+    transition-matrix formula the library evaluates.
+    """
+    from covsteer.riccati import closed_form_on_path
+    from covsteer.transition import TransitionPath
+
+    n = sys.n
+    pi0 = np.atleast_2d(np.asarray(pi0, dtype=float))
+    path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
+    nu_total = sys.identity_channel_nu()
+
+    def rhs(t, y):
+        sig = y.reshape(n, n)
+        sig = 0.5 * (sig + sig.T)
+        b = sys.B.eval(t)
+        c = sys.C.eval(t)
+        acl = sys.A.eval(t) - b @ np.linalg.solve(sys.R.eval(t), b.T) \
+            @ closed_form_on_path(path, pi0, t)
+        dsig = acl @ sig + sig @ acl.T + c @ sys.D.eval(t) @ c.T \
+            + 2.0 * float(nu_total.eval(t)[0, 0]) * sig
+        return (0.5 * (dsig + dsig.T)).reshape(-1)
+
+    sol = solve_ivp(rhs, (times[0], times[-1]), np.asarray(sigma0, dtype=float).reshape(-1),
+                    method="RK45", rtol=1e-10, atol=1e-13, t_eval=times)
+    assert sol.success
+    return sol.y.T.reshape(-1, n, n)
+
+
 def rk4_fixed(rhs, t0, y0, t1, steps):
     """Plain fixed-step RK4, independent of any library integrator."""
     h = (t1 - t0) / steps

@@ -1,8 +1,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from covsteer import cli
 from covsteer.cli import (
     EXIT_CONFIG,
     EXIT_MISMATCH,
@@ -74,6 +76,16 @@ def test_solve_zero_input_exits_2(tmp_path, example_raw):
     rc = main(["solve", "--config", write_cfg(tmp_path, example_raw),
                "--out", str(tmp_path / "o")])
     assert rc == EXIT_PRECONDITION
+
+
+def test_linalg_error_is_numerical_error_exit_2(tmp_path, monkeypatch, capsys):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "solve_boundary", singular)
+    rc = main(["solve", "--config", example_config_path(), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_PRECONDITION
+    assert "numerical error: Singular matrix" in capsys.readouterr().out
 
 
 def test_classify_report(tmp_path):

@@ -4,7 +4,9 @@ from numpy.testing import assert_allclose
 
 from covsteer.errors import RiccatiNonexistenceError
 from covsteer.matfun import MatrixPoly, symmetrize
+from covsteer.transition import TransitionPath
 from covsteer.riccati import (
+    closed_form_on_path,
     existence_check,
     integrate_general,
     maximal_interval,
@@ -62,6 +64,12 @@ def test_closed_form_nonexistence_raises():
     sys = s1()
     with pytest.raises(RiccatiNonexistenceError):
         solve_closed_form(sys, 0.0, [[2.0]], 0.5)
+    # On a time array one singular time among regular ones is enough.
+    path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
+    assert_allclose(closed_form_on_path(path, np.array([[2.0]]), np.array([0.0, 0.25]))[:, 0, 0],
+                    [2.0, 4.0], atol=1e-9)
+    with pytest.raises(RiccatiNonexistenceError):
+        closed_form_on_path(path, np.array([[2.0]]), np.array([0.0, 0.25, 0.5, 0.75]))
 
 
 def test_backward_consistency():
@@ -91,6 +99,15 @@ def test_maximal_interval_blowup():
     mi = maximal_interval(s1(), 0.0, [[2.0]], (-2.0, 2.0))
     assert abs(mi.t1 - 0.5) <= 1e-6
     assert not mi.t1_window_exceeded
+
+
+def test_maximal_interval_lower_side_escape():
+    # pi' = pi^2 - 1 with pi(0) = -2 is -coth(t + atanh(1/2)): it escapes
+    # backward at t = -atanh(1/2) and exists for every later time.
+    mi = maximal_interval(s1_with_q(), 0.0, [[-2.0]], (-2.0, 2.0))
+    assert abs(mi.t0 + np.arctanh(0.5)) <= 1e-6
+    assert not mi.t0_window_exceeded
+    assert mi.t1_window_exceeded and mi.t1 == 2.0
 
 
 def test_maximal_interval_global_zero():

@@ -13,8 +13,10 @@ from covsteer.steering import (
     solve_boundary,
     special_case_pi0,
 )
+from covsteer.transition import transition_blocks
 
 from helpers import (
+    lyapunov_oracle,
     random_admissible_pi0,
     random_controllable_system,
     random_spd,
@@ -68,6 +70,8 @@ def test_jacobian_workspace_invariants():
     sigma0 = random_spd(rng, 2)
     pi0 = random_admissible_pi0(rng, sys)
     ws = jacobian_f(sys, sigma0, pi0)
+    assert not ws.saturated
+    assert 0.0 <= ws.quad_error < np.inf
     for s, w_s, p_s in ws.nodes:
         if s > 1e-8:
             assert np.max(np.linalg.eigvalsh(w_s)) < 0.0
@@ -78,6 +82,22 @@ def test_jacobian_workspace_invariants():
         if np.linalg.norm(x) < 1e-12:
             continue
         assert vec(x) @ ws.S @ vec(x) < 0.0
+
+
+def test_jacobian_reports_quadrature_saturation():
+    # Next to the admissibility boundary the transported noise spikes near
+    # t = 1 and 400 panels no longer reach the quadrature tolerance.
+    rng = np.random.default_rng(73)
+    sys = random_controllable_system(rng, 2)
+    b = transition_blocks(sys, 1.0, 0.0)
+    upper = symmetrize(-np.linalg.solve(b.phi12, b.phi11))
+    inside = jacobian_f(sys, np.eye(2), upper - 1e-2 * np.eye(2))
+    edge = jacobian_f(sys, np.eye(2), upper - 1e-8 * np.eye(2))
+    assert not inside.saturated
+    assert edge.saturated and len(edge.nodes) == 15 * 400
+    times = [s for s, _, _ in edge.nodes]
+    assert times == sorted(times) and 0.0 < times[0] and times[-1] < 1.0
+    assert edge.quad_error > 1e3 * inside.quad_error
 
 
 def test_jacobian_commutes_with_transpose_swap():
@@ -160,6 +180,26 @@ def test_propagate_covariance_examples():
         assert abs(sigma[0, 0] - (1.0 + t)) <= 1e-9
     grid = propagate_covariance(s1(), [[0.6339746]], [[1.0]], grid_size=11)
     assert abs(grid[-1][1][0, 0] - 0.5) <= 1e-7
+
+
+@pytest.mark.parametrize("case", ["worked_example", "random_n3"])
+def test_sigma_grid_matches_lyapunov_oracle(case):
+    if case == "worked_example":
+        sys = example_system()
+        sigma0 = np.eye(2)
+        pi0 = solve_boundary(sys, BoundaryData(sigma0=sigma0,
+                                               sigma1=np.diag([0.3, 0.2]))).pi0
+    else:
+        rng = np.random.default_rng(89)
+        sys = random_controllable_system(rng, 3)
+        sigma0 = random_spd(rng, 3)
+        pi0 = random_admissible_pi0(rng, sys)
+    grid = propagate_covariance(sys, pi0, sigma0)
+    times = np.array([t for t, _ in grid])
+    got = np.stack([sigma for _, sigma in grid])
+    want = lyapunov_oracle(sys, pi0, sigma0, times)
+    rel = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+    assert np.max(rel) <= 1e-7
 
 
 def test_feedback_gain_schedule():

@@ -1,9 +1,13 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from covsteer._quad import adaptive_gk
 from covsteer.matfun import symmetrize
+from covsteer.riccati import closed_form_on_path
+from covsteer.steering import feedback_gain
 from covsteer.transition import (
     TransitionPath,
     gramian_identity,
@@ -15,6 +19,7 @@ from covsteer.transition import (
 from helpers import (
     expm_blocks,
     make_system,
+    random_admissible_pi0,
     random_controllable_system,
     s1,
     s1_with_q,
@@ -23,12 +28,13 @@ from helpers import (
 
 
 def test_adaptive_gk_against_analytic_integrals():
-    val, err = adaptive_gk(lambda t: np.array(t * np.exp(t)), 0.0, 1.0, atol=1e-12)
+    # Integrands take an array of times; the leading axis runs over them.
+    val, err = adaptive_gk(lambda ts: ts * np.exp(ts), 0.0, 1.0, atol=1e-12)
     assert abs(float(val) - 1.0) <= 1e-11  # int t e^t = 1
-    val, _ = adaptive_gk(lambda t: np.array([np.cos(10 * t), t ** 4]), 0.0, 1.0)
+    val, _ = adaptive_gk(lambda ts: np.stack([np.cos(10 * ts), ts ** 4], axis=-1), 0.0, 1.0)
     assert abs(val[0] - np.sin(10.0) / 10.0) <= 1e-10
     assert abs(val[1] - 0.2) <= 1e-12
-    val, _ = adaptive_gk(lambda t: np.array(t), 1.0, 0.0)  # reversed interval
+    val, _ = adaptive_gk(lambda ts: ts, 1.0, 0.0)  # reversed interval
     assert abs(float(val) + 0.5) <= 1e-12
 
 
@@ -159,9 +165,9 @@ def test_q_zero_reduces_to_reachability_gramian():
     phi_a = expm(a * (t - s))
     assert np.max(np.abs(blocks.phi11 - phi_a)) <= 1e-8
 
-    def integrand(tau):
-        phi_sa = expm(a * (s - tau))
-        return phi_sa @ b @ b.T @ phi_sa.T
+    def integrand(taus):
+        phi_sa = expm(a * (s - taus)[:, None, None])
+        return phi_sa @ b @ b.T @ np.swapaxes(phi_sa, -1, -2)
 
     gram, _ = adaptive_gk(integrand, s, t, atol=1e-12)
     n_block = -np.linalg.solve(blocks.phi11, blocks.phi12)
@@ -189,3 +195,42 @@ def test_dense_path_matches_direct_integration():
         dense = path.blocks(t)
         assert np.max(np.abs(direct.phi12 - dense.phi12)) <= 1e-9
         assert np.max(np.abs(direct.phi21 - dense.phi21)) <= 1e-9
+    # An interior anchor serves both sides of it from one array of times.
+    mid = TransitionPath(sys, anchor=0.4, span=(0.0, 1.0))
+    times = np.array([0.77, 0.1, 0.4])
+    for t, phi in zip(times, mid.phi(times)):
+        b = transition_blocks(sys, t, 0.4)
+        direct = np.block([[b.phi11, b.phi12], [b.phi21, b.phi22]])
+        assert np.max(np.abs(direct - phi)) <= 1e-9
+
+
+@pytest.fixture(scope="module")
+def batched_case():
+    rng = np.random.default_rng(83)
+    sys = random_controllable_system(rng, 3)
+    pi0 = random_admissible_pi0(rng, sys)
+    return (sys, pi0, TransitionPath(sys, anchor=0.0, span=(0.0, 1.0)),
+            TransitionPath(sys, anchor=0.4, span=(0.0, 1.0)))
+
+
+def _assert_stacks_equal(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(ts=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.4, 1.0])),
+                   min_size=1, max_size=12))
+def test_batched_path_evaluation_matches_per_time(batched_case, ts):
+    sys, pi0, path, mid_path = batched_case
+    # The anchors, both endpoints and a repeated time are always present.
+    times = np.array(ts + [0.0, 0.4, 1.0] + ts[:1])
+    for p in (path, mid_path):
+        _assert_stacks_equal(p.phi(times), np.stack([p.phi(t) for t in times]))
+    pis = closed_form_on_path(path, pi0, times)
+    _assert_stacks_equal(pis, np.stack([closed_form_on_path(path, pi0, t) for t in times]))
+    gains = feedback_gain(sys, list(zip(times, pis)))
+    assert [t for t, _ in gains] == list(times)
+    _assert_stacks_equal(np.stack([k for _, k in gains]),
+                         np.stack([feedback_gain(sys, [(t, pi)])[0][1]
+                                   for t, pi in zip(times, pis)]))
