@@ -54,12 +54,15 @@ def adaptive_gk(f, a, b, atol=1e-10, rtol=0.0, max_panels=2000,
     runs over those times; each panel's 15 nodes are one call.  Refinement
     stops when the error estimate falls below atol + rtol * max|integral|;
     the relative guard keeps the work bounded when the integrand magnitude
-    blows up.  Returns (integral, error) or, with collect_nodes, a third
-    item: the node times of the final panel set, sorted, and f at them.
+    blows up.  Returns (integral, error, saturated), saturated meaning that
+    max_panels stopped the refinement above that tolerance; collect_nodes
+    adds a fourth item: the node times of the final panel set, sorted, and
+    f at them.
     """
     if a == b:
         z = np.zeros_like(np.asarray(f(np.array([a])), dtype=float)[0])
-        return (z, 0.0, (np.empty(0), np.empty((0,) + z.shape))) if collect_nodes else (z, 0.0)
+        nodes = (np.empty(0), np.empty((0,) + z.shape))
+        return (z, 0.0, False, nodes) if collect_nodes else (z, 0.0, False)
     sign = 1.0
     if b < a:
         a, b = b, a
@@ -70,8 +73,10 @@ def adaptive_gk(f, a, b, atol=1e-10, rtol=0.0, max_panels=2000,
     counter = 1
     total_err = err
     running = np.array(k, dtype=float)
-    while len(heap) < max_panels:
-        if total_err <= atol + rtol * float(np.max(np.abs(running))):
+    saturated = False
+    while not total_err <= atol + rtol * float(np.max(np.abs(running))):  # NaN never meets it
+        if len(heap) >= max_panels:
+            saturated = True
             break
         neg_err, _, lo, hi, whole, _ts, _vals = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
@@ -83,8 +88,8 @@ def adaptive_gk(f, a, b, atol=1e-10, rtol=0.0, max_panels=2000,
         heapq.heappush(heap, (-e2, counter + 1, mid, hi, k2, t2, v2))
         counter += 2
     integral = sign * sum(item[4] for item in heap)
-    if collect_nodes:
-        heap.sort(key=lambda item: item[2])
-        return (integral, total_err, (np.concatenate([item[5] for item in heap]),
-                                      np.concatenate([item[6] for item in heap])))
-    return integral, total_err
+    if not collect_nodes:
+        return integral, total_err, saturated
+    heap.sort(key=lambda item: item[2])
+    return integral, total_err, saturated, tuple(
+        np.concatenate([item[col] for item in heap]) for col in (5, 6))

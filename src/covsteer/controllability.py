@@ -386,10 +386,10 @@ def scalar_steering_u(prob: ScalarSteeringProblem) -> ScalarControl:
 
     psi_poly = _pmul(t_pow, _ppow(np.array([1.0, -1.0]), h_order + 1))
     ab = _padd(a, b_poly)
-    int_ab, _ = adaptive_gk(lambda ts: np.array([f(t) * _peval(ab, t) for t in ts]),
-                            0.0, 1.0, atol=1e-12)
-    int_psi, _ = adaptive_gk(lambda ts: np.array([f(t) * _peval(psi_poly, t) for t in ts]),
-                             0.0, 1.0, atol=1e-12)
+    int_ab, _, _ = adaptive_gk(lambda ts: np.array([f(t) * _peval(ab, t) for t in ts]),
+                               0.0, 1.0, atol=1e-12)
+    int_psi, _, _ = adaptive_gk(lambda ts: np.array([f(t) * _peval(psi_poly, t) for t in ts]),
+                                0.0, 1.0, atol=1e-12)
     c0 = (prob.gamma - float(int_ab)) / float(int_psi)
     poly = _padd(ab, c0 * psi_poly)
 

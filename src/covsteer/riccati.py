@@ -43,8 +43,7 @@ def existence_check(sys: SystemSpec, s: float, pi_s: np.ndarray) -> ExistenceVer
     """Decide global existence on [0, 1] from the anchored value Pi(s)."""
     pi_s = symmetrize(np.asarray(pi_s, dtype=float))
     lower, upper = pi_bounds(sys, s)
-    upper_margin = math.inf
-    lower_margin = math.inf
+    upper_margin = lower_margin = math.inf
     if upper.is_finite:
         upper_margin = float(np.min(np.linalg.eigvalsh(upper.matrix - pi_s)))
     if lower.is_finite:

@@ -34,10 +34,12 @@ MAX_HALVINGS = 40
 ADMISSIBILITY_MARGIN = -1e-9
 HOMOTOPY_STEPS = 10
 W_ZERO_TIME = 1e-8  # below this s the node weight W_s0 is the zero matrix
-# Sigma(t): Gauss-Legendre nodes per grid interval (3 left Sigma(1) 7e-8 off
-# the adaptive value on a contracting instance, 5 leave 1e-10), and grid
-# intervals per batch, so that no stack exceeds about 0.2 MB (n = 3).
+# Sigma(t): Gauss-Legendre nodes per sub-interval (3 left Sigma(1) 7e-8 off
+# the adaptive value on a contracting instance, 5 leave 1e-10), sub-intervals
+# on [0, 1] at least, whatever the output grid, and sub-intervals per batch,
+# so that no stack exceeds about 0.2 MB (n = 3).
 SIGMA_GL_NODES = 5
+SIGMA_MIN_STEPS = 1000
 SIGMA_CHUNK = 128
 
 
@@ -61,8 +63,7 @@ class JacobianWorkspace:
     nodes holds (s, W_s0, P_s) at the shared quadrature nodes; jac is the
     full n^2 x n^2 Jacobian (phiPi10 x phiPi10) S and f_value the map value
     assembled from the same node set.  quad_error is the quadrature's error
-    estimate; saturated means max_panels was reached with that estimate
-    still above atol + rtol * max|integral|.
+    estimate; saturated means max_panels stopped it above its tolerance.
     """
 
     phi_pi_10: np.ndarray
@@ -110,12 +111,11 @@ def map_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
     """Terminal covariance reached from Sigma0 under the costate anchor Pi0."""
     pi0 = symmetrize(np.asarray(pi0, dtype=float))
     sigma0 = np.asarray(sigma0, dtype=float)
-    if path is None:
-        path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
+    path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
     _require_admissible(pi0, _upper_bound_10(path))
 
-    integral, _ = adaptive_gk(lambda ss: _transported_noise(sys, _phi_pi(path, pi0, ss), ss),
-                              0.0, 1.0, atol=quad_atol, rtol=QUAD_RTOL, max_panels=max_panels)
+    integral, _, _ = adaptive_gk(lambda ss: _transported_noise(sys, _phi_pi(path, pi0, ss), ss),
+                                 0.0, 1.0, atol=quad_atol, rtol=QUAD_RTOL, max_panels=max_panels)
     phi10 = _phi_pi(path, pi0, 1.0)
     return symmetrize(phi10 @ (sigma0 + integral) @ phi10.T)
 
@@ -132,8 +132,7 @@ def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
     n = sys.n
     pi0 = symmetrize(np.asarray(pi0, dtype=float))
     sigma0 = np.asarray(sigma0, dtype=float)
-    if path is None:
-        path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
+    path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
     _require_admissible(pi0, _upper_bound_10(path))
 
     p11_10, p12_10, _, _ = path.raw_blocks(1.0)
@@ -155,7 +154,7 @@ def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
         return np.concatenate([p.reshape(len(ss), -1), w_s.reshape(len(ss), -1),
                                jac_part.reshape(len(ss), -1)], axis=1)
 
-    integral, quad_err, (node_ts, node_vals) = adaptive_gk(
+    integral, quad_err, saturated, (node_ts, node_vals) = adaptive_gk(
         stacked, 0.0, 1.0, atol=quad_atol, rtol=QUAD_RTOL, max_panels=400,
         collect_nodes=True)
     p_int = integral[:n2].reshape(n, n)
@@ -166,26 +165,17 @@ def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
     f_value = symmetrize(phi10 @ (sigma0 + p_int) @ phi10.T)
     nodes = tuple((float(t), raw[n2:2 * n2].reshape(n, n), raw[:n2].reshape(n, n))
                   for t, raw in zip(node_ts, node_vals))
-    # The quadrature stops short of its tolerance only when it runs out of panels.
-    saturated = bool(quad_err > quad_atol + QUAD_RTOL * float(np.max(np.abs(integral))))
     return JacobianWorkspace(phi_pi_10=phi10, nodes=nodes, S=s_mat, jac=jac, f_value=f_value,
                              quad_error=float(quad_err), saturated=saturated)
 
 
 def _symmetric_basis(n: int) -> np.ndarray:
     """Orthonormal basis of symmetric matrices as columns of an n^2 x m map."""
-    cols = []
-    for i in range(n):
-        e = np.zeros((n, n))
-        e[i, i] = 1.0
-        cols.append(vec(e))
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n))
-            e[i, j] = e[j, i] = inv_sqrt2
-            cols.append(vec(e))
-    return np.column_stack(cols)
+    pairs = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+    basis = np.zeros((n * n, len(pairs)))
+    for col, (i, j) in enumerate(pairs):
+        basis[[i + j * n, j + i * n], col] = 1.0 if i == j else 1.0 / np.sqrt(2.0)
+    return basis
 
 
 def special_case_pi0(sys: SystemSpec, bd: BoundaryData,
@@ -204,8 +194,7 @@ def special_case_pi0(sys: SystemSpec, bd: BoundaryData,
             if np.max(np.abs(_cdct(sys, t) - brb)) > 1e-10:
                 raise ChannelMismatchError(
                     f"C D C' != B R^-1 B' at t={t:.3f}; closed form does not apply")
-    if path is None:
-        path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
+    path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
     b10 = path.blocks(1.0)
     phi12_inv = solve_with_cond_check(b10.phi12, what="phi12(1,0)")
     minus_bound = -phi12_inv @ b10.phi11
@@ -292,6 +281,8 @@ def solve_boundary(sys: SystemSpec, bd: BoundaryData,
             "boundary solve supports only identity multiplicative channels")
     if bd.sigma0.shape != (sys.n, sys.n):
         raise PreconditionError("boundary data dimension differs from the system")
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
     basis = _symmetric_basis(sys.n)
     pi_init = special_case_pi0(sys, bd, path=path, check_channels=False)
@@ -344,25 +335,31 @@ def propagate_covariance(sys: SystemSpec, pi0: np.ndarray, sigma0: np.ndarray,
 
     Explicit solution Sigma(t) = PhiPi(t,0) [Sigma0 + int_0^t P(s) ds]
     PhiPi(t,0)', P the transported noise, integrated by Gauss-Legendre sums
-    over the grid intervals; Sigma(1) is cross-checked against the boundary
-    map's adaptive quadrature to 1e-7.
+    over at least SIGMA_MIN_STEPS equal sub-intervals of the grid intervals,
+    so the accuracy does not depend on grid_size; Sigma(1) is cross-checked
+    against the boundary map's adaptive quadrature to 1e-7.
     """
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     pi0 = symmetrize(np.asarray(pi0, dtype=float))
     sigma0 = np.asarray(sigma0, dtype=float)
-    if path is None:
-        path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
+    path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
     _require_admissible(pi0, _upper_bound_10(path))
     n = sys.n
     times = np.linspace(0.0, 1.0, grid_size)
     x, w = np.polynomial.legendre.leggauss(SIGMA_GL_NODES)
+    sub = -(-SIGMA_MIN_STEPS // (grid_size - 1))  # sub-intervals per grid interval
+    frac = ((np.arange(sub)[:, None] + 0.5 * (1.0 + x)) / sub).ravel()
+    batch = max(1, SIGMA_CHUNK // sub)
     sigma = np.empty((grid_size, n, n))
     sigma[0] = acc = sigma0  # PhiPi(0,0) = I; acc is Sigma0 + int_0^t P(s) ds
-    for k in range(1, grid_size, SIGMA_CHUNK):
-        hi = times[k:k + SIGMA_CHUNK]
-        half = 0.5 * (hi - times[k - 1:k - 1 + hi.size])[:, None]
-        ss = (hi[:, None] - half + half * x).ravel()
+    for k in range(1, grid_size, batch):
+        hi = times[k:k + batch]
+        width = (hi - times[k - 1:k - 1 + hi.size])[:, None]
+        ss = (hi[:, None] - width + width * frac).ravel()
         p = _transported_noise(sys, _phi_pi(path, pi0, ss), ss).reshape(hi.size, -1, n, n)
-        acc = acc + np.cumsum(np.einsum("kj,kjab->kab", half * w, p), axis=0)
+        wts = width * np.tile(0.5 * w / sub, sub)
+        acc = acc + np.cumsum(np.einsum("kj,kjab->kab", wts, p), axis=0)
         g = _phi_pi(path, pi0, hi)
         sigma[k:k + hi.size] = g @ acc @ np.swapaxes(g, -1, -2)
         acc = acc[-1]
@@ -390,14 +387,13 @@ def optimal_cost(sys: SystemSpec, sol: SteeringSolution, bd: BoundaryData,
                  path: TransitionPath | None = None,
                  quad_atol: float = QUAD_ATOL) -> float:
     """Optimal cost: int tr(Pi C D C') dt plus the boundary correction."""
-    if path is None:
-        path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
+    path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
     pi0 = sol.pi0
 
     def integrand(ts):
         return np.einsum("kij,kji->k", closed_form_on_path(path, pi0, ts), _cdct(sys, ts))
 
-    integral, _ = adaptive_gk(integrand, 0.0, 1.0, atol=quad_atol)
+    integral, _, _ = adaptive_gk(integrand, 0.0, 1.0, atol=quad_atol)
     pi1 = closed_form_on_path(path, pi0, 1.0)
     return float(integral) + float(np.trace(pi0 @ bd.sigma0)) \
         - float(np.trace(pi1 @ bd.sigma1))

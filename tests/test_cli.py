@@ -88,6 +88,14 @@ def test_linalg_error_is_numerical_error_exit_2(tmp_path, monkeypatch, capsys):
     assert "numerical error: Singular matrix" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("grid", ["1", "0"])
+def test_solve_grid_below_two_is_config_error(tmp_path, capsys, grid):
+    rc = main(["solve", "--config", example_config_path(), "--out", str(tmp_path / "o"),
+               "--grid", grid])
+    assert rc == EXIT_CONFIG
+    assert f"config error: grid_size must be at least 2, got {grid}" in capsys.readouterr().out
+
+
 def test_classify_report(tmp_path):
     out = str(tmp_path / "o")
     rc = main(["classify", "--config", example_config_path(), "--out", out])

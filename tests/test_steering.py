@@ -182,9 +182,9 @@ def test_propagate_covariance_examples():
     assert abs(grid[-1][1][0, 0] - 0.5) <= 1e-7
 
 
-@pytest.mark.parametrize("case", ["worked_example", "random_n3"])
-def test_sigma_grid_matches_lyapunov_oracle(case):
-    if case == "worked_example":
+@pytest.fixture(scope="module", params=["worked_example", "random_n3"])
+def oracle_case(request):
+    if request.param == "worked_example":
         sys = example_system()
         sigma0 = np.eye(2)
         pi0 = solve_boundary(sys, BoundaryData(sigma0=sigma0,
@@ -194,12 +194,51 @@ def test_sigma_grid_matches_lyapunov_oracle(case):
         sys = random_controllable_system(rng, 3)
         sigma0 = random_spd(rng, 3)
         pi0 = random_admissible_pi0(rng, sys)
-    grid = propagate_covariance(sys, pi0, sigma0)
+    return sys, sigma0, pi0
+
+
+@pytest.mark.parametrize("grid_size", [11, 101, 1001])
+def test_sigma_grid_matches_lyapunov_oracle(oracle_case, grid_size):
+    sys, sigma0, pi0 = oracle_case
+    grid = propagate_covariance(sys, pi0, sigma0, grid_size=grid_size)
     times = np.array([t for t, _ in grid])
+    assert np.array_equal(times, np.linspace(0.0, 1.0, grid_size))
     got = np.stack([sigma for _, sigma in grid])
     want = lyapunov_oracle(sys, pi0, sigma0, times)
     rel = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
     assert np.max(rel) <= 1e-7
+
+
+@pytest.fixture(scope="module")
+def contracting_case():
+    # Sigma shrinks from 50 I to 0.01 I, so the transported noise varies fast.
+    rng = np.random.default_rng(92)
+    sys = random_controllable_system(rng, 2)
+    bd = BoundaryData(sigma0=50.0 * np.eye(2), sigma1=0.01 * np.eye(2))
+    pi0 = solve_boundary(sys, bd).pi0
+    fine = propagate_covariance(sys, pi0, bd.sigma0, grid_size=1001)
+    return sys, bd.sigma0, pi0, np.stack([sigma for _, sigma in fine])
+
+
+@pytest.mark.parametrize("grid_size", [2, 11, 101])
+def test_sigma_grid_does_not_depend_on_output_grid(contracting_case, grid_size):
+    # One Gauss-Legendre interval per output interval misses the 1e-7
+    # endpoint check on this instance at grid 101 and below.
+    sys, sigma0, pi0, fine = contracting_case
+    got = np.stack([sigma for _, sigma in
+                    propagate_covariance(sys, pi0, sigma0, grid_size=grid_size)])
+    # Shared times agree to rounding, which the cancellation in phi11 + phi12
+    # Pi0 (terms near 1, sum near 1e-3 at t = 1) amplifies to about 4e-10.
+    assert np.max(np.abs(got - fine[::1000 // (grid_size - 1)])) <= 1e-10 * np.max(np.abs(fine))
+
+
+def test_grid_below_two_points_is_rejected(contracting_case):
+    sys, sigma0, pi0, _ = contracting_case
+    for grid_size in (1, 0):
+        with pytest.raises(ValueError, match="grid_size"):
+            propagate_covariance(sys, pi0, sigma0, grid_size=grid_size)
+        with pytest.raises(ValueError, match="grid_size"):
+            solve_boundary(sys, BoundaryData(sigma0=sigma0, sigma1=sigma0), grid_size=grid_size)
 
 
 def test_feedback_gain_schedule():

@@ -29,13 +29,25 @@ from helpers import (
 
 def test_adaptive_gk_against_analytic_integrals():
     # Integrands take an array of times; the leading axis runs over them.
-    val, err = adaptive_gk(lambda ts: ts * np.exp(ts), 0.0, 1.0, atol=1e-12)
+    val, err, saturated = adaptive_gk(lambda ts: ts * np.exp(ts), 0.0, 1.0, atol=1e-12)
+    assert err <= 1e-12 and not saturated
     assert abs(float(val) - 1.0) <= 1e-11  # int t e^t = 1
-    val, _ = adaptive_gk(lambda ts: np.stack([np.cos(10 * ts), ts ** 4], axis=-1), 0.0, 1.0)
+    val, _, _ = adaptive_gk(lambda ts: np.stack([np.cos(10 * ts), ts ** 4], axis=-1), 0.0, 1.0)
     assert abs(val[0] - np.sin(10.0) / 10.0) <= 1e-10
     assert abs(val[1] - 0.2) <= 1e-12
-    val, _ = adaptive_gk(lambda ts: ts, 1.0, 0.0)  # reversed interval
+    val, _, _ = adaptive_gk(lambda ts: ts, 1.0, 0.0)  # reversed interval
     assert abs(float(val) + 0.5) <= 1e-12
+
+
+def test_adaptive_gk_reports_saturation():
+    # The panel limit ends a refinement that has not met its tolerance.
+    _, err, saturated = adaptive_gk(lambda ts: 1.0 / np.sqrt(ts), 0.0, 1.0, max_panels=5)
+    assert saturated and err > 1e-10
+    # At the panel limit with the tolerance met the result is not saturated.
+    _, err, saturated = adaptive_gk(lambda ts: ts ** 3, 0.0, 1.0, max_panels=1)
+    assert not saturated and err <= 1e-10
+    # A NaN estimate never meets the tolerance either.
+    assert adaptive_gk(lambda ts: np.full(ts.shape, np.nan), 0.0, 1.0, max_panels=3)[2]
 
 
 def test_blocks_at_equal_times_are_identity():
@@ -169,7 +181,7 @@ def test_q_zero_reduces_to_reachability_gramian():
         phi_sa = expm(a * (s - taus)[:, None, None])
         return phi_sa @ b @ b.T @ np.swapaxes(phi_sa, -1, -2)
 
-    gram, _ = adaptive_gk(integrand, s, t, atol=1e-12)
+    gram, _, _ = adaptive_gk(integrand, s, t, atol=1e-12)
     n_block = -np.linalg.solve(blocks.phi11, blocks.phi12)
     assert np.max(np.abs(n_block - gram)) <= 1e-8
 
