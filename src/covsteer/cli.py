@@ -396,11 +396,7 @@ def run(command: str, cfg: RunConfig, out: str) -> int:
         return _cmd_construct(cfg, out)
     if command == "simulate":
         sim_cfg = _simulation_config(cfg)
-        _require_solvable(cfg)
-        sol = solve_boundary(cfg.system, cfg.boundary,
-                             grid_size=int(cfg.options["grid"]),
-                             tol=float(cfg.options["newton_tol"]))
-        _run_simulation(cfg, out, sol, sim_cfg)
+        _run_simulation(cfg, out, _cmd_solve(cfg, out), sim_cfg)
         return EXIT_OK
     if command == "certify":
         return _cmd_certify(cfg, out)

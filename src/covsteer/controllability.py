@@ -15,8 +15,10 @@ flat exponential bump) that respects a running positivity floor.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy.integrate import solve_ivp
 
 from ._quad import adaptive_gk
@@ -45,20 +47,24 @@ def _gamma_polys(a: MatrixPoly, b: MatrixPoly, count: int) -> list:
     return gammas
 
 
-def theta_matrices(sys: SystemSpec, t: float, max_index: int) -> list:
-    """Theta_i(t) = [Gamma_0(t) ... Gamma_{i-1}(t)] for i = 1..max_index."""
+def theta_matrices(sys: SystemSpec, t, max_index: int) -> list:
+    """Theta_i(t) = [Gamma_0(t) ... Gamma_{i-1}(t)] for i = 1..max_index.
+
+    For an array of times each Theta_i is the stack of its values, with the
+    time axes leading.
+    """
     if not 1 <= max_index <= sys.n + 1:
         raise ValueError("max_index must lie in 1..n+1")
-    gammas = _gamma_polys(sys.A, sys.B, max_index)
-    vals = [g.eval(t) for g in gammas]
-    return [np.hstack(vals[:i]) for i in range(1, max_index + 1)]
+    tt = np.asarray(t, dtype=float)[..., None, None]
+    vals = np.concatenate([g.eval(tt) for g in _gamma_polys(sys.A, sys.B, max_index)],
+                          axis=-1)
+    return [vals[..., : i * sys.p] for i in range(1, max_index + 1)]
 
 
-def _rank(mat: np.ndarray, rtol: float = RANK_RTOL) -> int:
+def _rank(mat: np.ndarray, rtol: float = RANK_RTOL):
+    """Numerical rank of a matrix, or of each matrix in a stack."""
     sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] <= 0.0:
-        return 0
-    return int(np.sum(sv > rtol * sv[0]))
+    return np.sum(sv > rtol * sv[..., :1], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -81,36 +87,19 @@ def classify(sys: SystemSpec, grid_size: int = 101,
     probe density is recorded in the report.
     """
     n = sys.n
-    gammas = _gamma_polys(sys.A, sys.B, n + 1)
     times = np.linspace(0.0, 1.0, grid_size)
+    ranks = np.stack([_rank(th) for th in theta_matrices(sys, times, n + 1)], axis=1)
+    full = ranks[:, n - 1] == n
+    index_invariant = bool(np.all(ranks == ranks[0]) and ranks[0, n - 1] == ranks[0, n])
 
-    def theta_n_rank(t):
-        return _rank(np.hstack([g.eval(t) for g in gammas[:n]]))
-
-    ranks = []
-    for t in times:
-        vals = [g.eval(t) for g in gammas]
-        ranks.append(tuple(_rank(np.hstack(vals[: i + 1])) for i in range(n + 1)))
-    ranks = tuple(ranks)
-
-    witnesses = tuple(float(t) for t, r in zip(times, ranks) if r[n - 1] == n)
-    uniform = all(r[n - 1] == n for r in ranks)
-    index_invariant = all(
-        len({r[i] for r in ranks}) == 1 for i in range(n + 1)
-    ) and ranks[0][n - 1] == ranks[0][n]
-
-    total = True
-    for k in range(grid_size - 1):
-        lo, hi = times[k], times[k + 1]
-        probes = np.linspace(lo, hi, probes_per_subinterval + 2)[1:-1]
-        if not any(theta_n_rank(t) == n for t in probes):
-            total = False
-            break
+    probes = np.linspace(times[:-1], times[1:], probes_per_subinterval + 2, axis=1)[:, 1:-1]
+    probe_ranks = _rank(theta_matrices(sys, probes, n)[-1])
+    total = bool(np.all(np.any(probe_ranks == n, axis=1)))
 
     return ControllabilityReport(
-        grid_times=tuple(float(t) for t in times), theta_ranks=ranks,
-        totally_controllable=total, uniformly_controllable=uniform,
-        index_invariant=index_invariant, witnesses=witnesses,
+        grid_times=tuple(times.tolist()), theta_ranks=tuple(map(tuple, ranks.tolist())),
+        totally_controllable=total, uniformly_controllable=bool(np.all(full)),
+        index_invariant=index_invariant, witnesses=tuple(times[full].tolist()),
         probes_per_subinterval=probes_per_subinterval)
 
 
@@ -190,40 +179,24 @@ def canonical_transform(a: np.ndarray, b: np.ndarray) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Scalar polynomial helpers (ascending coefficient arrays)
+# Scalar construction (polynomials as ascending coefficient arrays)
 # ---------------------------------------------------------------------------
 
-def _pder(c):
-    return c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1)
+class _Derivs:
+    """Successive time derivatives of one object, each built once on demand."""
 
+    def __init__(self, first, step=P.polyder):
+        self._items = [first]
+        self._step = step
 
-def _pder_k(c, k):
-    for _ in range(k):
-        c = _pder(c)
-    return c
-
-
-def _peval(c, t):
-    out = 0.0
-    for v in c[::-1]:
-        out = out * t + v
-    return out
-
-
-def _pmul(a, b):
-    return np.convolve(a, b)
-
-
-def _padd(a, b):
-    k = max(len(a), len(b))
-    out = np.zeros(k)
-    out[: len(a)] += a
-    out[: len(b)] += b
-    return out
+    def __getitem__(self, order):
+        while len(self._items) <= order:
+            self._items.append(self._step(self._items[-1]))
+        return self._items[order]
 
 
 _D_POLY = np.array([0.0, 0.0, 1.0, -2.0, 1.0])  # t^2 (1-t)^2
-_D_PRIME = np.array([0.0, 2.0, -6.0, 4.0])
+_D_PRIME = P.polyder(_D_POLY)
 
 
 @dataclass(frozen=True)
@@ -235,34 +208,29 @@ class _RatD:
 
     def deriv(self):
         if self.k == 0:
-            return _RatD(_pder(self.num), 0)
-        num = _padd(_pmul(_pder(self.num), _D_POLY),
-                    _pmul(self.num, _D_PRIME) * (-self.k))
+            return _RatD(P.polyder(self.num), 0)
+        num = P.polysub(P.polymul(P.polyder(self.num), _D_POLY),
+                        self.k * P.polymul(self.num, _D_PRIME))
         return _RatD(num, self.k + 1)
 
     def add(self, other):
         k = max(self.k, other.k)
-        a = self.num if self.k == k else _pmul(self.num, _ppow(_D_POLY, k - self.k))
-        b = other.num if other.k == k else _pmul(other.num, _ppow(_D_POLY, k - other.k))
-        return _RatD(_padd(a, b), k)
+        a = P.polymul(self.num, P.polypow(_D_POLY, k - self.k))
+        b = P.polymul(other.num, P.polypow(_D_POLY, k - other.k))
+        return _RatD(P.polyadd(a, b), k)
 
     def value(self, t):
-        d = _peval(_D_POLY, t)
-        return _peval(self.num, t) / d ** self.k if self.k else _peval(self.num, t)
-
-
-def _ppow(c, k):
-    out = np.ones(1)
-    for _ in range(k):
-        out = _pmul(out, c)
-    return out
+        return P.polyval(t, self.num) / P.polyval(t, _D_POLY) ** self.k
 
 
 def _bump(t):
-    """exp(-1/(t(1-t))) extended by zero to the endpoints."""
+    """psi(t) = exp(-1/(t(1-t))) extended by zero to the endpoints."""
     if t <= 0.0 or t >= 1.0:
         return 0.0
     return math.exp(-1.0 / (t * (1.0 - t)))
+
+
+_PSI_LOG_DERIV = _RatD(np.array([1.0, -2.0]), 1)  # psi'/psi
 
 
 @dataclass(frozen=True)
@@ -271,13 +239,14 @@ class ExpIntegralWeight:
 
     nu_coeffs: tuple
 
+    @cached_property
     def _antideriv(self):
-        c = np.asarray(self.nu_coeffs, dtype=float)
-        return np.concatenate([[0.0], c / np.arange(1, len(c) + 1)])
+        anti = P.polyint(np.asarray(self.nu_coeffs, dtype=float))
+        return anti, P.polyval(1.0, anti)
 
     def __call__(self, t):
-        anti = self._antideriv()
-        return math.exp(2.0 * (_peval(anti, 1.0) - _peval(anti, t)))
+        anti, at_1 = self._antideriv
+        return math.exp(2.0 * (at_1 - P.polyval(t, anti)))
 
     @property
     def log_deriv_coeffs(self):
@@ -312,14 +281,29 @@ class ScalarControl:
     weight: object
     verification: dict
 
+    @cached_property
+    def _poly_derivs(self):
+        return _Derivs(self.poly)
+
+    @cached_property
+    def _bump_derivs(self):
+        """h_m with the m-th bump derivative d0 psi h_m / f, or None.
+
+        h_0 = w and h_{m+1} = h_m' + h_m (w - r), where w = psi'/psi and r
+        is the weight's log-derivative; without r only h_0 is known.
+        """
+        if not hasattr(self.weight, "log_deriv_coeffs"):
+            return None
+        r = np.asarray(self.weight.log_deriv_coeffs, dtype=float)
+        w_minus_r = _RatD(P.polyadd(_PSI_LOG_DERIV.num, P.polymul(-r, _D_POLY)), 1)
+        return _Derivs(_PSI_LOG_DERIV, lambda h: h.deriv().add(
+            _RatD(P.polymul(h.num, w_minus_r.num), h.k + w_minus_r.k)))
+
     def value(self, t):
-        val = _peval(self.poly, t)
-        if self.d0 != 0.0:
-            val += self._bump_part(t, 0)
-        return val
+        return self.derivative(t, 0)
 
     def derivative(self, t, order=1):
-        val = _peval(_pder_k(self.poly, order), t)
+        val = P.polyval(t, self._poly_derivs[order])
         if self.d0 != 0.0:
             val += self._bump_part(t, order)
         return val
@@ -328,19 +312,12 @@ class ScalarControl:
         psi = _bump(t)
         if psi == 0.0:
             return 0.0
-        if not hasattr(self.weight, "log_deriv_coeffs"):
+        if self._bump_derivs is None:
             if order == 0:
-                w = _RatD(np.array([1.0, -2.0]), 1)
-                return self.d0 * psi * w.value(t) / self.weight(t)
+                return self.d0 * psi * _PSI_LOG_DERIV.value(t) / self.weight(t)
             raise ValueError(
                 "bump derivatives need a weight with an exact log-derivative")
-        r = np.asarray(self.weight.log_deriv_coeffs, dtype=float)
-        # d^(m) = d0 psi h_m / f with h_0 = w, h_{m+1} = h_m' + h_m (w - r).
-        h = _RatD(np.array([1.0, -2.0]), 1)
-        w_minus_r = _RatD(_padd(np.array([1.0, -2.0]), _pmul(-r, _D_POLY)), 1)
-        for _ in range(order):
-            h = h.deriv().add(_RatD(_pmul(h.num, w_minus_r.num), h.k + w_minus_r.k))
-        return self.d0 * psi * h.value(t) / self.weight(t)
+        return self.d0 * psi * self._bump_derivs[order].value(t) / self.weight(t)
 
 
 def _cumulative_weighted(f, g, rtol=1e-12):
@@ -372,28 +349,28 @@ def scalar_steering_u(prob: ScalarSteeringProblem) -> ScalarControl:
     # b(t) = t^{H+1} sum b_i (1-t)^i fixes the derivatives at t = 1 triangularly.
     t_pow = np.zeros(h_order + 2)
     t_pow[-1] = 1.0
-    phis = [_pmul(t_pow, _ppow(np.array([1.0, -1.0]), i)) for i in range(h_order + 1)]
+    phis = [P.polymul(t_pow, P.polypow([1.0, -1.0], i)) for i in range(h_order + 1)]
     tri = np.zeros((h_order + 1, h_order + 1))
     rhs = np.zeros(h_order + 1)
     for j in range(h_order + 1):
         for i in range(j + 1):
-            tri[j, i] = _peval(_pder_k(phis[i], j), 1.0)
-        rhs[j] = prob.beta[j] - _peval(_pder_k(a, j), 1.0)
+            tri[j, i] = P.polyval(1.0, P.polyder(phis[i], j))
+        rhs[j] = prob.beta[j] - P.polyval(1.0, P.polyder(a, j))
     b_coefs = np.linalg.solve(tri, rhs)
     b_poly = np.zeros(1)
     for i, bi in enumerate(b_coefs):
-        b_poly = _padd(b_poly, bi * phis[i])
+        b_poly = P.polyadd(b_poly, bi * phis[i])
 
-    psi_poly = _pmul(t_pow, _ppow(np.array([1.0, -1.0]), h_order + 1))
-    ab = _padd(a, b_poly)
-    int_ab, _, _ = adaptive_gk(lambda ts: np.array([f(t) * _peval(ab, t) for t in ts]),
+    psi_poly = P.polymul(t_pow, P.polypow([1.0, -1.0], h_order + 1))
+    ab = P.polyadd(a, b_poly)
+    int_ab, _, _ = adaptive_gk(lambda ts: np.array([f(t) for t in ts]) * P.polyval(ts, ab),
                                0.0, 1.0, atol=1e-12)
-    int_psi, _, _ = adaptive_gk(lambda ts: np.array([f(t) * _peval(psi_poly, t) for t in ts]),
+    int_psi, _, _ = adaptive_gk(lambda ts: np.array([f(t) for t in ts]) * P.polyval(ts, psi_poly),
                                 0.0, 1.0, atol=1e-12)
     c0 = (prob.gamma - float(int_ab)) / float(int_psi)
-    poly = _padd(ab, c0 * psi_poly)
+    poly = P.polyadd(ab, c0 * psi_poly)
 
-    cum = _cumulative_weighted(f, lambda t: _peval(poly, t))
+    cum = _cumulative_weighted(f, lambda t: P.polyval(t, poly))
     grid = np.linspace(0.0, 1.0, FLOOR_GRID)
     floor_vals = np.array([prob.rho(t) for t in grid])
     base_vals = np.array([cum(t) for t in grid])
@@ -441,20 +418,19 @@ class _CornerFn:
     so any order reduces to derivatives of the driving control.
     """
 
-    def __init__(self, dense, g_fn, m_entry, nu_coeffs):
+    def __init__(self, dense, g_fn, m_derivs, nu_derivs):
         self._dense = dense
         self._g = g_fn
-        self._m = m_entry  # ascending poly coeffs
-        self._nu = nu_coeffs
+        self._m = m_derivs
+        self._nu = nu_derivs
 
     def deriv(self, t, k=0):
         if k == 0:
             return float(self._dense.sol(t)[0])
         j = k - 1
-        out = 2.0 * self._g.deriv(t, j) + _peval(_pder_k(self._m, j), t)
+        out = 2.0 * self._g.deriv(t, j) + P.polyval(t, self._m[j])
         for r in range(j + 1):
-            out += 2.0 * math.comb(j, r) * _peval(_pder_k(self._nu, r), t) \
-                * self.deriv(t, j - r)
+            out += 2.0 * math.comb(j, r) * P.polyval(t, self._nu[r]) * self.deriv(t, j - r)
         return out
 
 
@@ -465,17 +441,17 @@ class _DeterminedFn:
     follow by Leibniz.
     """
 
-    def __init__(self, below, right, m_entry, nu_coeffs):
+    def __init__(self, below, right, m_derivs, nu_derivs):
         self._below = below
         self._right = right
-        self._m = m_entry
-        self._nu = nu_coeffs
+        self._m = m_derivs
+        self._nu = nu_derivs
 
     def deriv(self, t, k=0):
         out = self._below.deriv(t, k + 1) - self._right.deriv(t, k) \
-            - _peval(_pder_k(self._m, k), t)
+            - P.polyval(t, self._m[k])
         for r in range(k + 1):
-            out -= 2.0 * math.comb(k, r) * _peval(_pder_k(self._nu, r), t) \
+            out -= 2.0 * math.comb(k, r) * P.polyval(t, self._nu[r]) \
                 * self._below.deriv(t, k - r)
         return out
 
@@ -499,13 +475,9 @@ class FeasibleSteering:
     covariance: object = None
 
 
-def _poly_entry(mp: MatrixPoly, i: int, j: int) -> np.ndarray:
-    return np.asarray(mp.coeffs[i][j], dtype=float)
-
-
-def _endpoint_derivs_nu_product(nu_c, vals, j, t):
+def _endpoint_derivs_nu_product(nu_d, vals, j, t):
     """sum_r C(j,r) nu^(r)(t) vals[j-r] for the Leibniz terms."""
-    return sum(math.comb(j, r) * _peval(_pder_k(nu_c, r), t) * vals[j - r]
+    return sum(math.comb(j, r) * P.polyval(t, nu_d[r]) * vals[j - r]
                for r in range(j + 1))
 
 
@@ -539,7 +511,9 @@ def construct_feasible_steering(a: np.ndarray, b: np.ndarray, bd: BoundaryData,
     sig0 = t_mat @ bd.sigma0 @ t_mat.T
     sig1 = t_mat @ bd.sigma1 @ t_mat.T
     m_y = MatrixPoly.constant(t_mat) @ m_poly @ MatrixPoly.constant(t_mat.T)
-    nu_c = np.asarray(nu_poly.coeffs[0][0], dtype=float)
+    nu_c = nu_poly.entry()
+    nu_d = _Derivs(nu_c)
+    m_d = [[_Derivs(m_y.entry(i, j)) for j in range(n)] for i in range(n)]
     weight = ExpIntegralWeight(tuple(nu_c))
     f_at_0 = weight(0.0)
 
@@ -555,11 +529,10 @@ def construct_feasible_steering(a: np.ndarray, b: np.ndarray, bd: BoundaryData,
         corner0 = np.zeros(h_m + 2)
         corner1 = np.zeros(h_m + 2)
         corner0[0], corner1[0] = sig0[m - 1, m - 1], sig1[m - 1, m - 1]
-        m_mm = _poly_entry(m_y, m - 1, m - 1)
         for j in range(h_m + 1):
             for t_end, arr, cvals in ((0.0, corner0, cbc[m][0]), (1.0, corner1, cbc[m][1])):
-                arr[j + 1] = 2.0 * cvals[j] + _peval(_pder_k(m_mm, j), t_end) \
-                    + 2.0 * _endpoint_derivs_nu_product(nu_c, arr, j, t_end)
+                arr[j + 1] = 2.0 * cvals[j] + P.polyval(t_end, m_d[m - 1][m - 1][j]) \
+                    + 2.0 * _endpoint_derivs_nu_product(nu_d, arr, j, t_end)
         corner_bc[m] = (corner0, corner1)
 
         col0 = {i: np.zeros(h_m + 2) for i in range(1, m)}
@@ -571,12 +544,11 @@ def construct_feasible_steering(a: np.ndarray, b: np.ndarray, bd: BoundaryData,
             for i in range(1, m):
                 above0 = col0[i + 1][j] if i + 1 < m else corner0[j]
                 above1 = col1[i + 1][j] if i + 1 < m else corner1[j]
-                col0[i][j + 1] = above0 + cbc[i][0][j] + _peval(_pder_k(
-                    _poly_entry(m_y, i - 1, m - 1), j), 0.0) \
-                    + 2.0 * _endpoint_derivs_nu_product(nu_c, col0[i], j, 0.0)
-                col1[i][j + 1] = above1 + cbc[i][1][j] + _peval(_pder_k(
-                    _poly_entry(m_y, i - 1, m - 1), j), 1.0) \
-                    + 2.0 * _endpoint_derivs_nu_product(nu_c, col1[i], j, 1.0)
+                m_im = m_d[i - 1][m - 1][j]
+                col0[i][j + 1] = above0 + cbc[i][0][j] + P.polyval(0.0, m_im) \
+                    + 2.0 * _endpoint_derivs_nu_product(nu_d, col0[i], j, 0.0)
+                col1[i][j + 1] = above1 + cbc[i][1][j] + P.polyval(1.0, m_im) \
+                    + 2.0 * _endpoint_derivs_nu_product(nu_d, col1[i], j, 1.0)
         ctrl_bc[m - 1] = {i: (col0[i], col1[i]) for i in range(1, m)}
 
     corner_bc[1] = (np.array([sig0[0, 0]]), np.array([sig1[0, 0]]))
@@ -586,18 +558,15 @@ def construct_feasible_steering(a: np.ndarray, b: np.ndarray, bd: BoundaryData,
     u_fns: dict = {}
     layer_trace = []
 
-    def weighted_cum(g_entry_poly):
-        return _cumulative_weighted(weight, lambda t: _peval(g_entry_poly, t))
-
     for m in range(1, n + 1):
         for i in range(1, m - 1):
             entries[(i, m)] = _DeterminedFn(
                 below=entries[(i, m - 1)], right=entries[(i + 1, m - 1)],
-                m_entry=_poly_entry(m_y, i - 1, m - 2), nu_coeffs=nu_c)
+                m_derivs=m_d[i - 1][m - 2], nu_derivs=nu_d)
 
         # Corner sigma_mm driven by g_m (the next-column head, or U_m at m = n).
-        m_mm = _poly_entry(m_y, m - 1, m - 1)
-        cum_m = weighted_cum(m_mm)
+        m_mm = m_y.entry(m - 1, m - 1)
+        cum_m = _cumulative_weighted(weight, lambda t, c=m_mm: P.polyval(t, c))
         s_mm_0 = sig0[m - 1, m - 1]
         s_mm_1 = sig1[m - 1, m - 1]
         gamma_m = 0.5 * (s_mm_1 - f_at_0 * s_mm_0 - cum_m(1.0))
@@ -629,13 +598,13 @@ def construct_feasible_steering(a: np.ndarray, b: np.ndarray, bd: BoundaryData,
 
         dense = solve_ivp(
             lambda t, y, g=g_fn, mm_c=m_mm: [
-                2.0 * g.deriv(t, 0) + _peval(mm_c, t)
-                + 2.0 * _peval(nu_c, t) * y[0]],
+                2.0 * g.deriv(t, 0) + P.polyval(t, mm_c)
+                + 2.0 * P.polyval(t, nu_c) * y[0]],
             (0.0, 1.0), [s_mm_0], method="RK45", rtol=1e-12, atol=1e-14,
             dense_output=True)
         if not dense.success:
             raise IntegrationFailureError("corner integration failed")
-        entries[(m, m)] = _CornerFn(dense, g_fn, m_mm, nu_c)
+        entries[(m, m)] = _CornerFn(dense, g_fn, m_d[m - 1][m - 1], nu_d)
         if m < n:
             entries[(m, m + 1)] = g_fn
         else:
@@ -649,7 +618,7 @@ def construct_feasible_steering(a: np.ndarray, b: np.ndarray, bd: BoundaryData,
     for i in range(1, n):
         u_fns[i] = _DeterminedFn(
             below=entries[(i, n)], right=entries[(i + 1, n)],
-            m_entry=_poly_entry(m_y, i - 1, n - 1), nu_coeffs=nu_c)
+            m_derivs=m_d[i - 1][n - 1], nu_derivs=nu_d)
 
     # ---- exact evaluation maps and sampled grids --------------------------
     def sigma_canonical(t):

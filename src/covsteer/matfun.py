@@ -7,9 +7,10 @@ differentiation are exact, which the controllability recursion relies on.
 The horizon is fixed to [0, 1]; rescale time externally if needed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import DimensionError
 
@@ -31,32 +32,41 @@ def _normalize_entry(entry):
     return coeffs
 
 
-@dataclass(frozen=True)
 class MatrixPoly:
-    """Matrix-valued polynomial: entry (i, j) at time t is sum_k c_k t^k."""
+    """Matrix-valued polynomial: entry (i, j) at time t is sum_k coef[k, i, j] t^k.
 
-    rows: int
-    cols: int
-    coeffs: tuple  # rows x cols nested tuple of ascending-degree coefficient tuples
-    _packed: np.ndarray = field(init=False, repr=False, compare=False)
+    The coefficients are one read-only, degree-major (degree + 1, rows, cols)
+    array; evaluation and calculus are numpy.polynomial calls along axis 0.
+    """
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+    __slots__ = ("coef",)
+
+    def __init__(self, rows, cols, table):
+        """Build from a rows x cols table of ascending coefficient sequences."""
+        if rows < 1 or cols < 1:
             raise ValueError("MatrixPoly dimensions must be positive")
-        if len(self.coeffs) != self.rows or any(len(r) != self.cols for r in self.coeffs):
-            raise DimensionError(
-                f"coefficient table is not {self.rows}x{self.cols}")
-        degree = max(len(c) for row in self.coeffs for c in row)
-        packed = np.zeros((self.rows, self.cols, degree))
-        for i, row in enumerate(self.coeffs):
+        if len(table) != rows or any(len(r) != cols for r in table):
+            raise DimensionError(f"coefficient table is not {rows}x{cols}")
+        coef = np.zeros((max(len(e) for row in table for e in row), rows, cols))
+        for i, row in enumerate(table):
             for j, entry in enumerate(row):
-                if not entry:
+                if not len(entry):
                     raise ValueError("polynomial entry needs at least one coefficient")
-                packed[i, j, : len(entry)] = entry
-        if not np.all(np.isfinite(packed)):
+                coef[: len(entry), i, j] = entry
+        self._set(coef)
+
+    def _set(self, coef):
+        if not np.all(np.isfinite(coef)):
             raise ValueError("polynomial coefficients must be finite")
-        packed.setflags(write=False)
-        object.__setattr__(self, "_packed", packed)
+        coef.setflags(write=False)
+        self.coef = coef
+
+    @classmethod
+    def _of(cls, coef):
+        """Wrap a freshly built (degree + 1, rows, cols) coefficient array."""
+        out = cls.__new__(cls)
+        out._set(coef)
+        return out
 
     @classmethod
     def from_entries(cls, entries):
@@ -66,72 +76,66 @@ class MatrixPoly:
 
     @classmethod
     def constant(cls, mat):
-        mat = np.atleast_2d(np.asarray(mat, dtype=float))
-        return cls.from_entries(mat.tolist())
+        return cls._of(np.array(mat, dtype=float, ndmin=2)[None])
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls.constant(np.zeros((rows, cols)))
+        return cls._of(np.zeros((1, rows, cols)))
 
     @classmethod
     def identity(cls, n):
         return cls.constant(np.eye(n))
 
     @property
+    def rows(self):
+        return self.coef.shape[1]
+
+    @property
+    def cols(self):
+        return self.coef.shape[2]
+
+    @property
     def degree(self):
-        return self._packed.shape[2] - 1
+        return len(self.coef) - 1
+
+    def entry(self, i=0, j=0) -> np.ndarray:
+        """Ascending coefficients of entry (i, j) as a 1-D array."""
+        return self.coef[:, i, j]
 
     def eval(self, t, order=0):
-        """Value of the order-th time derivative at t (order 0 is the value)."""
+        """Value of the order-th time derivative at t (order 0 is the value).
+
+        An array of times shaped to broadcast against (rows, cols), such as
+        (k, 1, 1), gives the stack of values, equal to evaluating each time
+        on its own.
+        """
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
-        c = self._packed
-        for _ in range(order):
-            k = c.shape[2]
-            if k == 1:
-                return np.zeros((self.rows, self.cols))
-            c = c[:, :, 1:] * np.arange(1, k)
-        out = np.zeros((self.rows, self.cols))
-        for k in range(c.shape[2] - 1, -1, -1):  # Horner in t
-            out = out * t + c[:, :, k]
-        return out
+        c = P.polyder(self.coef, order) if order else self.coef
+        return P.polyval(t, c, tensor=False)
 
     def derivative(self, order=1):
-        c = self._packed
-        for _ in range(order):
-            k = c.shape[2]
-            if k == 1:
-                c = np.zeros((self.rows, self.cols, 1))
-            else:
-                c = c[:, :, 1:] * np.arange(1, k)
-        return MatrixPoly.from_entries(
-            [[list(c[i, j]) for j in range(self.cols)] for i in range(self.rows)])
+        return MatrixPoly._of(P.polyder(self.coef, order))
 
-    def _binary(self, other, op):
-        if self.rows != other.rows or self.cols != other.cols:
+    def _sum(self, other, sign):
+        if self.coef.shape[1:] != other.coef.shape[1:]:
             raise DimensionError("matrix shapes differ")
-        k = max(self._packed.shape[2], other._packed.shape[2])
-        a = np.zeros((self.rows, self.cols, k))
-        b = np.zeros((self.rows, self.cols, k))
-        a[:, :, : self._packed.shape[2]] = self._packed
-        b[:, :, : other._packed.shape[2]] = other._packed
-        c = op(a, b)
-        return MatrixPoly.from_entries(
-            [[list(c[i, j]) for j in range(self.cols)] for i in range(self.rows)])
+        out = np.zeros((max(len(self.coef), len(other.coef)),) + self.coef.shape[1:])
+        out[: len(self.coef)] += self.coef
+        out[: len(other.coef)] += sign * other.coef
+        return MatrixPoly._of(out)
 
     def __add__(self, other):
-        return self._binary(other, np.add)
+        return self._sum(other, 1.0)
 
     def __sub__(self, other):
-        return self._binary(other, np.subtract)
+        return self._sum(other, -1.0)
 
     def __neg__(self):
         return self.scale(-1.0)
 
     def scale(self, factor):
-        c = self._packed * float(factor)
-        return MatrixPoly.from_entries(
-            [[list(c[i, j]) for j in range(self.cols)] for i in range(self.rows)])
+        return MatrixPoly._of(self.coef * float(factor))
 
     def __matmul__(self, other):
         """Exact polynomial matrix product."""
@@ -139,30 +143,18 @@ class MatrixPoly:
             other = MatrixPoly.constant(other)
         if self.cols != other.rows:
             raise DimensionError("inner dimensions differ")
-        ka, kb = self._packed.shape[2], other._packed.shape[2]
-        out = np.zeros((self.rows, other.cols, ka + kb - 1))
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = np.zeros(ka + kb - 1)
-                for r in range(self.cols):
-                    acc += np.convolve(self._packed[i, r], other._packed[r, j])
-                out[i, j] = acc
-        return MatrixPoly.from_entries(
-            [[list(out[i, j]) for j in range(other.cols)] for i in range(self.rows)])
-
-    def __rmatmul__(self, other):
-        if isinstance(other, np.ndarray):
-            return MatrixPoly.constant(other) @ self
-        return NotImplemented
+        a, b = self.coef, other.coef
+        out = np.zeros((len(a) + len(b) - 1, self.rows, other.cols))
+        for k in range(len(a)):
+            out[k: k + len(b)] += a[k] @ b
+        return MatrixPoly._of(out)
 
     @property
     def T(self):
-        return MatrixPoly.from_entries(
-            [[list(self._packed[j, i]) for j in range(self.rows)] for i in range(self.cols)])
+        return MatrixPoly._of(self.coef.transpose(0, 2, 1))
 
     def is_constant(self, tol=0.0):
-        return self._packed.shape[2] == 1 or np.all(
-            np.abs(self._packed[:, :, 1:]) <= tol)
+        return len(self.coef) == 1 or np.all(np.abs(self.coef[1:]) <= tol)
 
     def matches_constant(self, mat, tol=1e-12):
         """True if this polynomial equals the constant matrix within tol."""
@@ -306,25 +298,29 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _definite_check(name, mp, grid, min_eig, require_symmetric=True):
-    for t in grid:
-        x = mp.eval(t)
-        if require_symmetric and np.max(np.abs(x - x.T)) > SYMMETRY_TOL:
-            return ValidationCheck(name, False, t, f"{name} not symmetric at t={t:.3f}")
-        lam = np.min(np.linalg.eigvalsh(symmetrize(x)))
-        if lam <= min_eig:
-            kind = "positive definite" if min_eig > 0 else "positive semidefinite"
-            return ValidationCheck(
-                name, False, t, f"{name} not {kind} at t={t:.3f} (lambda_min={lam:.3e})")
-    return ValidationCheck(name, True)
+def _definite_check(name, mp, grid, min_eig):
+    x = mp.eval(grid[:, None, None])
+    asym = np.max(np.abs(x - np.swapaxes(x, -1, -2)), axis=(1, 2)) > SYMMETRY_TOL
+    lam = np.linalg.eigvalsh(symmetrize(x))[:, 0]
+    bad = np.flatnonzero(asym | (lam <= min_eig))
+    if not bad.size:
+        return ValidationCheck(name, True)
+    k = bad[0]
+    t = grid[k]
+    if asym[k]:
+        return ValidationCheck(name, False, t, f"{name} not symmetric at t={t:.3f}")
+    kind = "positive definite" if min_eig > 0 else "positive semidefinite"
+    return ValidationCheck(
+        name, False, t, f"{name} not {kind} at t={t:.3f} (lambda_min={lam[k]:.3e})")
 
 
 def _nonneg_check(name, mp, grid):
-    for t in grid:
-        v = float(mp.eval(t)[0, 0])
-        if v < 0.0:
-            return ValidationCheck(name, False, t, f"{name} negative at t={t:.3f} ({v:.3e})")
-    return ValidationCheck(name, True)
+    v = mp.eval(grid[:, None, None])[:, 0, 0]
+    bad = np.flatnonzero(v < 0.0)
+    if not bad.size:
+        return ValidationCheck(name, True)
+    t = grid[bad[0]]
+    return ValidationCheck(name, False, t, f"{name} negative at t={t:.3f} ({v[bad[0]]:.3e})")
 
 
 def validate_system(sys: SystemSpec, grid_size: int = VALIDATION_GRID_SIZE) -> ValidationReport:

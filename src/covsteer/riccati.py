@@ -21,6 +21,7 @@ from .matfun import SystemSpec, symmetrize
 from .transition import (
     COND_LIMIT,
     TransitionPath,
+    b_rinv_bt,
     bounds_on_grid,
     pi_bounds,
     transition_blocks,
@@ -167,12 +168,8 @@ def _general_rhs(sys: SystemSpec):
     def rhs(t, y):
         pi = symmetrize(y.reshape(n, n))
         a = sys.A.eval(t)
-        b = sys.B.eval(t)
-        q = sys.Q.eval(t)
-        r = sys.R.eval(t)
         nu = float(sys.nu.eval(t)[0, 0])
-        brb = b @ np.linalg.solve(r, b.T)
-        dpi = -a.T @ pi - pi @ a + pi @ brb @ pi - q - 2.0 * nu * pi
+        dpi = -a.T @ pi - pi @ a + pi @ b_rinv_bt(sys, t) @ pi - sys.Q.eval(t) - 2.0 * nu * pi
         for e_mp, nu_mp in channels:
             e = e_mp.eval(t)
             dpi -= 2.0 * float(nu_mp.eval(t)[0, 0]) * (e.T @ pi @ e)

@@ -83,14 +83,6 @@ class NoiseModel:
                 raise ValueError("multiplicative components carry no channel")
 
 
-def _intensity_coeffs(comp: NoiseComponent) -> np.ndarray:
-    """Ascending coefficients of d E[increment^2]/dt for one component."""
-    rate = np.asarray(comp.rate.coeffs[0][0], dtype=float)
-    if comp.kind == "wiener":
-        return rate
-    return rate * comp.jump_std ** 2  # lambda(t) E[chi^2]
-
-
 def derive_intensities(noise: NoiseModel, q: int | None = None):
     """Aggregate (D(t), nu(t)) implied by the noise model.
 
@@ -100,33 +92,24 @@ def derive_intensities(noise: NoiseModel, q: int | None = None):
     """
     if q is None:
         q = 1 + max((c.channel for c in noise.additive), default=0)
-    entries = [[[0.0] for _ in range(q)] for _ in range(q)]
-    for comp in noise.additive:
-        if comp.channel >= q:
+    d_poly, nu_poly = MatrixPoly.zeros(q, q), MatrixPoly.zeros(1, 1)
+    for comp in noise.additive + noise.multiplicative:
+        # d E[increment^2]/dt of the component.
+        rate = comp.rate.scale(1.0 if comp.kind == "wiener" else comp.jump_std ** 2)
+        if comp.channel is None:
+            nu_poly = nu_poly + rate.scale(0.5)
+        elif comp.channel < q:  # onto the channel's diagonal entry
+            unit = MatrixPoly.constant(np.eye(q)[:, [comp.channel]])
+            d_poly = d_poly + unit @ rate @ unit.T
+        else:
             raise ValueError(f"channel {comp.channel} outside 0..{q - 1}")
-        cur = np.asarray(entries[comp.channel][comp.channel], dtype=float)
-        add = _intensity_coeffs(comp)
-        k = max(len(cur), len(add))
-        merged = np.zeros(k)
-        merged[: len(cur)] += cur
-        merged[: len(add)] += add
-        entries[comp.channel][comp.channel] = list(merged)
-    d_poly = MatrixPoly.from_entries(entries)
-
-    nu_c = np.zeros(1)
-    for comp in noise.multiplicative:
-        add = 0.5 * _intensity_coeffs(comp)
-        k = max(len(nu_c), len(add))
-        merged = np.zeros(k)
-        merged[: len(nu_c)] += nu_c
-        merged[: len(add)] += add
-        nu_c = merged
-    nu_poly = MatrixPoly.from_entries([[list(nu_c)]])
 
     grid = np.linspace(0.0, 1.0, 101)
-    for t in grid:
-        if float(nu_poly.eval(t)[0, 0]) < 0.0 or np.min(np.diag(d_poly.eval(t))) < 0.0:
-            raise ValueError(f"derived intensities negative at t={t:.3f}")
+    tt = grid[:, None, None]
+    bad = np.flatnonzero((nu_poly.eval(tt)[:, 0, 0] < 0.0)
+                         | (np.min(np.diagonal(d_poly.eval(tt), axis1=1, axis2=2), axis=1) < 0.0))
+    if bad.size:
+        raise ValueError(f"derived intensities negative at t={grid[bad[0]]:.3f}")
     return d_poly, nu_poly
 
 
@@ -304,8 +287,7 @@ class _StepData:
                 scale = np.sqrt(np.clip(rate0, 0.0, None) * self.dts)
                 self.wiener.append((mult, comp.channel, scale))
             else:
-                coeffs = np.asarray(comp.rate.coeffs[0][0], dtype=float)
-                self.compound.append((mult, comp.channel, _Dominating(coeffs, times),
+                self.compound.append((mult, comp.channel, _Dominating(comp.rate.entry(), times),
                                       comp.jump_std))
 
 
@@ -371,12 +353,13 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
     """
     d_poly, nu_poly = derive_intensities(noise, q=sys.q)
     grid = np.linspace(0.0, 1.0, 101)
-    nu_sys = sys.identity_channel_nu()
-    for t in grid:
-        if np.max(np.abs(d_poly.eval(t) - sys.D.eval(t))) > _CONSISTENCY_TOL \
-                or abs(float(nu_poly.eval(t)[0, 0] - nu_sys.eval(t)[0, 0])) > _CONSISTENCY_TOL:
-            raise InconsistentNoiseError(
-                f"noise model disagrees with the system intensities at t={t:.3f}")
+    tt = grid[:, None, None]
+    d_err = np.max(np.abs(d_poly.eval(tt) - sys.D.eval(tt)), axis=(1, 2))
+    nu_err = np.abs(nu_poly.eval(tt) - sys.identity_channel_nu().eval(tt))[:, 0, 0]
+    bad = np.flatnonzero((d_err > _CONSISTENCY_TOL) | (nu_err > _CONSISTENCY_TOL))
+    if bad.size:
+        raise InconsistentNoiseError(
+            f"noise model disagrees with the system intensities at t={grid[bad[0]]:.3f}")
 
     n, p, q = sys.n, sys.p, sys.q
     step = _StepData(sys, noise, gain, cfg.step_size)

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .matfun import BoundaryData, SystemSpec, kron, spd_sqrt, symmetrize, unvec, vec
 from .riccati import closed_form_on_path
-from .transition import TransitionPath, solve_with_cond_check
+from .transition import TransitionPath, b_rinv_bt, solve_with_cond_check
 
 QUAD_ATOL = 1e-10
 QUAD_RTOL = 1e-9  # bounds the work when near-boundary integrands blow up
@@ -32,7 +32,6 @@ NEWTON_TOL = 1e-8
 MAX_NEWTON_ITER = 30
 MAX_HALVINGS = 40
 ADMISSIBILITY_MARGIN = -1e-9
-HOMOTOPY_STEPS = 10
 W_ZERO_TIME = 1e-8  # below this s the node weight W_s0 is the zero matrix
 # Sigma(t): Gauss-Legendre nodes per sub-interval (3 left Sigma(1) 7e-8 off
 # the adaptive value on a contracting instance, 5 leave 1e-10), sub-intervals
@@ -188,12 +187,11 @@ def special_case_pi0(sys: SystemSpec, bd: BoundaryData,
     """
     if check_channels:
         grid = np.linspace(0.0, 1.0, 101)
-        for t in grid:
-            b = sys.B.eval(t)
-            brb = b @ np.linalg.solve(sys.R.eval(t), b.T)
-            if np.max(np.abs(_cdct(sys, t) - brb)) > 1e-10:
-                raise ChannelMismatchError(
-                    f"C D C' != B R^-1 B' at t={t:.3f}; closed form does not apply")
+        gap = np.max(np.abs(_cdct(sys, grid) - b_rinv_bt(sys, grid)), axis=(1, 2))
+        bad = np.flatnonzero(gap > 1e-10)
+        if bad.size:
+            raise ChannelMismatchError(
+                f"C D C' != B R^-1 B' at t={grid[bad[0]]:.3f}; closed form does not apply")
     path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
     b10 = path.blocks(1.0)
     phi12_inv = solve_with_cond_check(b10.phi12, what="phi12(1,0)")
@@ -217,8 +215,7 @@ def _boundary_step_cap(pi, delta, u10, fraction=0.9):
     return fraction / lam if lam > 0.0 else 1.0
 
 
-def _newton(sys, path, sigma0, target, pi_init, tol, basis,
-            max_iter=MAX_NEWTON_ITER):
+def _newton(sys, path, sigma0, target, pi_init, tol, basis):
     """Damped Newton on the symmetric subspace; returns (pi, residual, trace, ok).
 
     The step is first capped at a fixed fraction of the distance to the
@@ -229,7 +226,7 @@ def _newton(sys, path, sigma0, target, pi_init, tol, basis,
     target_norm = np.linalg.norm(target)
     pi = pi_init.copy()
     trace = []
-    for it in range(max_iter):
+    for it in range(MAX_NEWTON_ITER):
         ws = jacobian_f(sys, sigma0, pi, path=path)
         resid_mat = ws.f_value - target
         rel = float(np.linalg.norm(resid_mat) / target_norm)
@@ -262,7 +259,7 @@ def _newton(sys, path, sigma0, target, pi_init, tol, basis,
             return pi, rel, trace, False
     ws = jacobian_f(sys, sigma0, pi, path=path)
     rel = float(np.linalg.norm(ws.f_value - target) / target_norm)
-    trace.append((max_iter, rel, 0.0))
+    trace.append((MAX_NEWTON_ITER, rel, 0.0))
     return pi, rel, trace, rel <= tol
 
 
@@ -271,10 +268,9 @@ def solve_boundary(sys: SystemSpec, bd: BoundaryData,
     """Solve the covariance steering boundary-value problem.
 
     Newton iterates in the symmetric coordinate space from the closed-form
-    warm start, with backtracking constrained to the admissible set; on a
-    stall, the target is approached through a short homotopy.  The solution
-    carries the costate grid, the feedback gains, the covariance trajectory
-    and the optimal cost.
+    warm start, with backtracking constrained to the admissible set.  The
+    solution carries the costate grid, the feedback gains, the covariance
+    trajectory and the optimal cost.
     """
     if sys.has_non_identity_channels():
         raise PreconditionError(
@@ -289,32 +285,6 @@ def solve_boundary(sys: SystemSpec, bd: BoundaryData,
 
     pi, rel, trace, ok = _newton(sys, path, bd.sigma0, bd.sigma1, pi_init, tol, basis)
     if not ok:
-        # Homotopy fallback: walk the target from the stall image to Sigma1
-        # along Sigma1(theta) = (1 - theta) f(Pi_current) + theta Sigma1,
-        # starting on the ten-step ladder and bisecting a step when its
-        # subproblem stalls.
-        f_here = map_f(sys, bd.sigma0, pi, path=path)
-        theta = 0.0
-        step = 1.0 / HOMOTOPY_STEPS
-        while theta < 1.0 and step >= 1e-5:
-            theta_next = min(1.0, theta + step)
-            target_k = (1.0 - theta_next) * f_here + theta_next * bd.sigma1
-            step_tol = tol if theta_next >= 1.0 else max(tol, 1e-7)
-            pi_k, rel, sub_trace, ok = _newton(sys, path, bd.sigma0, target_k,
-                                               pi, step_tol, basis, max_iter=15)
-            trace.extend(sub_trace)
-            if ok:
-                pi = pi_k
-                theta = theta_next
-                step = min(2.0 * step, 1.0 / HOMOTOPY_STEPS)
-            else:
-                step *= 0.5
-        if theta >= 1.0:
-            ws = jacobian_f(sys, bd.sigma0, pi, path=path)
-            rel = float(np.linalg.norm(ws.f_value - bd.sigma1)
-                        / np.linalg.norm(bd.sigma1))
-            ok = rel <= tol
-    if not ok or rel > tol:
         raise NoConvergenceError(
             f"Newton failed to reach relative residual {tol:.1e} (best {rel:.3e})",
             best_residual=rel, trace=trace)

@@ -1,13 +1,12 @@
 """Hamiltonian state transition matrix of the steering problem.
 
 The 2n x 2n matrix M(t) = [[A, -B R^-1 B'], [-Q, -A']] is integrated
-(after the normalization A <- A + nu I, B <- B R^-1/2, under which all
-block formulas hold verbatim and the Riccati/Lyapunov solutions are
-unchanged) to obtain the blocks Phi11, Phi12, Phi21, Phi22 of its
-transition matrix.  The blocks satisfy a family of symplectic identities
-that are computed and attached for verification, and they furnish the
-existence bounds and Gramian identity used by the Riccati and steering
-layers.
+(after the normalization A <- A + nu I, under which all block formulas
+hold verbatim and the Riccati/Lyapunov solutions are unchanged) to obtain
+the blocks Phi11, Phi12, Phi21, Phi22 of its transition matrix.  The
+blocks satisfy a family of symplectic identities that are computed and
+attached for verification, and they furnish the existence bounds and
+Gramian identity used by the Riccati and steering layers.
 """
 
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from scipy.integrate import solve_ivp
 
 from ._quad import adaptive_gk
 from .errors import IntegrationFailureError, RiccatiNonexistenceError, SingularTransitionError
-from .matfun import SystemSpec, spd_sqrt, symmetrize
+from .matfun import SystemSpec, symmetrize
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-13
@@ -25,34 +24,26 @@ COND_LIMIT = 1e12
 PHI_CHUNK = 256  # times per dense-output call; one call per grid cost 0.3-0.6 MB of peak RSS
 
 
-def normalized_coeffs(sys: SystemSpec):
-    """Callables (Abar, Bbar, Q) with Abar = A + nu I, Bbar = B R^-1/2.
+def b_rinv_bt(sys: SystemSpec, t) -> np.ndarray:
+    """B R^-1 B' at a time, or as a (k, n, n) stack on an array of times."""
+    tt = np.asarray(t, dtype=float)[..., None, None]
+    b = sys.B.eval(tt)
+    return b @ np.linalg.solve(sys.R.eval(tt), np.swapaxes(b, -1, -2))
+
+
+def hamiltonian(sys: SystemSpec):
+    """Callable t -> M(t) for the system with nu folded into A.
 
     Identity-like multiplicative channels are folded into nu, so the
-    normalized deterministic pair carries the full state-dependent rate.
+    deterministic pair A + nu I, B carries the full state-dependent rate.
     """
     nu_total = sys.identity_channel_nu()
     eye = np.eye(sys.n)
 
-    def abar(t):
-        return sys.A.eval(t) + float(nu_total.eval(t)[0, 0]) * eye
-
-    def bbar(t):
-        return sys.B.eval(t) @ spd_sqrt(sys.R.eval(t), inverse=True)
-
-    return abar, bbar, sys.Q.eval
-
-
-def hamiltonian(sys: SystemSpec):
-    """Callable t -> M(t) for the normalized system."""
-    abar, bbar, q = normalized_coeffs(sys)
-
     def m_of_t(t):
-        a = abar(t)
-        bb = bbar(t)
-        qq = q(t)
-        top = np.hstack([a, -bb @ bb.T])
-        bot = np.hstack([-qq, -a.T])
+        a = sys.A.eval(t) + float(nu_total.eval(t)[0, 0]) * eye
+        top = np.hstack([a, -b_rinv_bt(sys, t)])
+        bot = np.hstack([-sys.Q.eval(t), -a.T])
         return np.vstack([top, bot])
 
     return m_of_t
@@ -304,7 +295,6 @@ def gramian_identity(sys: SystemSpec, pi_anchor: tuple, t: float,
 
     lo, hi = min(s, t), max(s, t)
     path = TransitionPath(sys, anchor=s, span=(lo, hi))
-    _, bbar, _ = normalized_coeffs(sys)
 
     def phi_pi(tau):
         p11, p12, _, _ = path.raw_blocks(tau)
@@ -314,8 +304,8 @@ def gramian_identity(sys: SystemSpec, pi_anchor: tuple, t: float,
 
     def integrand(taus):
         # PhiPi(t,tau) = PhiPi(t,s) PhiPi(tau,s)^-1 by the composition rule.
-        gb = phi_pi_ts @ np.linalg.inv(phi_pi(taus)) @ np.stack([bbar(tau) for tau in taus])
-        return gb @ np.swapaxes(gb, -1, -2)
+        g = phi_pi_ts @ np.linalg.inv(phi_pi(taus))
+        return g @ b_rinv_bt(sys, taus) @ np.swapaxes(g, -1, -2)
 
     mbar, _, _ = adaptive_gk(integrand, s, t, atol=quad_atol)
     blocks_ts = path.blocks(t)

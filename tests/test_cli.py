@@ -8,6 +8,7 @@ from covsteer import cli
 from covsteer.cli import (
     EXIT_CONFIG,
     EXIT_MISMATCH,
+    EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_PRECONDITION,
     RunConfig,
@@ -78,6 +79,14 @@ def test_solve_zero_input_exits_2(tmp_path, example_raw):
     assert rc == EXIT_PRECONDITION
 
 
+def test_solve_non_convergence_exits_3(tmp_path, example_raw, capsys):
+    example_raw["options"]["newton_tol"] = 1e-30
+    rc = main(["solve", "--config", write_cfg(tmp_path, example_raw),
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_NO_CONVERGENCE
+    assert "solver did not converge" in capsys.readouterr().out
+
+
 def test_linalg_error_is_numerical_error_exit_2(tmp_path, monkeypatch, capsys):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -138,7 +147,7 @@ def test_simulate_outputs_sorted_paths(tmp_path, example_raw):
     rc = main(["simulate", "--config", write_cfg(tmp_path, example_raw),
                "--out", out, "--seed", "5"])
     assert rc == EXIT_OK
-    for name in ("moments.csv", "envelope.csv", "paths.csv", "simulation.json"):
+    for name in ("cost.json", "moments.csv", "envelope.csv", "paths.csv", "simulation.json"):
         assert os.path.exists(os.path.join(out, name))
     header, rows = read_csv(os.path.join(out, "paths.csv"))
     assert header[:2] == ["t", "path_id"]

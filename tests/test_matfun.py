@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from covsteer.errors import DimensionError
@@ -90,6 +91,62 @@ def test_matrix_poly_product_is_exact():
 def test_matrix_poly_requires_nonempty_coeffs():
     with pytest.raises(ValueError):
         MatrixPoly(1, 1, (((),),))
+
+
+_COEF = st.floats(-10.0, 10.0)
+_TIMES = st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=8)
+
+
+def _table(rows, cols):
+    """Ragged rows x cols entries of degree 0 to 4."""
+    entry = st.lists(_COEF, min_size=1, max_size=5)
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def _poly_tables(draw):
+    """Tables of f, g (r x m) and h (m x c), shapes 1 to 3."""
+    r, m, c = (draw(st.integers(1, 3)) for _ in range(3))
+    return draw(_table(r, m)), draw(_table(r, m)), draw(_table(m, c))
+
+
+def _abs_poly(table):
+    """The polynomial of absolute coefficients, a bound on rounding at |t|."""
+    return MatrixPoly.from_entries([[[abs(c) for c in e] for e in row] for row in table])
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables=_poly_tables(), ts=_TIMES, order=st.integers(0, 5))
+def test_matrix_poly_stacked_eval_is_per_time_eval(tables, ts, order):
+    f = MatrixPoly.from_entries(tables[0])
+    assert not f.coef.flags.writeable
+    stack = f.eval(np.array(ts)[:, None, None], order)
+    assert stack.shape == (len(ts), f.rows, f.cols)
+    for k, t in enumerate(ts):
+        assert stack[k].tobytes() == f.eval(t, order).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables=_poly_tables(), ts=_TIMES, factor=_COEF)
+def test_matrix_poly_arithmetic_matches_pointwise(tables, ts, factor):
+    rtol = 1e-13
+    f, g, h = (MatrixPoly.from_entries(tab) for tab in tables)
+    abs_f, abs_g, abs_h = (_abs_poly(tab) for tab in tables)
+    for t in ts:
+        fv, gv, hv = f.eval(t), g.eval(t), h.eval(t)
+        af, ag, ah = abs_f.eval(abs(t)), abs_g.eval(abs(t)), abs_h.eval(abs(t))
+        assert np.all(np.abs((f + g).eval(t) - (fv + gv)) <= rtol * (af + ag))
+        assert np.all(np.abs((f - g).eval(t) - (fv - gv)) <= rtol * (af + ag))
+        assert np.all(np.abs((f @ h).eval(t) - fv @ hv) <= rtol * (af @ ah))
+        assert np.all(np.abs(f.scale(factor).eval(t) - factor * fv) <= rtol * abs(factor) * af)
+        assert np.array_equal(f.T.eval(t), fv.T)
+        # d/dt sum_k c_k t^k = sum_k k c_k t^(k-1), entry by entry.
+        terms = [[[k * c * t ** (k - 1) for k, c in enumerate(e) if k]
+                  for e in row] for row in tables[0]]
+        want = np.array([[sum(e) for e in row] for row in terms])
+        bound = np.array([[sum(abs(x) for x in e) for e in row] for row in terms])
+        assert np.all(np.abs(f.derivative().eval(t) - want) <= rtol * bound)
 
 
 def test_validate_example_system_passes():

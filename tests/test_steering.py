@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from covsteer.errors import ChannelMismatchError, RiccatiNonexistenceError
+from covsteer.errors import (
+    ChannelMismatchError,
+    NoConvergenceError,
+    RiccatiNonexistenceError,
+)
 from covsteer.matfun import BoundaryData, symmetrize, unvec, vec
 from covsteer.steering import (
     feedback_gain,
@@ -141,6 +145,18 @@ def test_solve_boundary_worked_example():
     assert min(eigs) > 0.0
     # Gains have the contracted shape p x n at every grid time.
     assert all(k.shape == (1, 2) for _, k in sol.gain_grid)
+
+
+def test_solve_boundary_reports_non_convergence():
+    # No iterate reaches 1e-30: Newton stalls near rounding level and the
+    # solve raises with its trace instead of returning.
+    bd = BoundaryData(sigma0=np.eye(2), sigma1=np.diag([0.3, 0.2]))
+    with pytest.raises(NoConvergenceError) as info:
+        solve_boundary(example_system(), bd, tol=1e-30)
+    err = info.value
+    assert 0.0 < err.best_residual <= 1e-8
+    assert err.trace and err.trace[-1][1] == err.best_residual
+    assert err.trace[0][1] > err.best_residual
 
 
 def test_map_f_reaches_target_with_solved_anchor():
