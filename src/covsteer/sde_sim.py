@@ -94,8 +94,8 @@ def derive_intensities(noise: NoiseModel, q: int | None = None):
         q = 1 + max((c.channel for c in noise.additive), default=0)
     d_poly, nu_poly = MatrixPoly.zeros(q, q), MatrixPoly.zeros(1, 1)
     for comp in noise.additive + noise.multiplicative:
-        # d E[increment^2]/dt of the component.
-        rate = comp.rate.scale(1.0 if comp.kind == "wiener" else comp.jump_std ** 2)
+        # d E[increment^2]/dt: the diffusion rate, or lambda(t) E[chi^2].
+        rate = comp.rate if comp.kind == "wiener" else comp.rate.scale(comp.jump_std ** 2)
         if comp.channel is None:
             nu_poly = nu_poly + rate.scale(0.5)
         elif comp.channel < q:  # onto the channel's diagonal entry
