@@ -41,6 +41,7 @@ from .sde_sim import (
     NoiseModel,
     SimulationConfig,
     SimulationResult,
+    covariance_standard_error,
     derive_intensities,
     empirical_moments,
     estimate_cost,
@@ -87,6 +88,7 @@ __all__ = [
     "canonical_transform",
     "classify",
     "construct_feasible_steering",
+    "covariance_standard_error",
     "derive_intensities",
     "empirical_moments",
     "estimate_cost",

@@ -30,6 +30,7 @@ from .sde_sim import (
     NoiseComponent,
     NoiseModel,
     SimulationConfig,
+    covariance_standard_error,
     derive_intensities,
     empirical_moments,
     simulate_paths,
@@ -314,7 +315,7 @@ def _run_simulation(cfg: RunConfig, out: str, sol, sim_cfg: SimulationConfig):
 
     n = cfg.system.n
     mom_rows = []
-    for t_cp, mean, cov in result.checkpoint_moments:
+    for t_cp, mean, cov, _ in result.checkpoint_moments:
         cov_flat = list(cov.reshape(-1)) if cov is not None else [np.nan] * (n * n)
         mom_rows.append([t_cp] + list(mean) + cov_flat)
     write_csv(os.path.join(out, "moments.csv"),
@@ -362,6 +363,7 @@ def _cmd_certify(cfg: RunConfig, out: str) -> int:
     sol = _cmd_solve(cfg, out)
     result = _run_simulation(cfg, out, sol, sim_cfg)
     _, cov = empirical_moments(result, 1.0)
+    cov_se = covariance_standard_error(result, 1.0)
     target = cfg.boundary.sigma1
     rel = float(np.linalg.norm(cov - target) / np.linalg.norm(target))
     tol = float(cfg.options["cov_match_tol"])
@@ -371,6 +373,7 @@ def _cmd_certify(cfg: RunConfig, out: str) -> int:
     verdict = rel <= tol
     write_json(os.path.join(out, "certify.json"), {
         "covariance_relative_error": rel,
+        "covariance_standard_error": cov_se.tolist(),
         "tolerance": tol,
         "cost_monte_carlo": cost_mc,
         "cost_solver": sol.optimal_cost,

@@ -86,6 +86,14 @@ class MatrixPoly:
     def identity(cls, n):
         return cls.constant(np.eye(n))
 
+    @classmethod
+    def hstack(cls, parts):
+        """Matrices with equal row counts side by side, degrees zero-padded."""
+        deg = max(len(part.coef) for part in parts)
+        return cls._of(np.concatenate(
+            [np.pad(part.coef, ((0, deg - len(part.coef)), (0, 0), (0, 0)))
+             for part in parts], axis=2))
+
     @property
     def rows(self):
         return self.coef.shape[1]

@@ -23,7 +23,12 @@ draws come in a fixed order:
    (the jump sizes).
 
 Noise is drawn for a block of paths at a time into step-major increment
-buffers that the Euler step loop then consumes.
+buffers, dm of shape (steps, q, paths) and dmu of shape (steps, paths),
+that the Euler step loop then consumes.  The loop holds the block's states
+state-major, as an (n, paths) array, so every term of the update and every
+statistic is a pass over contiguous rows of paths.  At each checkpoint it
+also accumulates the per-path fourth moments that give the standard error
+of each covariance entry.
 """
 
 import math
@@ -157,7 +162,7 @@ class SimulationResult:
     num_paths: int
     master_seed: int
     times: np.ndarray
-    checkpoint_moments: tuple  # (t, mean, cov-or-None)
+    checkpoint_moments: tuple  # (t, mean, cov, cov standard error); cov and se None for one path
     envelope_mean: np.ndarray  # (steps + 1, n)
     envelope_var: np.ndarray  # (steps + 1, n), unbiased per-component variance
     cost_estimate: tuple | None  # (J, 95% half-width)
@@ -291,21 +296,51 @@ class _StepData:
                                       comp.jump_std))
 
 
+def _dot(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x on an (n, paths) block by BLAS's matrix-matrix kernel.
+
+    numpy hands a single row or column to the matrix-vector kernel, which
+    rounds differently, so a lone row of a or path of x is doubled: a
+    path's trajectory must not depend on its block.  np.dot, because matmul
+    takes about 2.5x as long for an (n, 1) @ (1, paths) product.
+    """
+    rows, cols = a.shape[0], x.shape[1]
+    if rows > 1 and cols > 1:
+        return np.dot(a, x)
+    a2 = a if rows > 1 else np.repeat(a, 2, axis=0)
+    x2 = x if cols > 1 else np.repeat(x, 2, axis=1)
+    return np.dot(a2, x2)[:rows, :cols]
+
+
+def _covariance_standard_error(mean, m2, m3, m4, cov, num_paths):
+    """Standard error of each sample covariance entry.
+
+    m2, m3 and m4 are the path means of x_i x_j, x_i^2 x_j and x_i^2 x_j^2.
+    To first order Var(cov_ij) = (E[(x_i - mu_i)^2 (x_j - mu_j)^2] - cov_ij^2) / N;
+    the central moment is expanded in these raw ones.
+    """
+    mi, mj = mean[:, None], mean[None, :]
+    d2 = np.diag(m2)
+    central = symmetrize(m4 - 2.0 * m3 * mj - 2.0 * m3.T * mi + d2[:, None] * mj ** 2
+                         + d2[None, :] * mi ** 2 + 4.0 * mi * mj * m2 - 3.0 * (mi * mj) ** 2)
+    return np.sqrt(np.clip(central - cov ** 2, 0.0, None) / num_paths)
+
+
 def _draw_block(step: _StepData, streams: _PathStreams, lo: int, hi: int,
                 mean0, l0, dm: np.ndarray, dmu: np.ndarray):
     """Noise of paths lo..hi-1 under the per-path stream protocol.
 
-    Writes the increments into dm[:, :hi - lo] and dmu[:, :hi - lo] and
-    returns the initial states and the accepted arrivals per compound
-    component.  Paths are drawn _DRAW_CHUNK at a time into a path-major
-    scratch buffer that is then copied step-major.
+    Writes the increments into dm[:, :, :hi - lo] and dmu[:, :hi - lo] and
+    returns the (n, hi - lo) initial states and the accepted arrivals per
+    compound component.  Paths are drawn _DRAW_CHUNK at a time into a
+    path-major scratch buffer whose columns are then copied step-major.
     """
     bsize = hi - lo
     n = len(mean0)
     nw = len(step.wiener)
-    dm[:, :bsize] = 0.0
+    dm[:, :, :bsize] = 0.0
     dmu[:, :bsize] = 0.0
-    x0 = np.empty((bsize, n))
+    x0 = np.empty((n, bsize))
     arrivals = [([], [], [], []) for _ in step.compound]  # count, place, accept, size
     z = np.empty((min(_DRAW_CHUNK, bsize), n + step.nsteps * nw))
     for c0 in range(0, bsize, _DRAW_CHUNK):
@@ -322,13 +357,13 @@ def _draw_block(step: _StepData, streams: _PathStreams, lo: int, hi: int,
                 size.append(gen.standard_normal(cnt))
         c1 = c0 + len(zc)
         # The column-vector product repeats the per-path l0 @ z arithmetic.
-        x0[c0:c1] = mean0 + (l0 @ zc[:, :n, None])[:, :, 0]
+        x0[:, c0:c1] = (mean0 + (l0 @ zc[:, :n, None])[:, :, 0]).T
         for wi, (mult, ch, scale) in enumerate(step.wiener):
             inc = zc[:, n + wi::nw].T * scale[:, None]
             if mult:
                 dmu[:, c0:c1] += inc
             else:
-                dm[:, c0:c1, ch] += inc
+                dm[:, ch, c0:c1] += inc
 
     accepted = np.zeros(len(step.compound))
     for ci, ((count, place, accept, size), (mult, ch, dom, jstd)) in enumerate(
@@ -336,7 +371,7 @@ def _draw_block(step: _StepData, streams: _PathStreams, lo: int, hi: int,
         paths = np.repeat(np.arange(bsize), count)
         k, keep = dom.thin(np.concatenate(place), np.concatenate(accept))
         jumps = np.concatenate(size)[keep] * jstd
-        np.add.at(dmu if mult else dm[:, :, ch], (k[keep], paths[keep]), jumps)
+        np.add.at(dmu if mult else dm[:, ch], (k[keep], paths[keep]), jumps)
         accepted[ci] = np.count_nonzero(keep)
     return x0, accepted
 
@@ -361,7 +396,7 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
         raise InconsistentNoiseError(
             f"noise model disagrees with the system intensities at t={grid[bad[0]]:.3f}")
 
-    n, p, q = sys.n, sys.p, sys.q
+    n, q = sys.n, sys.q
     step = _StepData(sys, noise, gain, cfg.step_size)
     nsteps = step.nsteps
     mean0 = cfg.initial_mean if cfg.initial_mean is not None else np.zeros(n)
@@ -375,8 +410,10 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
         if abs(step.times[idx] - t_cp) > 1e-9:
             raise ValueError(f"checkpoint {t_cp} is not on the step grid")
         cp_idx[float(t_cp)] = idx
-    cp_sum = {idx: np.zeros(n) for idx in cp_idx.values()}
-    cp_outer = {idx: np.zeros((n, n)) for idx in cp_idx.values()}
+    # Per checkpoint, sums over the paths of x, x x', x^2 x' and x^2 (x^2)'
+    # (squares taken entrywise): the moments and their standard errors.
+    cp_acc = {idx: (np.zeros(n), np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n)))
+              for idx in cp_idx.values()}
 
     env_sum = np.zeros((nsteps + 1, n))
     env_sq = np.zeros((nsteps + 1, n))
@@ -386,7 +423,7 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
     retained = []
     streams = _PathStreams(cfg.master_seed)
     width = min(_BLOCK, cfg.num_paths)
-    dm = np.empty((nsteps, width, q))
+    dm = np.empty((nsteps, q, width))
     dmu = np.empty((nsteps, width))
     draw_s = step_s = 0.0
 
@@ -399,35 +436,42 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
         mid = time.perf_counter()
         draw_s += mid - start
 
-        m_cum = np.zeros((bsize, q))
         cost = np.zeros(bsize)
         ones = np.ones(bsize)
         nkeep = max(0, min(cfg.retain_paths - lo, bsize))
         kept_x = np.empty((nkeep, nsteps + 1, n))
-        kept_u = np.empty((nkeep, nsteps + 1, p))
 
         for k in range(nsteps + 1):
-            # Matrix-vector sums: x.sum(axis=0) over (B, n) is far slower.
-            env_sum[k] += ones @ x
-            env_sq[k] += ones @ (x * x)
-            if k in cp_sum:
-                cp_sum[k] += x.sum(axis=0)
-                cp_outer[k] += x.T @ x
+            sq = x * x
+            env_sum[k] += x @ ones
+            env_sq[k] += sq @ ones
+            if k in cp_acc:
+                s1, s2, s3, s4 = cp_acc[k]
+                s1 += x @ ones
+                s2 += x @ x.T
+                s3 += sq @ x.T
+                s4 += sq @ sq.T
             if nkeep:
-                kept_x[:, k] = x[:nkeep]
-                kept_u[:, k] = x[:nkeep] @ kmat[k].T
+                kept_x[:, k] = x[:, :nkeep].T
             if cfg.record_costs:
-                cost += trap_w[k] * np.einsum("bi,bi->b", x @ cost_w[k], x)
+                cost += trap_w[k] * (_dot(cost_w[k].T, x) * x).sum(axis=0)
             if k == nsteps:
                 break
+            # x + (Acl x) dt + C dm + x dmu, added in that order, in place.
+            x_new = _dot(acl[k], x)
+            x_new *= dts[k]
+            x_new += x
+            x_new += _dot(cmat[k], dm[k, :, :bsize])
+            x_new += x * dmu[k, :bsize]
+            x = x_new
 
-            dm_k = dm[k, :bsize]
-            m_cum += dm_k
-            x = x + (x @ acl[k].T) * dts[k] + dm_k @ cmat[k].T \
-                + x * dmu[k, :bsize, None]
-
+        if nkeep:
+            # u = K x with the paths as rows, one product per step; a lone
+            # path is doubled so that BLAS rounds it as it rounds several.
+            rows = kept_x if nkeep > 1 else np.repeat(kept_x, 2, axis=0)
+            kept_u = (rows.transpose(1, 0, 2) @ kmat.transpose(0, 2, 1)).transpose(1, 0, 2)
         step_s += time.perf_counter() - mid
-        m_final_sum += m_cum.sum(axis=0)
+        m_final_sum += dm[:, :, :bsize].sum(axis=0) @ ones
         if cfg.record_costs:
             all_costs[lo:hi] = cost
         for j in range(nkeep):
@@ -437,13 +481,14 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
     n_paths = cfg.num_paths
     moments = []
     for t_cp in sorted(cp_idx):
-        idx = cp_idx[t_cp]
-        mean = cp_sum[idx] / n_paths
-        cov = None
+        s1, s2, s3, s4 = cp_acc[cp_idx[t_cp]]
+        mean = s1 / n_paths
+        cov = se = None
         if n_paths > 1:
-            cov = (cp_outer[idx] - n_paths * np.outer(mean, mean)) / (n_paths - 1)
-            cov = symmetrize(cov)
-        moments.append((t_cp, mean, cov))
+            cov = symmetrize((s2 - n_paths * np.outer(mean, mean)) / (n_paths - 1))
+            se = _covariance_standard_error(
+                mean, s2 / n_paths, s3 / n_paths, s4 / n_paths, cov, n_paths)
+        moments.append((t_cp, mean, cov, se))
 
     env_mean = env_sum / n_paths
     if n_paths > 1:
@@ -469,15 +514,28 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
         martingale_mean=m_final_sum / n_paths, draw_s=draw_s, step_s=step_s)
 
 
+def _checkpoint(result: SimulationResult, t: float):
+    for entry in result.checkpoint_moments:
+        if abs(entry[0] - t) <= 1e-9:
+            return entry
+    raise MissingCheckpointError(f"no moments recorded at t={t}")
+
+
 def empirical_moments(result: SimulationResult, t: float):
     """Unbiased sample mean and covariance at a recorded checkpoint.
 
     The covariance is None for a single path (the N - 1 divisor guard).
     """
-    for t_cp, mean, cov in result.checkpoint_moments:
-        if abs(t_cp - t) <= 1e-9:
-            return mean, cov
-    raise MissingCheckpointError(f"no moments recorded at t={t}")
+    _, mean, cov, _ = _checkpoint(result, t)
+    return mean, cov
+
+
+def covariance_standard_error(result: SimulationResult, t: float):
+    """Standard error of each sample covariance entry at a checkpoint.
+
+    Estimated from the per-path fourth moments; None for a single path.
+    """
+    return _checkpoint(result, t)[3]
 
 
 def estimate_cost(sys: SystemSpec, result: SimulationResult):

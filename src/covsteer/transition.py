@@ -16,7 +16,7 @@ from scipy.integrate import solve_ivp
 
 from ._quad import adaptive_gk
 from .errors import IntegrationFailureError, RiccatiNonexistenceError, SingularTransitionError
-from .matfun import SystemSpec, symmetrize
+from .matfun import MatrixPoly, SystemSpec, symmetrize
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-13
@@ -24,11 +24,15 @@ COND_LIMIT = 1e12
 PHI_CHUNK = 256  # times per dense-output call; one call per grid cost 0.3-0.6 MB of peak RSS
 
 
+def _brb(b: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """B R^-1 B' from values (or stacks of values) of B and R."""
+    return b @ np.linalg.solve(r, np.swapaxes(b, -1, -2))
+
+
 def b_rinv_bt(sys: SystemSpec, t) -> np.ndarray:
     """B R^-1 B' at a time, or as a (k, n, n) stack on an array of times."""
     tt = np.asarray(t, dtype=float)[..., None, None]
-    b = sys.B.eval(tt)
-    return b @ np.linalg.solve(sys.R.eval(tt), np.swapaxes(b, -1, -2))
+    return _brb(sys.B.eval(tt), sys.R.eval(tt))
 
 
 def hamiltonian(sys: SystemSpec):
@@ -37,14 +41,21 @@ def hamiltonian(sys: SystemSpec):
     Identity-like multiplicative channels are folded into nu, so the
     deterministic pair A + nu I, B carries the full state-dependent rate.
     """
-    nu_total = sys.identity_channel_nu()
-    eye = np.eye(sys.n)
+    n, p = sys.n, sys.p
+    eye = np.eye(n)
+    # [A | Q | B | nu e1] as one polynomial: one evaluation per call.  The
+    # zero padding of lower-degree entries leaves every value bit-identical.
+    nu_col = MatrixPoly.constant(eye[:, :1]) @ sys.identity_channel_nu()
+    packed = MatrixPoly.hstack([sys.A, sys.Q, sys.B, nu_col])
 
     def m_of_t(t):
-        a = sys.A.eval(t) + float(nu_total.eval(t)[0, 0]) * eye
-        top = np.hstack([a, -b_rinv_bt(sys, t)])
-        bot = np.hstack([-sys.Q.eval(t), -a.T])
-        return np.vstack([top, bot])
+        v = packed.eval(t)
+        m = np.empty((2 * n, 2 * n))
+        m[:n, :n] = v[:, :n] + v[0, -1] * eye
+        m[:n, n:] = -_brb(v[:, 2 * n: 2 * n + p], sys.R.eval(t))
+        m[n:, :n] = -v[:, n: 2 * n]
+        m[n:, n:] = -m[:n, :n].T
+        return m
 
     return m_of_t
 

@@ -61,6 +61,40 @@ def example_noise():
         multiplicative=(NoiseComponent("wiener", const([[1.0]])),))
 
 
+def n3_q2_system():
+    """Time-varying n = 3, p = 2, q = 2 system matching n3_q2_noise()."""
+    mp = MatrixPoly.from_entries
+    return SystemSpec(
+        n=3, p=2, q=2,
+        A=mp([[[-1.0, 0.5], 0.3, 0.0], [[0.0, 0.2], -0.5, 0.4], [0.0, [-0.3, 0.2], -0.8]]),
+        B=mp([[1.0, 0.0], [[0.0, 0.5], 1.0], [0.0, [0.3, 0.2]]]),
+        C=mp([[1.0, [0.0, 0.2]], [0.0, 1.0], [0.3, [0.5, -0.2]]]),
+        D=mp([[[0.5, 0.2], 0.0], [0.0, [0.3 + 2.0 * 0.16, 0.16]]]),
+        nu=mp([[[0.1, 0.05]]]),
+        Q=mp([[1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, [0.2, 0.1]]]),
+        R=const([[1.0, 0.2], [0.2, 2.0]]))
+
+
+def n3_q2_noise():
+    """Wiener noise on both channels, jumps on channel 1, multiplicative Wiener."""
+    from covsteer.sde_sim import NoiseComponent, NoiseModel
+
+    mp = MatrixPoly.from_entries
+    return NoiseModel(
+        additive=(NoiseComponent("wiener", mp([[[0.5, 0.2]]]), channel=0),
+                  NoiseComponent("wiener", const([[0.3]]), channel=1),
+                  NoiseComponent("compound_poisson", mp([[[2.0, 1.0]]]),
+                                 channel=1, jump_std=0.4)),
+        multiplicative=(NoiseComponent("wiener", mp([[[0.2, 0.1]]])),))
+
+
+def n3_q2_gain():
+    """A nonzero 2 x 3 gain grid for n3_q2_system(), linear between its points."""
+    return [(0.0, np.array([[-0.5, 0.2, 0.0], [0.1, -0.4, 0.3]])),
+            (0.5, np.array([[-0.2, 0.4, -0.1], [0.0, -0.8, 0.5]])),
+            (1.0, np.array([[-0.6, 0.0, 0.2], [0.3, -0.2, 0.1]]))]
+
+
 def random_poly_matrix(rng, rows, cols, degree, scale=1.0):
     entries = [[list(scale * rng.uniform(-1.0, 1.0, size=degree + 1))
                 for _ in range(cols)] for _ in range(rows)]

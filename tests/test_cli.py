@@ -169,6 +169,8 @@ def test_certify_pass_and_mismatch(tmp_path, example_raw):
     with open(os.path.join(out, "certify.json"), encoding="utf-8") as fh:
         verdict = json.load(fh)
     assert verdict["covariance_relative_error"] <= 0.25
+    se = np.array(verdict["covariance_standard_error"])
+    assert se.shape == (2, 2) and np.all(se > 0.0) and np.array_equal(se, se.T)
 
     example_raw["options"]["cov_match_tol"] = 1e-6
     rc = main(["certify", "--config", write_cfg(tmp_path, example_raw),

@@ -141,6 +141,8 @@ def test_matrix_poly_arithmetic_matches_pointwise(tables, ts, factor):
         assert np.all(np.abs((f @ h).eval(t) - fv @ hv) <= rtol * (af @ ah))
         assert np.all(np.abs(f.scale(factor).eval(t) - factor * fv) <= rtol * abs(factor) * af)
         assert np.array_equal(f.T.eval(t), fv.T)
+        # Zero padding to the higher degree leaves every value exact.
+        assert np.array_equal(MatrixPoly.hstack([f, g, f]).eval(t), np.hstack([fv, gv, fv]))
         # d/dt sum_k c_k t^k = sum_k k c_k t^(k-1), entry by entry.
         terms = [[[k * c * t ** (k - 1) for k, c in enumerate(e) if k]
                   for e in row] for row in tables[0]]

@@ -17,6 +17,7 @@ from covsteer.sde_sim import (
     NoiseComponent,
     NoiseModel,
     SimulationConfig,
+    covariance_standard_error,
     derive_intensities,
     empirical_moments,
     estimate_cost,
@@ -24,7 +25,16 @@ from covsteer.sde_sim import (
 )
 from covsteer.steering import solve_boundary
 
-from helpers import const, make_system, s1, example_noise, example_system
+from helpers import (
+    const,
+    example_noise,
+    example_system,
+    make_system,
+    n3_q2_gain,
+    n3_q2_noise,
+    n3_q2_system,
+    s1,
+)
 
 
 def unit_wiener_noise():
@@ -97,22 +107,49 @@ def zero_gain_run():
     return sys, simulate_paths(sys, example_noise(), zero_gain(1, 2), cfg)
 
 
-def test_moment_ode_consistency_zero_gain(zero_gain_run):
-    # With K = 0 the empirical covariance must track the matrix moment
-    # equation including the state-dependent 2 nu Sigma term.
-    sys, res = zero_gain_run
+def _moment_ode_terminal(sys, sigma0, gain):
+    """Sigma(1) of the moment equation under the gain grid, read linearly.
+
+    dSigma = Acl Sigma + Sigma Acl' + C D C' + 2 nu Sigma, Acl = A + B K(t),
+    including the state-dependent 2 nu Sigma term.
+    """
+    n = sys.n
+    gts = [t for t, _ in gain]
+    gks = np.stack([k for _, k in gain])
 
     def rhs(t, y):
-        s = y.reshape(2, 2)
-        a = sys.A.eval(t)
+        s = y.reshape(n, n)
+        k = np.array([np.interp(t, gts, col) for col in gks.reshape(len(gts), -1).T])
+        a = sys.A.eval(t) + sys.B.eval(t) @ k.reshape(gks.shape[1:])
         m = sys.C.eval(t) @ sys.D.eval(t) @ sys.C.eval(t).T
         ds = a @ s + s @ a.T + m + 2.0 * float(sys.nu.eval(t)[0, 0]) * s
         return ds.reshape(-1)
 
-    sol = solve_ivp(rhs, (0.0, 1.0), np.eye(2).reshape(-1), rtol=1e-10, atol=1e-12)
-    want = sol.y[:, -1].reshape(2, 2)
+    sol = solve_ivp(rhs, (0.0, 1.0), np.asarray(sigma0).reshape(-1), rtol=1e-10, atol=1e-12)
+    return sol.y[:, -1].reshape(n, n)
+
+
+def test_moment_ode_consistency_zero_gain(zero_gain_run):
+    sys, res = zero_gain_run
+    want = _moment_ode_terminal(sys, np.eye(2), zero_gain(1, 2))
     _, cov = empirical_moments(res, 1.0)
     assert np.linalg.norm(cov - want) / np.linalg.norm(want) <= 0.05
+
+
+def test_moment_ode_consistency_n3_q2():
+    # Time-varying n = 3, p = 2, q = 2 under a nonzero gain: Wiener noise
+    # on both additive channels, jumps on channel 1, multiplicative noise.
+    sys, n_paths = n3_q2_system(), 20000
+    sigma0 = np.diag([1.0, 0.5, 2.0])
+    cfg = SimulationConfig(num_paths=n_paths, sigma0=sigma0, step_size=1e-3,
+                           master_seed=61, record_costs=False)
+    res = simulate_paths(sys, n3_q2_noise(), n3_q2_gain(), cfg)
+    want = _moment_ode_terminal(sys, sigma0, n3_q2_gain())
+    _, cov = empirical_moments(res, 1.0)
+    # At 2e4 paths the heavy tails leave a relative error of 2-4%, so the
+    # bound is per entry in units of the estimated standard error.
+    se = covariance_standard_error(res, 1.0)
+    assert np.all(np.abs(cov - want) <= 4.0 * se)
 
 
 def test_jump_count_mean(zero_gain_run):
@@ -144,32 +181,59 @@ def test_reproducibility_and_stream_independence():
     assert not np.array_equal(res1.retained[0].states, res1.retained[1].states)
 
 
-def _jump_run(num_paths, block=None, chunk=None):
-    cfg = SimulationConfig(num_paths=num_paths, sigma0=np.eye(2), step_size=1e-2,
+def n1_q2_system():
+    return make_system(1, 1, 2, [[-0.5]], [[1.0]], [[0.7, 1.3]],
+                       [[1.0, 0.0], [0.0, 0.3]], [[0.0]], [[1.0]], [[1.0]])
+
+
+def n1_q2_noise():
+    return NoiseModel(
+        additive=(NoiseComponent("wiener", const([[1.0]]), channel=0),
+                  NoiseComponent("wiener", const([[0.3]]), channel=1)),
+        multiplicative=())
+
+
+_BATCHING_CASES = {
+    # A nonzero gain, so that products round and a BLAS kernel change shows.
+    "example": (example_system, example_noise,
+                lambda: [(0.0, np.array([[-0.3, 0.8]])), (1.0, np.array([[0.5, -1.1]]))],
+                np.eye(2)),
+    "n3_q2": (n3_q2_system, n3_q2_noise, n3_q2_gain, np.diag([1.0, 0.5, 2.0])),
+    "n1_q2": (n1_q2_system, n1_q2_noise,
+              lambda: [(0.0, np.array([[-0.7]])), (1.0, np.array([[0.2]]))], np.eye(1)),
+}
+
+
+def _jump_run(case, num_paths, block=None, chunk=None):
+    system, noise, gain, sigma0 = _BATCHING_CASES[case]
+    cfg = SimulationConfig(num_paths=num_paths, sigma0=sigma0, step_size=1e-2,
                            master_seed=57, retain_paths=num_paths)
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(sde_sim, "_BLOCK", block)
         if chunk is not None:
             mp.setattr(sde_sim, "_DRAW_CHUNK", chunk)
-        return simulate_paths(example_system(), example_noise(), zero_gain(1, 2), cfg)
+        return simulate_paths(system(), noise(), gain(), cfg)
 
 
 @pytest.fixture(scope="module")
 def jump_reference():
-    return _jump_run(24)
+    return {case: _jump_run(case, 24) for case in _BATCHING_CASES}
 
 
+@pytest.mark.parametrize("case", list(_BATCHING_CASES))
 @settings(max_examples=8, deadline=None)
 @given(num_paths=st.integers(1, 24), block=st.integers(1, 9), chunk=st.integers(1, 5))
-def test_jump_paths_do_not_depend_on_batching(jump_reference, num_paths, block, chunk):
+def test_jump_paths_do_not_depend_on_batching(jump_reference, case, num_paths, block, chunk):
     # Compound-Poisson arrivals are drawn from each path's own stream, so a
     # path's trajectory depends on neither the path count nor the batching.
-    res = _jump_run(num_paths, block, chunk)
+    ref = jump_reference[case]
+    res = _jump_run(case, num_paths, block, chunk)
     assert [rp.path_id for rp in res.retained] == list(range(num_paths))
     for rp in res.retained:
-        assert np.array_equal(rp.states, jump_reference.retained[rp.path_id].states)
-    assert res.jump_mean_counts == _jump_run(num_paths).jump_mean_counts
+        assert np.array_equal(rp.states, ref.retained[rp.path_id].states)
+        assert np.array_equal(rp.controls, ref.retained[rp.path_id].controls)
+    assert res.jump_mean_counts == _jump_run(case, num_paths).jump_mean_counts
 
 
 def test_thinning_law_with_interior_supremum():
@@ -235,6 +299,16 @@ def test_injected_standard_normal_moments():
     mean, cov = empirical_moments(res, 1.0)
     assert np.all(np.abs(mean) <= 3.0 / np.sqrt(n_paths))
     assert np.max(np.abs(cov - np.eye(2))) <= 0.05
+    # Var(x_i x_j) is 2 on the diagonal and 1 off it for independent N(0, 1).
+    se = covariance_standard_error(res, 1.0)
+    want = np.sqrt(np.array([[2.0, 1.0], [1.0, 2.0]]) / n_paths)
+    assert np.all(np.abs(se / want - 1.0) <= 0.10)
+    # Central moments: shifting every path by a constant changes neither.
+    shifted = simulate_paths(sys, noise, zero_gain(1, 2), SimulationConfig(
+        num_paths=n_paths, sigma0=np.eye(2), step_size=1e-2, master_seed=17,
+        record_costs=False, initial_mean=np.array([3.0, -2.0])))
+    assert_allclose(empirical_moments(shifted, 1.0)[1], cov, rtol=1e-9)
+    assert_allclose(covariance_standard_error(shifted, 1.0), se, rtol=1e-9)
 
 
 def test_estimate_cost_zero_integrand():
