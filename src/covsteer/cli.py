@@ -360,6 +360,9 @@ def _run_simulation(cfg: RunConfig, out: str, sol, sim_cfg: SimulationConfig):
 
 def _cmd_certify(cfg: RunConfig, out: str) -> int:
     sim_cfg = _simulation_config(cfg)
+    if sim_cfg.num_paths < 2:
+        raise ConfigError(
+            f"certify needs at least 2 paths for a covariance, got {sim_cfg.num_paths}")
     sol = _cmd_solve(cfg, out)
     result = _run_simulation(cfg, out, sol, sim_cfg)
     _, cov = empirical_moments(result, 1.0)

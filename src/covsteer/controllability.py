@@ -107,22 +107,9 @@ def classify(sys: SystemSpec, grid_size: int = 101,
 # Canonical reduction of a constant controllable pair
 # ---------------------------------------------------------------------------
 
-def _kalman_rank(a, b):
-    n = a.shape[0]
-    blocks = [b]
-    for _ in range(n - 1):
-        blocks.append(a @ blocks[-1])
-    return _rank(np.hstack(blocks))
-
-
 def canonical_chain_pair(n: int) -> tuple:
     """The single-chain pair: shift matrix with unit superdiagonal, input e_n."""
-    a = np.zeros((n, n))
-    for i in range(n - 1):
-        a[i, i + 1] = 1.0
-    b = np.zeros((n, 1))
-    b[n - 1, 0] = 1.0
-    return a, b
+    return np.eye(n, k=1), np.eye(n)[:, n - 1:]
 
 
 def canonical_transform(a: np.ndarray, b: np.ndarray) -> tuple:
@@ -137,7 +124,10 @@ def canonical_transform(a: np.ndarray, b: np.ndarray) -> tuple:
     if b.ndim == 1:
         b = b[:, None]
     n, p = b.shape
-    if _kalman_rank(a, b) < n:
+    kalman = [b]
+    for _ in range(n - 1):
+        kalman.append(a @ kalman[-1])
+    if _rank(np.hstack(kalman)) < n:
         raise NotControllableError("pair (A, B) is not controllable")
 
     v = np.zeros(p)
@@ -182,55 +172,60 @@ def canonical_transform(a: np.ndarray, b: np.ndarray) -> tuple:
 # Scalar construction (polynomials as ascending coefficient arrays)
 # ---------------------------------------------------------------------------
 
-class _Derivs:
-    """Successive time derivatives of one object, each built once on demand."""
-
-    def __init__(self, first, step=P.polyder):
-        self._items = [first]
-        self._step = step
-
-    def __getitem__(self, order):
-        while len(self._items) <= order:
-            self._items.append(self._step(self._items[-1]))
-        return self._items[order]
-
-
 _D_POLY = np.array([0.0, 0.0, 1.0, -2.0, 1.0])  # t^2 (1-t)^2
 _D_PRIME = P.polyder(_D_POLY)
+_PSI_LOG_DERIV = np.array([1.0, -2.0])  # psi'/psi = (1 - 2t) / D
 
 
-@dataclass(frozen=True)
-class _RatD:
-    """Rational function num(t) / (t^2 (1-t)^2)^k, closed under d/dt."""
+def _pack(groups):
+    """(table, where): keyed groups of polynomials in one zero-padded table,
+    so that one polyval evaluates them all, and each group's row slice."""
+    rows, where = [], {}
+    for key, polys in groups.items():
+        where[key] = slice(len(rows), len(rows) + len(polys))
+        rows.extend(np.atleast_1d(p) for p in polys)
+    deg = max(map(len, rows))
+    return np.stack([np.pad(r, (0, deg - len(r))) for r in rows], 1), where
 
-    num: np.ndarray
-    k: int
 
-    def deriv(self):
-        if self.k == 0:
-            return _RatD(P.polyder(self.num), 0)
-        num = P.polysub(P.polymul(P.polyder(self.num), _D_POLY),
-                        self.k * P.polymul(self.num, _D_PRIME))
-        return _RatD(num, self.k + 1)
+class _At:
+    """One call's times with every packed polynomial evaluated there.
 
-    def add(self, other):
-        k = max(self.k, other.k)
-        a = P.polymul(self.num, P.polypow(_D_POLY, k - self.k))
-        b = P.polymul(other.num, P.polypow(_D_POLY, k - other.k))
-        return _RatD(P.polyadd(a, b), k)
+    Derivative towers, orders 0..k stacked on a leading axis, and plain time
+    functions (weight, bump) are memoised, so each is computed once a call.
+    """
 
-    def value(self, t):
-        return P.polyval(t, self.num) / P.polyval(t, _D_POLY) ** self.k
+    def __init__(self, packed, t):
+        # A float, not a 0-d array, keeps single-time arithmetic cheap.
+        t = np.asarray(t, dtype=float)
+        self.t = float(t) if t.ndim == 0 else t
+        self.shape = t.shape
+        table, self._where = packed
+        self._rows = P.polyval(self.t, table)
+        self._memo = {}
+
+    def poly(self, key):
+        return self._rows[self._where[key]]
+
+    def of(self, fn):
+        if fn not in self._memo:
+            self._memo[fn] = fn(self.t)
+        return self._memo[fn]
+
+    def tower(self, node, k):
+        have = self._memo.get(node)
+        if have is None or len(have) <= k:
+            have = self._memo[node] = node.tower(self, k)
+        return have[: k + 1]
 
 
 def _bump(t):
-    """psi(t) = exp(-1/(t(1-t))) extended by zero to the endpoints."""
-    if t <= 0.0 or t >= 1.0:
-        return 0.0
-    return math.exp(-1.0 / (t * (1.0 - t)))
-
-
-_PSI_LOG_DERIV = _RatD(np.array([1.0, -2.0]), 1)  # psi'/psi
+    """psi(t) = exp(-1/(t(1-t))) extended by zero outside (0, 1)."""
+    s = t * (1.0 - np.asarray(t, dtype=float))
+    if s.ndim == 0:  # math.exp: see ExpIntegralWeight
+        return math.exp(-1.0 / float(s)) if s > 0.0 else 0.0
+    with np.errstate(over="ignore"):  # -1/s overflows only where psi underflows
+        return np.where(s > 0.0, np.exp(-1.0 / np.where(s > 0.0, s, 1.0)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -246,7 +241,10 @@ class ExpIntegralWeight:
 
     def __call__(self, t):
         anti, at_1 = self._antideriv
-        return math.exp(2.0 * (at_1 - P.polyval(t, anti)))
+        x = 2.0 * (at_1 - P.polyval(t, anti))
+        # math.exp at a single time is cheaper, and the RK45 steps that call
+        # it are sensitive to the last bit, where np.exp may differ.
+        return math.exp(x) if np.ndim(x) == 0 else np.exp(x)
 
     @property
     def log_deriv_coeffs(self):
@@ -256,7 +254,10 @@ class ExpIntegralWeight:
 @dataclass(frozen=True)
 class ScalarSteeringProblem:
     """Inputs of the scalar construction: weight, target integral, boundary
-    derivative lists (orders 0..H at both ends), and the floor function."""
+    derivative lists (orders 0..H at both ends), and the floor function.
+
+    f and rho are called on 1-D time arrays; a constant may return a scalar.
+    """
 
     f: object  # callable weight, positive on [0, 1]
     gamma: float
@@ -269,7 +270,7 @@ class ScalarSteeringProblem:
             raise ValueError("alpha and beta must list the same orders 0..H")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarControl:
     """u(t) = polynomial + d0-scaled flat bump, with exact derivatives."""
 
@@ -281,52 +282,66 @@ class ScalarControl:
     weight: object
     verification: dict
 
-    @cached_property
-    def _poly_derivs(self):
-        return _Derivs(self.poly)
+    def _polys(self, k: int) -> dict:
+        """The polynomials of the order-0..k tower, in groups for _pack.
 
-    @cached_property
-    def _bump_derivs(self):
-        """h_m with the m-th bump derivative d0 psi h_m / f, or None.
-
-        h_0 = w and h_{m+1} = h_m' + h_m (w - r), where w = psi'/psi and r
-        is the weight's log-derivative; without r only h_0 is known.
+        The j-th bump derivative is d0 psi h_j / f with h_j = num_j / D^(j+1):
+        h_0 = w and h_{j+1} = h_j' + h_j (w - r), where w = psi'/psi and r is
+        the weight's log-derivative; without r only h_0 is known.
         """
-        if not hasattr(self.weight, "log_deriv_coeffs"):
-            return None
-        r = np.asarray(self.weight.log_deriv_coeffs, dtype=float)
-        w_minus_r = _RatD(P.polyadd(_PSI_LOG_DERIV.num, P.polymul(-r, _D_POLY)), 1)
-        return _Derivs(_PSI_LOG_DERIV, lambda h: h.deriv().add(
-            _RatD(P.polymul(h.num, w_minus_r.num), h.k + w_minus_r.k)))
+        groups = {(self, "poly"): [P.polyder(self.poly, j) for j in range(k + 1)]}
+        if self.d0 != 0.0:
+            nums = [_PSI_LOG_DERIV]
+            if k:
+                if not hasattr(self.weight, "log_deriv_coeffs"):
+                    raise ValueError(
+                        "bump derivatives need a weight with an exact log-derivative")
+                r = np.asarray(self.weight.log_deriv_coeffs, dtype=float)
+                w_minus_r = P.polyadd(_PSI_LOG_DERIV, P.polymul(-r, _D_POLY))
+            for j in range(k):
+                num = nums[-1]
+                deriv = P.polysub(P.polymul(P.polyder(num), _D_POLY),
+                                  (j + 1) * P.polymul(num, _D_PRIME))
+                nums.append(P.polyadd(deriv, P.polymul(num, w_minus_r)))
+            groups[self, "bump"] = [_D_POLY] + nums
+        return groups
+
+    def tower(self, at, k):
+        out = at.poly((self, "poly"))[: k + 1]
+        if self.d0 == 0.0:
+            return out
+        rows = at.poly((self, "bump"))
+        scale = self.d0 * at.of(_bump)
+        d_poly = rows[0] + (scale == 0.0)  # D + 1 where psi = 0: D >= 0 may vanish
+        out = out.copy()
+        for j in range(k + 1):
+            out[j] += scale * (rows[j + 1] / d_poly ** (j + 1)) / at.of(self.weight)
+        return out
+
+    @cached_property
+    def _packed(self):
+        return {}
+
+    def derivs(self, t, k=0):
+        """Orders 0..k of u at a time or a 1-D time array, on a leading axis."""
+        if k not in self._packed:
+            self._packed[k] = _pack(self._polys(k))
+        return _At(self._packed[k], t).tower(self, k)
 
     def value(self, t):
-        return self.derivative(t, 0)
+        return self.derivs(t, 0)[0]
 
     def derivative(self, t, order=1):
-        val = P.polyval(t, self._poly_derivs[order])
-        if self.d0 != 0.0:
-            val += self._bump_part(t, order)
-        return val
-
-    def _bump_part(self, t, order):
-        psi = _bump(t)
-        if psi == 0.0:
-            return 0.0
-        if self._bump_derivs is None:
-            if order == 0:
-                return self.d0 * psi * _PSI_LOG_DERIV.value(t) / self.weight(t)
-            raise ValueError(
-                "bump derivatives need a weight with an exact log-derivative")
-        return self.d0 * psi * self._bump_derivs[order].value(t) / self.weight(t)
+        return self.derivs(t, order)[order]
 
 
 def _cumulative_weighted(f, g, rtol=1e-12):
-    """Dense antiderivative t -> int_0^t f(s) g(s) ds."""
+    """Dense antiderivative t -> int_0^t f(s) g(s) ds, at a time or an array."""
     sol = solve_ivp(lambda t, y: [f(t) * g(t)], (0.0, 1.0), [0.0],
                     method="RK45", rtol=rtol, atol=1e-14, dense_output=True)
     if not sol.success:
         raise IntegrationFailureError("cumulative quadrature failed")
-    return lambda t: float(sol.sol(t)[0])
+    return lambda t: sol.sol(t)[0]
 
 
 def scalar_steering_u(prob: ScalarSteeringProblem) -> ScalarControl:
@@ -335,10 +350,12 @@ def scalar_steering_u(prob: ScalarSteeringProblem) -> ScalarControl:
 
     The polynomial part matches the boundary data and the integral; the
     flat bump amplitude d0 is the smallest value on a doubling ladder that
-    clears the floor on a 1001-point grid.
+    clears the floor on a 1001-point grid.  A weighted integral that does
+    not converge, or a running integral that misses gamma by more than
+    1e-9 max(1, |gamma|), raises IntegrationFailureError.
     """
     f = prob.f
-    rho0, rho1 = prob.rho(0.0), prob.rho(1.0)
+    rho0, rho1 = np.broadcast_to(prob.rho(np.array([0.0, 1.0])), 2)
     if rho0 >= 0.0 or rho1 >= prob.gamma:
         raise PreconditionError(
             f"floor hypotheses violated: rho(0)={rho0:.3e}, rho(1)-gamma={rho1 - prob.gamma:.3e}")
@@ -363,18 +380,25 @@ def scalar_steering_u(prob: ScalarSteeringProblem) -> ScalarControl:
 
     psi_poly = P.polymul(t_pow, P.polypow([1.0, -1.0], h_order + 1))
     ab = P.polyadd(a, b_poly)
-    int_ab, _, _ = adaptive_gk(lambda ts: np.array([f(t) for t in ts]) * P.polyval(ts, ab),
-                               0.0, 1.0, atol=1e-12)
-    int_psi, _, _ = adaptive_gk(lambda ts: np.array([f(t) for t in ts]) * P.polyval(ts, psi_poly),
-                                0.0, 1.0, atol=1e-12)
+    int_ab, _, sat_ab = adaptive_gk(lambda ts: f(ts) * P.polyval(ts, ab),
+                                    0.0, 1.0, atol=1e-12)
+    int_psi, _, sat_psi = adaptive_gk(lambda ts: f(ts) * P.polyval(ts, psi_poly),
+                                      0.0, 1.0, atol=1e-12)
+    if sat_ab or sat_psi or not np.isfinite(int_ab + int_psi):
+        raise IntegrationFailureError(
+            "weighted integral of the control polynomial did not converge")
     c0 = (prob.gamma - float(int_ab)) / float(int_psi)
     poly = P.polyadd(ab, c0 * psi_poly)
 
     cum = _cumulative_weighted(f, lambda t: P.polyval(t, poly))
+    residual = abs(float(cum(1.0)) - prob.gamma)
+    if not residual <= 1e-9 * max(1.0, abs(prob.gamma)):
+        raise IntegrationFailureError(
+            f"running integral misses its target by {residual:.3e}")
     grid = np.linspace(0.0, 1.0, FLOOR_GRID)
-    floor_vals = np.array([prob.rho(t) for t in grid])
-    base_vals = np.array([cum(t) for t in grid])
-    bump_vals = np.array([_bump(t) for t in grid])
+    floor_vals = prob.rho(grid)
+    base_vals = cum(grid)
+    bump_vals = _bump(grid)
 
     d0 = 0.0
     if np.any(base_vals <= floor_vals):
@@ -387,53 +411,39 @@ def scalar_steering_u(prob: ScalarSteeringProblem) -> ScalarControl:
                 "of the construction are likely violated")
 
     margin = float(np.min(base_vals + d0 * bump_vals - floor_vals))
-    verification = {
-        "integral_residual": abs(cum(1.0) - prob.gamma),
-        "floor_margin": margin,
-        "grid_points": FLOOR_GRID,
-    }
+    verification = {"integral_residual": residual, "floor_margin": margin,
+                    "grid_points": FLOOR_GRID}
     return ScalarControl(poly=poly, a_coeffs=tuple(a), b_coeffs=tuple(b_coefs),
-                         c0=float(c0), d0=float(d0), weight=f,
-                         verification=verification)
+                         c0=float(c0), d0=float(d0), weight=f, verification=verification)
 
 
 # ---------------------------------------------------------------------------
 # Layered construction of a feasible steering (constant canonical pair)
 # ---------------------------------------------------------------------------
 
-class _ControlFn:
-    """Time function backed by a constructed scalar control."""
-
-    def __init__(self, control: ScalarControl):
-        self.control = control
-
-    def deriv(self, t, k=0):
-        return self.control.value(t) if k == 0 else self.control.derivative(t, k)
-
-
+@dataclass(frozen=True, eq=False)
 class _CornerFn:
     """Corner entry integrated from its scalar linear equation.
 
     Derivatives chain through the equation d sigma = 2 g + m + 2 nu sigma,
-    so any order reduces to derivatives of the driving control.
+    so order j + 1 comes from orders 0..j of sigma and the driving control g.
     """
 
-    def __init__(self, dense, g_fn, m_derivs, nu_derivs):
-        self._dense = dense
-        self._g = g_fn
-        self._m = m_derivs
-        self._nu = nu_derivs
+    dense: object
+    g: object
+    m_key: tuple
 
-    def deriv(self, t, k=0):
-        if k == 0:
-            return float(self._dense.sol(t)[0])
-        j = k - 1
-        out = 2.0 * self._g.deriv(t, j) + P.polyval(t, self._m[j])
-        for r in range(j + 1):
-            out += 2.0 * math.comb(j, r) * P.polyval(t, self._nu[r]) * self.deriv(t, j - r)
+    def tower(self, at, k):
+        out = np.empty((k + 1,) + at.shape)
+        out[0] = self.dense.sol(at.t)[0]
+        if k:
+            g, m, nu = at.tower(self.g, k - 1), at.poly(self.m_key), at.poly("nu")
+        for j in range(k):
+            out[j + 1] = 2.0 * g[j] + m[j] + 2.0 * _nu_leibniz(nu, out, j)
         return out
 
 
+@dataclass(frozen=True, eq=False)
 class _DeterminedFn:
     """Column entry eliminated through the layer equation.
 
@@ -441,18 +451,15 @@ class _DeterminedFn:
     follow by Leibniz.
     """
 
-    def __init__(self, below, right, m_derivs, nu_derivs):
-        self._below = below
-        self._right = right
-        self._m = m_derivs
-        self._nu = nu_derivs
+    below: object
+    right: object
+    m_key: tuple
 
-    def deriv(self, t, k=0):
-        out = self._below.deriv(t, k + 1) - self._right.deriv(t, k) \
-            - P.polyval(t, self._m[k])
-        for r in range(k + 1):
-            out -= 2.0 * math.comb(k, r) * P.polyval(t, self._nu[r]) \
-                * self._below.deriv(t, k - r)
+    def tower(self, at, k):
+        below, nu = at.tower(self.below, k + 1), at.poly("nu")
+        out = below[1:] - at.tower(self.right, k) - at.poly(self.m_key)[: k + 1]
+        for j in range(k + 1):
+            out[j] -= 2.0 * _nu_leibniz(nu, below, j)
         return out
 
 
@@ -460,8 +467,10 @@ class _DeterminedFn:
 class FeasibleSteering:
     """A constructed steering: control schedule, gains, covariance, trace.
 
-    gain/control/covariance evaluate the construction exactly at any time,
-    bypassing grid interpolation; the grids are samples of the same maps.
+    gain/control/covariance evaluate the construction exactly at a time or a
+    1-D time array (the time axis leading), bypassing grid interpolation; the
+    grids are samples of the same maps.  covariance_derivs(t, k) stacks
+    orders 0..k <= 1 of the covariance on a further leading axis.
     """
 
     times: np.ndarray
@@ -473,12 +482,12 @@ class FeasibleSteering:
     gain: object = None
     control: object = None
     covariance: object = None
+    covariance_derivs: object = None
 
 
-def _endpoint_derivs_nu_product(nu_d, vals, j, t):
-    """sum_r C(j,r) nu^(r)(t) vals[j-r] for the Leibniz terms."""
-    return sum(math.comb(j, r) * P.polyval(t, nu_d[r]) * vals[j - r]
-               for r in range(j + 1))
+def _nu_leibniz(nu, vals, j):
+    """sum_r C(j,r) nu^(r) vals[j-r], the Leibniz terms of (nu x)^(j)."""
+    return sum(math.comb(j, r) * nu[r] * vals[j - r] for r in range(j + 1))
 
 
 def construct_feasible_steering(a: np.ndarray, b: np.ndarray, bd: BoundaryData,
@@ -494,11 +503,9 @@ def construct_feasible_steering(a: np.ndarray, b: np.ndarray, bd: BoundaryData,
     whose floor enforces the Schur-complement positivity of the growing
     block.  Desk scale: n <= 3.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 1:
-        b = b[:, None]
-    n, p = b.shape
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
+    n = np.atleast_2d(a).shape[0]
     if n > 3:
         raise PreconditionError("constructive steering is limited to n <= 3")
     if bd.sigma0.shape != (n, n):
@@ -512,145 +519,130 @@ def construct_feasible_steering(a: np.ndarray, b: np.ndarray, bd: BoundaryData,
     sig1 = t_mat @ bd.sigma1 @ t_mat.T
     m_y = MatrixPoly.constant(t_mat) @ m_poly @ MatrixPoly.constant(t_mat.T)
     nu_c = nu_poly.entry()
-    nu_d = _Derivs(nu_c)
-    m_d = [[_Derivs(m_y.entry(i, j)) for j in range(n)] for i in range(n)]
+    # Derivatives up to order H + n - 1: pass 1 reads below H + n - 1, the maps below n.
+    nu_d = [P.polyder(nu_c, r) for r in range(h_order + n)]
+    m_d = [m_y.derivative(r) for r in range(h_order + n)]
     weight = ExpIntegralWeight(tuple(nu_c))
     f_at_0 = weight(0.0)
 
-    # ---- pass 1: propagate boundary derivative data outer -> inner -------
-    # bc arrays are indexed [order]; bc0 at t=0, bc1 at t=1.
-    h_levels = {m: h_order + (n - m) for m in range(1, n + 1)}
-    ctrl_bc = {n: {i: (np.zeros(h_order + 1), np.zeros(h_order + 1))
-                   for i in range(1, n + 1)}}
-    corner_bc = {}
-    for m in range(n, 1, -1):
-        h_m = h_levels[m]
-        cbc = ctrl_bc[m]
-        corner0 = np.zeros(h_m + 2)
-        corner1 = np.zeros(h_m + 2)
-        corner0[0], corner1[0] = sig0[m - 1, m - 1], sig1[m - 1, m - 1]
-        for j in range(h_m + 1):
-            for t_end, arr, cvals in ((0.0, corner0, cbc[m][0]), (1.0, corner1, cbc[m][1])):
-                arr[j + 1] = 2.0 * cvals[j] + P.polyval(t_end, m_d[m - 1][m - 1][j]) \
-                    + 2.0 * _endpoint_derivs_nu_product(nu_d, arr, j, t_end)
-        corner_bc[m] = (corner0, corner1)
+    # Every polynomial the evaluation maps read, packed in one table.  U_i needs
+    # entry (i, n) to order 1, which reads layer i's control (i, i + 1) to
+    # order n - i, and M and nu to lower orders; so does each entry's order 1.
+    groups = {("m", i, j): [m_d[r].entry(i, j) for r in range(n)]
+              for i in range(n) for j in range(i, n)}
+    groups["nu"] = nu_d[:n]
+    packed = _pack(groups)
 
-        col0 = {i: np.zeros(h_m + 2) for i in range(1, m)}
-        col1 = {i: np.zeros(h_m + 2) for i in range(1, m)}
-        for i in range(1, m):
-            col0[i][0] = sig0[i - 1, m - 1]
-            col1[i][0] = sig1[i - 1, m - 1]
+    # ---- pass 1: propagate boundary derivative data outer -> inner -------
+    # bc arrays are indexed [order, end], the ends being t = 0 and t = 1.
+    ends = np.array([0.0, 1.0])
+    nu_ends = [P.polyval(ends, d) for d in nu_d]
+    ctrl_bc = {n: {i: np.zeros((h_order + 1, 2)) for i in range(1, n + 1)}}
+    for m in range(n, 1, -1):  # layer m carries orders 0..H + n - m
+        h_m, cbc = h_order + n - m, ctrl_bc[m]
+        col = {i: np.zeros((h_m + 2, 2)) for i in range(1, m + 1)}  # col[m]: corner
+        for i in range(1, m + 1):
+            col[i][0] = sig0[i - 1, m - 1], sig1[i - 1, m - 1]
+        for j in range(h_m + 1):
+            col[m][j + 1] = 2.0 * cbc[m][j] + P.polyval(ends, m_d[j].entry(m - 1, m - 1)) \
+                + 2.0 * _nu_leibniz(nu_ends, col[m], j)
         for j in range(h_m + 1):
             for i in range(1, m):
-                above0 = col0[i + 1][j] if i + 1 < m else corner0[j]
-                above1 = col1[i + 1][j] if i + 1 < m else corner1[j]
-                m_im = m_d[i - 1][m - 1][j]
-                col0[i][j + 1] = above0 + cbc[i][0][j] + P.polyval(0.0, m_im) \
-                    + 2.0 * _endpoint_derivs_nu_product(nu_d, col0[i], j, 0.0)
-                col1[i][j + 1] = above1 + cbc[i][1][j] + P.polyval(1.0, m_im) \
-                    + 2.0 * _endpoint_derivs_nu_product(nu_d, col1[i], j, 1.0)
-        ctrl_bc[m - 1] = {i: (col0[i], col1[i]) for i in range(1, m)}
-
-    corner_bc[1] = (np.array([sig0[0, 0]]), np.array([sig1[0, 0]]))
+                col[i][j + 1] = col[i + 1][j] + cbc[i][j] \
+                    + P.polyval(ends, m_d[j].entry(i - 1, m - 1)) \
+                    + 2.0 * _nu_leibniz(nu_ends, col[i], j)
+        ctrl_bc[m - 1] = {i: col[i] for i in range(1, m)}
 
     # ---- pass 2: construct entries inner -> outer -------------------------
-    entries: dict = {}
-    u_fns: dict = {}
+    entries: dict = {}  # column n + 1 holds U
     layer_trace = []
 
-    for m in range(1, n + 1):
+    def canonical(at, size, k=0):
+        """Orders 0..k of the leading size x size canonical covariance block."""
+        out = np.empty((k + 1,) + at.shape + (size, size))
+        for i in range(size):
+            for j in range(i, size):
+                out[..., i, j] = out[..., j, i] = at.tower(entries[(i + 1, j + 1)], k)
+        return out
+
+    for m in range(1, n + 2):
         for i in range(1, m - 1):
             entries[(i, m)] = _DeterminedFn(
                 below=entries[(i, m - 1)], right=entries[(i + 1, m - 1)],
-                m_derivs=m_d[i - 1][m - 2], nu_derivs=nu_d)
+                m_key=("m", i - 1, m - 2))
+        if m > n:
+            break
 
         # Corner sigma_mm driven by g_m (the next-column head, or U_m at m = n).
         m_mm = m_y.entry(m - 1, m - 1)
         cum_m = _cumulative_weighted(weight, lambda t, c=m_mm: P.polyval(t, c))
-        s_mm_0 = sig0[m - 1, m - 1]
-        s_mm_1 = sig1[m - 1, m - 1]
+        s_mm_0, s_mm_1 = sig0[m - 1, m - 1], sig1[m - 1, m - 1]
         gamma_m = 0.5 * (s_mm_1 - f_at_0 * s_mm_0 - cum_m(1.0))
 
-        if m == 1:
-            def q_fn(t):
-                return 0.0
-        else:
-            col_fns = [entries[(i, m)] for i in range(1, m)]
-            blk_fns = {(i, j): entries[(min(i, j), max(i, j))]
-                       for i in range(1, m) for j in range(1, m)}
+        def rho_m(t, m=m, cum_m=cum_m, s_mm_0=s_mm_0):
+            """Floor with q = col' blk^-1 col, col the column above the corner."""
+            q = 0.0
+            if m > 1:
+                at = _At(packed, t)
+                col = np.stack([at.tower(entries[(i, m)], 0)[0] for i in range(1, m)], -1)
+                blk = canonical(at, m - 1)[0]
+                q = np.sum(col * np.linalg.solve(blk, col[..., None])[..., 0], -1)
+            return 0.5 * (weight(t) * q - f_at_0 * s_mm_0 - cum_m(t))
 
-            def q_fn(t, col_fns=col_fns, blk_fns=blk_fns, mm=m):
-                col = np.array([fn.deriv(t, 0) for fn in col_fns])
-                blk = np.array([[blk_fns[(i, j)].deriv(t, 0)
-                                 for j in range(1, mm)] for i in range(1, mm)])
-                return float(col @ np.linalg.solve(symmetrize(blk), col))
-
-        def rho_m(t, q_fn=q_fn, cum_m=cum_m, s_mm_0=s_mm_0):
-            return 0.5 * (weight(t) * q_fn(t) - f_at_0 * s_mm_0 - cum_m(t))
-
-        bc0, bc1 = ctrl_bc[m][m]
-        h_m = h_levels[m]
-        prob = ScalarSteeringProblem(
-            f=weight, gamma=gamma_m, alpha=tuple(bc0[: h_m + 1]),
-            beta=tuple(bc1[: h_m + 1]), rho=rho_m)
-        control = scalar_steering_u(prob)
-        g_fn = _ControlFn(control)
+        h_m = h_order + n - m
+        bc = ctrl_bc[m][m][: h_m + 1]
+        control = scalar_steering_u(ScalarSteeringProblem(
+            f=weight, gamma=gamma_m, alpha=tuple(bc[:, 0]), beta=tuple(bc[:, 1]), rho=rho_m))
+        groups.update(control._polys(n - m))
+        packed = _pack(groups)
 
         dense = solve_ivp(
-            lambda t, y, g=g_fn, mm_c=m_mm: [
-                2.0 * g.deriv(t, 0) + P.polyval(t, mm_c)
+            lambda t, y, g=control, mm_c=m_mm: [
+                2.0 * g.value(t) + P.polyval(t, mm_c)
                 + 2.0 * P.polyval(t, nu_c) * y[0]],
             (0.0, 1.0), [s_mm_0], method="RK45", rtol=1e-12, atol=1e-14,
             dense_output=True)
         if not dense.success:
             raise IntegrationFailureError("corner integration failed")
-        entries[(m, m)] = _CornerFn(dense, g_fn, m_d[m - 1][m - 1], nu_d)
-        if m < n:
-            entries[(m, m + 1)] = g_fn
-        else:
-            u_fns[m] = g_fn
+        entries[(m, m)] = _CornerFn(dense, control, ("m", m - 1, m - 1))
+        entries[(m, m + 1)] = control
         layer_trace.append({
             "layer": m, "corner_targets": (s_mm_0, s_mm_1), "gamma": gamma_m,
             "bc_orders": h_m, "poly_coeffs": tuple(control.poly),
-            "d0": control.d0, "verification": control.verification,
-        })
-
-    for i in range(1, n):
-        u_fns[i] = _DeterminedFn(
-            below=entries[(i, n)], right=entries[(i + 1, n)],
-            m_derivs=m_d[i - 1][n - 1], nu_derivs=nu_d)
+            "d0": control.d0, "verification": control.verification})
 
     # ---- exact evaluation maps and sampled grids --------------------------
-    def sigma_canonical(t):
-        sig_y = np.empty((n, n))
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                sig_y[i - 1, j - 1] = sig_y[j - 1, i - 1] = entries[(i, j)].deriv(t, 0)
-        return sig_y
+    def covariance_at(at, k=0):
+        return symmetrize(t_inv @ canonical(at, n, k) @ t_inv.T)
 
-    def covariance(t):
-        return symmetrize(t_inv @ sigma_canonical(t) @ t_inv.T)
+    def gain_at(at):
+        # Outer entries first: each tower is then built at its highest order.
+        u_y = np.stack([at.tower(entries[(i, n + 1)], 0)[0] for i in range(n, 0, -1)][::-1], -1)
+        k_y = np.linalg.solve(canonical(at, n)[0], u_y[..., None])[..., 0]  # canonical gain row
+        return f_gain + v_dir[:, None] * (k_y @ t_mat)[..., None, :]
 
-    def gain(t):
-        sig_y = sigma_canonical(t)
-        u_y = np.array([u_fns[i].deriv(t, 0) for i in range(1, n + 1)])
-        k_y = np.linalg.solve(sig_y, u_y)  # canonical gain row
-        return f_gain + np.outer(v_dir, k_y @ t_mat)
+    def control_at(at):
+        return covariance_at(at)[0] @ np.swapaxes(gain_at(at), -1, -2)
 
-    def control(t):
-        return covariance(t) @ gain(t).T
+    def covariance_derivs(t, k=1):
+        if k not in (0, 1):
+            raise ValueError("covariance derivatives are available to order 1")
+        return covariance_at(_At(packed, t), k)
 
     times = np.linspace(0.0, 1.0, grid_size)
-    u_grid = tuple((float(t), control(t)) for t in times)
-    k_grid = tuple((float(t), gain(t)) for t in times)
-    sigma_grid = tuple((float(t), covariance(t)) for t in times)
+    at = _At(packed, times)
+    sigmas, gains, controls = covariance_at(at)[0], gain_at(at), control_at(at)
+    grid_times = times.tolist()
 
-    err0 = float(np.linalg.norm(sigma_grid[0][1] - bd.sigma0))
-    err1 = float(np.linalg.norm(sigma_grid[-1][1] - bd.sigma1))
+    err0 = float(np.linalg.norm(sigmas[0] - bd.sigma0))
+    err1 = float(np.linalg.norm(sigmas[-1] - bd.sigma1))
     if max(err0, err1) > 1e-6:
         raise IntegrationFailureError(
             f"constructed trajectory misses the endpoints ({err0:.3e}, {err1:.3e})")
-    return FeasibleSteering(times=times, u_grid=u_grid, k_grid=k_grid,
-                            sigma_grid=sigma_grid, layer_trace=tuple(layer_trace),
-                            endpoint_errors=(err0, err1), gain=gain,
-                            control=control, covariance=covariance)
+    return FeasibleSteering(
+        times=times, u_grid=tuple(zip(grid_times, controls)),
+        k_grid=tuple(zip(grid_times, gains)), sigma_grid=tuple(zip(grid_times, sigmas)),
+        layer_trace=tuple(layer_trace), endpoint_errors=(err0, err1),
+        gain=lambda t: gain_at(_At(packed, t)), control=lambda t: control_at(_At(packed, t)),
+        covariance=lambda t: covariance_at(_At(packed, t))[0],
+        covariance_derivs=covariance_derivs)

@@ -187,6 +187,23 @@ def test_certify_rejects_seed_before_solving(tmp_path, example_raw, seed):
     assert not os.path.exists(os.path.join(out, "cost.json"))
 
 
+def test_certify_single_path_is_config_error(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    rc = main(["certify", "--config", example_config_path(), "--out", out,
+               "--paths", "1"])
+    assert rc == EXIT_CONFIG
+    assert "config error: certify needs at least 2 paths" in capsys.readouterr().out
+    assert not os.path.exists(os.path.join(out, "cost.json"))
+
+
+@pytest.mark.parametrize("grid", ["1", "0"])
+def test_construct_grid_below_two_is_config_error(tmp_path, capsys, grid):
+    rc = main(["construct", "--config", example_config_path(), "--out", str(tmp_path / "o"),
+               "--grid", grid])
+    assert rc == EXIT_CONFIG
+    assert f"config error: grid_size must be at least 2, got {grid}" in capsys.readouterr().out
+
+
 def test_construct_command(tmp_path, example_raw):
     # Constant-channel construction: replace the noise by a unit Wiener so
     # that M = C D C' is constant, and drop the multiplicative part.

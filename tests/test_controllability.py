@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
@@ -14,6 +15,7 @@ from covsteer.controllability import (
 )
 from covsteer.errors import (
     InfeasibleConstructionError,
+    IntegrationFailureError,
     NotControllableError,
     PreconditionError,
 )
@@ -169,7 +171,17 @@ def test_scalar_steering_infeasible_floor():
     with pytest.raises(InfeasibleConstructionError):
         scalar_steering_u(ScalarSteeringProblem(
             f=lambda t: 1.0, gamma=0.0, alpha=(0.0,), beta=(0.0,),
-            rho=lambda t: -1e-9 if t in (0.0, 1.0) else 1e7))
+            rho=lambda t: np.where((t == 0.0) | (t == 1.0), -1e-9, 1e7)))
+
+
+def test_scalar_steering_rejects_unconverged_integral():
+    # |t - 0.3|^(-1/2) is integrable, but no panel refinement resolves it
+    # (a node even lands on the pole), so the integral target cannot be met.
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(IntegrationFailureError):
+        scalar_steering_u(ScalarSteeringProblem(
+            f=lambda t: np.abs(t - 0.3) ** -0.5, gamma=1.0, alpha=(0.0,),
+            beta=(0.0,), rho=lambda t: -1.0))
 
 
 def test_scalar_steering_hypothesis_check():
@@ -235,6 +247,46 @@ def test_construct_n3_with_time_varying_rate():
     sigma1 = _reintegrate(a3, b3, lambda t: np.eye(3), lambda t: 0.1 + 0.2 * t,
                           fs.gain, np.eye(3))
     assert np.max(np.abs(sigma1 - bd.sigma1)) <= 1e-6
+
+
+@pytest.fixture(scope="module")
+def time_varying_rate_steering():
+    a3, b3 = canonical_chain_pair(3)
+    bd = BoundaryData(sigma0=np.eye(3), sigma1=np.diag([1.5, 0.8, 1.2]))
+    return construct_feasible_steering(a3, b3, bd, const(np.eye(3)),
+                                       MatrixPoly.from_entries([[[0.1, 0.2]]]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(ts=st.lists(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-3),
+                             st.floats(1.0 - 1e-3, 1.0)), min_size=1, max_size=12))
+def test_batched_steering_maps_match_per_time(time_varying_rate_steering, ts):
+    fs = time_varying_rate_steering
+    # Both ends, a repeated time, and times within 1e-3 of each end, where the
+    # bump underflows to zero, are always present.
+    times = np.array(ts + [0.0, 1.0, 2e-4, 1.0 - 5e-4] + ts[:1])
+    for fn in (fs.gain, fs.covariance, fs.control):
+        single = np.stack([fn(t) for t in times])
+        batched = fn(times)
+        assert batched.shape == single.shape
+        assert np.max(np.abs(batched - single)) <= 1e-13 * max(1.0, np.max(np.abs(single)))
+
+
+def test_covariance_tower_matches_central_difference(time_varying_rate_steering):
+    # The canonical transform of the chain pair is the identity, so these are
+    # the entries' own towers.
+    fs = time_varying_rate_steering
+    times = np.linspace(0.05, 0.95, 19)
+    tower = fs.covariance_derivs(times, 1)
+    assert tower.shape == (2, 19, 3, 3)
+    assert np.array_equal(tower[0], fs.covariance(times))
+    h = 1e-3
+    vals = [fs.covariance(times + s * h) for s in (-2, -1, 1, 2)]
+    central = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
+    # The corners' dense RK45 output differentiates to about 2e-8, and the
+    # difference quotient is good to about 3e-9 of the largest derivative.
+    scale = np.maximum(1.0, np.max(np.abs(tower[1]), axis=0))
+    assert np.all(np.max(np.abs(central - tower[1]), axis=0) <= 1e-6 * scale)
 
 
 def test_construct_general_pair_via_transform():
