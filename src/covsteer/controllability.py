@@ -107,9 +107,22 @@ def classify(sys: SystemSpec, grid_size: int = 101,
 # Canonical reduction of a constant controllable pair
 # ---------------------------------------------------------------------------
 
+def _kalman_rank(a, b):
+    n = a.shape[0]
+    blocks = [b]
+    for _ in range(n - 1):
+        blocks.append(a @ blocks[-1])
+    return _rank(np.hstack(blocks))
+
+
 def canonical_chain_pair(n: int) -> tuple:
     """The single-chain pair: shift matrix with unit superdiagonal, input e_n."""
-    return np.eye(n, k=1), np.eye(n)[:, n - 1:]
+    a = np.zeros((n, n))
+    for i in range(n - 1):
+        a[i, i + 1] = 1.0
+    b = np.zeros((n, 1))
+    b[n - 1, 0] = 1.0
+    return a, b
 
 
 def canonical_transform(a: np.ndarray, b: np.ndarray) -> tuple:
@@ -124,10 +137,7 @@ def canonical_transform(a: np.ndarray, b: np.ndarray) -> tuple:
     if b.ndim == 1:
         b = b[:, None]
     n, p = b.shape
-    kalman = [b]
-    for _ in range(n - 1):
-        kalman.append(a @ kalman[-1])
-    if _rank(np.hstack(kalman)) < n:
+    if _kalman_rank(a, b) < n:
         raise NotControllableError("pair (A, B) is not controllable")
 
     v = np.zeros(p)
@@ -256,7 +266,8 @@ class ScalarSteeringProblem:
     """Inputs of the scalar construction: weight, target integral, boundary
     derivative lists (orders 0..H at both ends), and the floor function.
 
-    f and rho are called on 1-D time arrays; a constant may return a scalar.
+    f is called at single times (floats) and on 1-D time arrays, rho on 1-D
+    time arrays; either may return a scalar where it is constant.
     """
 
     f: object  # callable weight, positive on [0, 1]
@@ -292,17 +303,14 @@ class ScalarControl:
         groups = {(self, "poly"): [P.polyder(self.poly, j) for j in range(k + 1)]}
         if self.d0 != 0.0:
             nums = [_PSI_LOG_DERIV]
-            if k:
-                if not hasattr(self.weight, "log_deriv_coeffs"):
-                    raise ValueError(
-                        "bump derivatives need a weight with an exact log-derivative")
+            if hasattr(self.weight, "log_deriv_coeffs"):
                 r = np.asarray(self.weight.log_deriv_coeffs, dtype=float)
                 w_minus_r = P.polyadd(_PSI_LOG_DERIV, P.polymul(-r, _D_POLY))
-            for j in range(k):
-                num = nums[-1]
-                deriv = P.polysub(P.polymul(P.polyder(num), _D_POLY),
-                                  (j + 1) * P.polymul(num, _D_PRIME))
-                nums.append(P.polyadd(deriv, P.polymul(num, w_minus_r)))
+                for j in range(k):
+                    num = nums[-1]
+                    deriv = P.polysub(P.polymul(P.polyder(num), _D_POLY),
+                                      (j + 1) * P.polymul(num, _D_PRIME))
+                    nums.append(P.polyadd(deriv, P.polymul(num, w_minus_r)))
             groups[self, "bump"] = [_D_POLY] + nums
         return groups
 
@@ -312,6 +320,11 @@ class ScalarControl:
             return out
         rows = at.poly((self, "bump"))
         scale = self.d0 * at.of(_bump)
+        if len(rows) < k + 2:  # no exact log-derivative: known only where psi = 0
+            if np.any(scale != 0.0):
+                raise ValueError(
+                    "bump derivatives need a weight with an exact log-derivative")
+            return out
         d_poly = rows[0] + (scale == 0.0)  # D + 1 where psi = 0: D >= 0 may vanish
         out = out.copy()
         for j in range(k + 1):
@@ -322,17 +335,14 @@ class ScalarControl:
     def _packed(self):
         return {}
 
-    def derivs(self, t, k=0):
-        """Orders 0..k of u at a time or a 1-D time array, on a leading axis."""
-        if k not in self._packed:
-            self._packed[k] = _pack(self._polys(k))
-        return _At(self._packed[k], t).tower(self, k)
-
     def value(self, t):
-        return self.derivs(t, 0)[0]
+        return self.derivative(t, 0)
 
     def derivative(self, t, order=1):
-        return self.derivs(t, order)[order]
+        """The order-th derivative of u at a time or a 1-D time array."""
+        if order not in self._packed:
+            self._packed[order] = _pack(self._polys(order))
+        return _At(self._packed[order], t).tower(self, order)[order]
 
 
 def _cumulative_weighted(f, g, rtol=1e-12):
@@ -411,10 +421,14 @@ def scalar_steering_u(prob: ScalarSteeringProblem) -> ScalarControl:
                 "of the construction are likely violated")
 
     margin = float(np.min(base_vals + d0 * bump_vals - floor_vals))
-    verification = {"integral_residual": residual, "floor_margin": margin,
-                    "grid_points": FLOOR_GRID}
+    verification = {
+        "integral_residual": residual,
+        "floor_margin": margin,
+        "grid_points": FLOOR_GRID,
+    }
     return ScalarControl(poly=poly, a_coeffs=tuple(a), b_coeffs=tuple(b_coefs),
-                         c0=float(c0), d0=float(d0), weight=f, verification=verification)
+                         c0=float(c0), d0=float(d0), weight=f,
+                         verification=verification)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +483,7 @@ class FeasibleSteering:
 
     gain/control/covariance evaluate the construction exactly at a time or a
     1-D time array (the time axis leading), bypassing grid interpolation; the
-    grids are samples of the same maps.  covariance_derivs(t, k) stacks
-    orders 0..k <= 1 of the covariance on a further leading axis.
+    grids are samples of the same maps.
     """
 
     times: np.ndarray
@@ -482,7 +495,6 @@ class FeasibleSteering:
     gain: object = None
     control: object = None
     covariance: object = None
-    covariance_derivs: object = None
 
 
 def _nu_leibniz(nu, vals, j):
@@ -490,35 +502,27 @@ def _nu_leibniz(nu, vals, j):
     return sum(math.comb(j, r) * nu[r] * vals[j - r] for r in range(j + 1))
 
 
-def construct_feasible_steering(a: np.ndarray, b: np.ndarray, bd: BoundaryData,
-                                m_poly: MatrixPoly, nu_poly: MatrixPoly,
-                                h_order: int = 0,
-                                grid_size: int = 1001) -> FeasibleSteering:
-    """Constructively steer the covariance of a constant controllable pair.
+def _canonical(entries, at, size):
+    """The leading size x size block of the canonical covariance.
 
-    Follows the two-pass layer procedure: after canonical reduction,
-    boundary derivative data is pushed from the outer layers inward (layer
-    k carries orders up to H + n + 1 - k), then the entries are built from
-    the innermost corner outward, each corner driven by a scalar control
-    whose floor enforces the Schur-complement positivity of the growing
-    block.  Desk scale: n <= 3.
+    An entry's tower reads only entries of earlier columns, so reading the
+    outer columns first builds each tower once, at its highest order.
     """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
-    n = np.atleast_2d(a).shape[0]
-    if n > 3:
-        raise PreconditionError("constructive steering is limited to n <= 3")
-    if bd.sigma0.shape != (n, n):
-        raise PreconditionError("boundary data dimension mismatch")
-    if m_poly.rows != n or nu_poly.rows != 1:
-        raise PreconditionError("M must be n x n and nu scalar")
+    out = np.empty(at.shape + (size, size))
+    for j in reversed(range(size)):
+        for i in range(j + 1):
+            out[..., i, j] = out[..., j, i] = at.tower(entries[(i + 1, j + 1)], 0)[0]
+    return out
 
-    t_mat, f_gain, v_dir = canonical_transform(a, b)
-    t_inv = np.linalg.inv(t_mat)
-    sig0 = t_mat @ bd.sigma0 @ t_mat.T
-    sig1 = t_mat @ bd.sigma1 @ t_mat.T
-    m_y = MatrixPoly.constant(t_mat) @ m_poly @ MatrixPoly.constant(t_mat.T)
-    nu_c = nu_poly.entry()
+
+def _layer_entries(sig0, sig1, m_y, nu_c, h_order):
+    """Both layer passes in canonical coordinates: (entries, packed, trace).
+
+    entries[(i, j)] is the canonical covariance entry for i <= j <= n and
+    entries[(i, n + 1)] the i-th entry of U; the packed table holds every
+    polynomial their derivative towers read, up to order 1.
+    """
+    n = m_y.rows
     # Derivatives up to order H + n - 1: pass 1 reads below H + n - 1, the maps below n.
     nu_d = [P.polyder(nu_c, r) for r in range(h_order + n)]
     m_d = [m_y.derivative(r) for r in range(h_order + n)]
@@ -539,7 +543,8 @@ def construct_feasible_steering(a: np.ndarray, b: np.ndarray, bd: BoundaryData,
     nu_ends = [P.polyval(ends, d) for d in nu_d]
     ctrl_bc = {n: {i: np.zeros((h_order + 1, 2)) for i in range(1, n + 1)}}
     for m in range(n, 1, -1):  # layer m carries orders 0..H + n - m
-        h_m, cbc = h_order + n - m, ctrl_bc[m]
+        h_m = h_order + n - m
+        cbc = ctrl_bc[m]
         col = {i: np.zeros((h_m + 2, 2)) for i in range(1, m + 1)}  # col[m]: corner
         for i in range(1, m + 1):
             col[i][0] = sig0[i - 1, m - 1], sig1[i - 1, m - 1]
@@ -557,14 +562,6 @@ def construct_feasible_steering(a: np.ndarray, b: np.ndarray, bd: BoundaryData,
     entries: dict = {}  # column n + 1 holds U
     layer_trace = []
 
-    def canonical(at, size, k=0):
-        """Orders 0..k of the leading size x size canonical covariance block."""
-        out = np.empty((k + 1,) + at.shape + (size, size))
-        for i in range(size):
-            for j in range(i, size):
-                out[..., i, j] = out[..., j, i] = at.tower(entries[(i + 1, j + 1)], k)
-        return out
-
     for m in range(1, n + 2):
         for i in range(1, m - 1):
             entries[(i, m)] = _DeterminedFn(
@@ -576,7 +573,8 @@ def construct_feasible_steering(a: np.ndarray, b: np.ndarray, bd: BoundaryData,
         # Corner sigma_mm driven by g_m (the next-column head, or U_m at m = n).
         m_mm = m_y.entry(m - 1, m - 1)
         cum_m = _cumulative_weighted(weight, lambda t, c=m_mm: P.polyval(t, c))
-        s_mm_0, s_mm_1 = sig0[m - 1, m - 1], sig1[m - 1, m - 1]
+        s_mm_0 = sig0[m - 1, m - 1]
+        s_mm_1 = sig1[m - 1, m - 1]
         gamma_m = 0.5 * (s_mm_1 - f_at_0 * s_mm_0 - cum_m(1.0))
 
         def rho_m(t, m=m, cum_m=cum_m, s_mm_0=s_mm_0):
@@ -585,7 +583,7 @@ def construct_feasible_steering(a: np.ndarray, b: np.ndarray, bd: BoundaryData,
             if m > 1:
                 at = _At(packed, t)
                 col = np.stack([at.tower(entries[(i, m)], 0)[0] for i in range(1, m)], -1)
-                blk = canonical(at, m - 1)[0]
+                blk = _canonical(entries, at, m - 1)
                 q = np.sum(col * np.linalg.solve(blk, col[..., None])[..., 0], -1)
             return 0.5 * (weight(t) * q - f_at_0 * s_mm_0 - cum_m(t))
 
@@ -609,29 +607,63 @@ def construct_feasible_steering(a: np.ndarray, b: np.ndarray, bd: BoundaryData,
         layer_trace.append({
             "layer": m, "corner_targets": (s_mm_0, s_mm_1), "gamma": gamma_m,
             "bc_orders": h_m, "poly_coeffs": tuple(control.poly),
-            "d0": control.d0, "verification": control.verification})
+            "d0": control.d0, "verification": control.verification,
+        })
+    return entries, packed, tuple(layer_trace)
+
+
+def construct_feasible_steering(a: np.ndarray, b: np.ndarray, bd: BoundaryData,
+                                m_poly: MatrixPoly, nu_poly: MatrixPoly,
+                                h_order: int = 0,
+                                grid_size: int = 1001) -> FeasibleSteering:
+    """Constructively steer the covariance of a constant controllable pair.
+
+    Follows the two-pass layer procedure: after canonical reduction,
+    boundary derivative data is pushed from the outer layers inward (layer
+    k carries orders up to H + n + 1 - k), then the entries are built from
+    the innermost corner outward, each corner driven by a scalar control
+    whose floor enforces the Schur-complement positivity of the growing
+    block.  Desk scale: n <= 3.
+    """
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.asarray(b, dtype=float)
+    if b.ndim == 1:
+        b = b[:, None]
+    n, p = b.shape
+    if n > 3:
+        raise PreconditionError("constructive steering is limited to n <= 3")
+    if bd.sigma0.shape != (n, n):
+        raise PreconditionError("boundary data dimension mismatch")
+    if m_poly.rows != n or nu_poly.rows != 1:
+        raise PreconditionError("M must be n x n and nu scalar")
+
+    t_mat, f_gain, v_dir = canonical_transform(a, b)
+    t_inv = np.linalg.inv(t_mat)
+    sig0 = t_mat @ bd.sigma0 @ t_mat.T
+    sig1 = t_mat @ bd.sigma1 @ t_mat.T
+    m_y = MatrixPoly.constant(t_mat) @ m_poly @ MatrixPoly.constant(t_mat.T)
+    entries, packed, layer_trace = _layer_entries(sig0, sig1, m_y, nu_poly.entry(), h_order)
 
     # ---- exact evaluation maps and sampled grids --------------------------
-    def covariance_at(at, k=0):
-        return symmetrize(t_inv @ canonical(at, n, k) @ t_inv.T)
+    def covariance_at(at):
+        return symmetrize(t_inv @ _canonical(entries, at, n) @ t_inv.T)
 
     def gain_at(at):
-        # Outer entries first: each tower is then built at its highest order.
+        # U's outer entries first, as in _canonical; k_y is the canonical gain row.
         u_y = np.stack([at.tower(entries[(i, n + 1)], 0)[0] for i in range(n, 0, -1)][::-1], -1)
-        k_y = np.linalg.solve(canonical(at, n)[0], u_y[..., None])[..., 0]  # canonical gain row
+        k_y = np.linalg.solve(_canonical(entries, at, n), u_y[..., None])[..., 0]
         return f_gain + v_dir[:, None] * (k_y @ t_mat)[..., None, :]
 
-    def control_at(at):
-        return covariance_at(at)[0] @ np.swapaxes(gain_at(at), -1, -2)
-
-    def covariance_derivs(t, k=1):
-        if k not in (0, 1):
-            raise ValueError("covariance derivatives are available to order 1")
-        return covariance_at(_At(packed, t), k)
+    def maps_at(at):
+        """(covariance, gain, control); the gain first, as it reads U's towers."""
+        gains = gain_at(at)
+        sigmas = covariance_at(at)
+        return sigmas, gains, sigmas @ np.swapaxes(gains, -1, -2)
 
     times = np.linspace(0.0, 1.0, grid_size)
-    at = _At(packed, times)
-    sigmas, gains, controls = covariance_at(at)[0], gain_at(at), control_at(at)
+    sigmas, gains, controls = maps_at(_At(packed, times))
     grid_times = times.tolist()
 
     err0 = float(np.linalg.norm(sigmas[0] - bd.sigma0))
@@ -642,7 +674,7 @@ def construct_feasible_steering(a: np.ndarray, b: np.ndarray, bd: BoundaryData,
     return FeasibleSteering(
         times=times, u_grid=tuple(zip(grid_times, controls)),
         k_grid=tuple(zip(grid_times, gains)), sigma_grid=tuple(zip(grid_times, sigmas)),
-        layer_trace=tuple(layer_trace), endpoint_errors=(err0, err1),
-        gain=lambda t: gain_at(_At(packed, t)), control=lambda t: control_at(_At(packed, t)),
-        covariance=lambda t: covariance_at(_At(packed, t))[0],
-        covariance_derivs=covariance_derivs)
+        layer_trace=layer_trace, endpoint_errors=(err0, err1),
+        gain=lambda t: gain_at(_At(packed, t)),
+        control=lambda t: maps_at(_At(packed, t))[2],
+        covariance=lambda t: covariance_at(_At(packed, t)))

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as P
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
 from covsteer.controllability import (
     ScalarSteeringProblem,
+    _At,
+    _layer_entries,
     canonical_chain_pair,
     canonical_transform,
     classify,
@@ -167,6 +170,23 @@ def test_scalar_steering_needs_bump():
     assert u.verification["floor_margin"] > 0.0
 
 
+def test_bump_derivatives_with_plain_weight_only_where_bump_vanishes():
+    # A plain callable weight has no exact log-derivative, so the bump's
+    # derivatives are known only where the bump is zero: at both ends.
+    u = scalar_steering_u(ScalarSteeringProblem(
+        f=lambda t: 1.0, gamma=0.0, alpha=(0.0,), beta=(0.0,),
+        rho=lambda t: 0.05 * np.exp(-((t - 0.5) ** 2) / 0.01) - 0.02))
+    assert u.d0 > 0.0
+    for order in (1, 2):
+        poly_d = P.polyder(u.poly, order)
+        assert u.derivative(0.0, order) == P.polyval(0.0, poly_d)
+        assert np.array_equal(u.derivative(np.array([0.0, 1.0]), order),
+                              P.polyval([0.0, 1.0], poly_d))
+    for t in (0.5, np.array([0.0, 0.5])):
+        with pytest.raises(ValueError, match="exact log-derivative"):
+            u.derivative(t, 1)
+
+
 def test_scalar_steering_infeasible_floor():
     with pytest.raises(InfeasibleConstructionError):
         scalar_steering_u(ScalarSteeringProblem(
@@ -272,21 +292,22 @@ def test_batched_steering_maps_match_per_time(time_varying_rate_steering, ts):
         assert np.max(np.abs(batched - single)) <= 1e-13 * max(1.0, np.max(np.abs(single)))
 
 
-def test_covariance_tower_matches_central_difference(time_varying_rate_steering):
-    # The canonical transform of the chain pair is the identity, so these are
-    # the entries' own towers.
-    fs = time_varying_rate_steering
+def test_entry_towers_match_central_difference():
+    # The time-varying-rate instance in canonical coordinates: the chain
+    # pair's canonical transform is the identity.
+    entries, packed, _ = _layer_entries(
+        np.eye(3), np.diag([1.5, 0.8, 1.2]), const(np.eye(3)),
+        MatrixPoly.from_entries([[[0.1, 0.2]]]).entry(), 0)
     times = np.linspace(0.05, 0.95, 19)
-    tower = fs.covariance_derivs(times, 1)
-    assert tower.shape == (2, 19, 3, 3)
-    assert np.array_equal(tower[0], fs.covariance(times))
     h = 1e-3
-    vals = [fs.covariance(times + s * h) for s in (-2, -1, 1, 2)]
-    central = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
-    # The corners' dense RK45 output differentiates to about 2e-8, and the
-    # difference quotient is good to about 3e-9 of the largest derivative.
-    scale = np.maximum(1.0, np.max(np.abs(tower[1]), axis=0))
-    assert np.all(np.max(np.abs(central - tower[1]), axis=0) <= 1e-6 * scale)
+    for key in [(i, j) for i in range(1, 4) for j in range(i, 4)]:
+        tower = _At(packed, times).tower(entries[key], 1)
+        assert tower.shape == (2, 19)
+        vals = [_At(packed, times + s * h).tower(entries[key], 0)[0] for s in (-2, -1, 1, 2)]
+        central = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
+        # The corners' dense RK45 output differentiates to about 2e-8, and the
+        # difference quotient is good to about 3e-9 of the largest derivative.
+        assert np.max(np.abs(central - tower[1])) <= 1e-6 * max(1.0, np.max(np.abs(tower[1])))
 
 
 def test_construct_general_pair_via_transform():
