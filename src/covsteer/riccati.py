@@ -3,11 +3,11 @@
 The quadratic matrix equation for the costate weight is never stepped
 blindly: on the simplified (state-dependent noise) model its solution is
 evaluated in closed form from the Hamiltonian transition blocks, its
-existence is decided by an eigenvalue sandwich against the block bounds,
-and its maximal interval of existence is located by bisection on the
-critical eigenvalue crossing.  Only the general multiplicative-channel
-equation, for which no existence theory is available, is forward
-integrated with blow-up detection.
+existence from an anchor in [0, 1] is decided by an eigenvalue sandwich
+against the block bounds, and its maximal interval of existence is
+located by bisection on the critical eigenvalue crossing.  Only the
+general multiplicative-channel equation, for which no existence theory
+is available, is forward integrated with blow-up detection.
 """
 
 import math
@@ -18,14 +18,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import RiccatiNonexistenceError, SingularTransitionError
 from .matfun import SystemSpec, symmetrize
-from .transition import (
-    COND_LIMIT,
-    TransitionPath,
-    b_rinv_bt,
-    bounds_on_grid,
-    pi_bounds,
-    transition_blocks,
-)
+from .transition import COND_LIMIT, TransitionPath, _phi_pi, _sandwich_bound, b_rinv_bt, pi_bounds
 
 BLOWUP_NORM = 1e12
 BISECTION_TOL = 1e-6
@@ -41,7 +34,11 @@ class ExistenceVerdict:
 
 
 def existence_check(sys: SystemSpec, s: float, pi_s: np.ndarray) -> ExistenceVerdict:
-    """Decide global existence on [0, 1] from the anchored value Pi(s)."""
+    """Decide global existence on [0, 1] from the anchored value Pi(s).
+
+    The sandwich decides it only for anchors s in [0, 1]; others raise
+    ValueError.
+    """
     pi_s = symmetrize(np.asarray(pi_s, dtype=float))
     lower, upper = pi_bounds(sys, s)
     upper_margin = lower_margin = math.inf
@@ -53,41 +50,33 @@ def existence_check(sys: SystemSpec, s: float, pi_s: np.ndarray) -> ExistenceVer
                             upper_margin=upper_margin, lower_margin=lower_margin)
 
 
-def _growth_inverse(phi11, phi12, pi_s):
-    """Inverse of phi11 + phi12 Pi_s with a cancellation-aware singularity test.
-
-    A plain condition number misses the blow-up (the factor can be tiny in
-    every direction), so the smallest singular value is measured against
-    the magnitude of the terms that cancel.  On (k, n, n) stacks each
-    matrix is tested, and the first singular one raises.
-    """
-    growth = phi11 + phi12 @ pi_s
-    scale = np.linalg.norm(phi11, axis=(-2, -1)) + np.linalg.norm(phi12 @ pi_s, axis=(-2, -1))
-    smin = np.linalg.svd(growth, compute_uv=False)[..., -1]
-    bad = np.flatnonzero(smin <= np.maximum(scale, 1.0) / 1e12)
-    if bad.size:
-        raise RiccatiNonexistenceError(
-            f"phi11 + phi12 Pi_s numerically singular (sigma_min="
-            f"{np.ravel(smin)[bad[0]]:.3e}, scale={np.ravel(scale)[bad[0]]:.3e})")
-    return np.linalg.inv(growth)
-
-
 def solve_closed_form(sys: SystemSpec, s: float, pi_s: np.ndarray,
                       t: float) -> np.ndarray:
     """Pi(t) = (phi21 + phi22 Pi_s)(phi11 + phi12 Pi_s)^-1, symmetrized."""
     pi_s = symmetrize(np.asarray(pi_s, dtype=float))
     if t == s:
         return pi_s.copy()
-    b = transition_blocks(sys, t, s)
-    inv = _growth_inverse(b.phi11, b.phi12, pi_s)
-    return symmetrize((b.phi21 + b.phi22 @ pi_s) @ inv)
+    return closed_form_on_path(TransitionPath(sys, anchor=s, span=(min(s, t), max(s, t))),
+                               pi_s, t)
 
 
 def closed_form_on_path(path: TransitionPath, pi_anchor: np.ndarray, t) -> np.ndarray:
-    """Closed-form Pi(t) on a dense path anchored at Pi_anchor's time; stacked for k times."""
-    p11, p12, p21, p22 = path.raw_blocks(t)
-    inv = _growth_inverse(p11, p12, pi_anchor)
-    return symmetrize((p21 + p22 @ pi_anchor) @ inv)
+    """Closed-form Pi(t) on a dense path anchored at Pi_anchor's time; stacked for k times.
+
+    A plain condition number misses the blow-up (PhiPi can be tiny in every
+    direction), so the smallest singular value of PhiPi is measured against
+    the magnitude of the terms that cancel.  On (k, n, n) stacks each matrix
+    is tested, and the first singular one raises.
+    """
+    growth, (p11, p12, p21, p22) = _phi_pi(path, pi_anchor, t)
+    scale = np.linalg.norm(p11, axis=(-2, -1)) + np.linalg.norm(p12 @ pi_anchor, axis=(-2, -1))
+    smin = np.linalg.svd(growth, compute_uv=False)[..., -1]
+    bad = np.flatnonzero(smin <= np.maximum(scale, 1.0) / 1e12)
+    if bad.size:
+        raise RiccatiNonexistenceError(
+            f"phi11 + phi12 Pi_s numerically singular (sigma_min="
+            f"{np.ravel(smin)[bad[0]]:.3e}, scale={np.ravel(scale)[bad[0]]:.3e})")
+    return symmetrize((p21 + p22 @ pi_anchor) @ np.linalg.inv(growth))
 
 
 @dataclass(frozen=True)
@@ -107,7 +96,7 @@ def _inside_margins(path, pi_s, ts, side):
     margins = np.full(len(ts), math.inf)
     ok = np.linalg.cond(p12) <= COND_LIMIT  # False for NaN as well
     if ok.any():
-        bound = symmetrize(-np.linalg.solve(p12[ok], p11[ok]))
+        bound = _sandwich_bound(p11[ok], p12[ok])
         inside = bound - pi_s if side == "upper" else pi_s - bound  # upper: t > s
         margins[ok] = np.linalg.eigvalsh(inside)[:, 0]
     return margins
@@ -214,9 +203,8 @@ def integrate_general(sys: SystemSpec, pi_0: np.ndarray,
     if not sys.has_non_identity_channels():
         # Existence sandwich only applies on the simplified model.
         try:
-            path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
-            bounds = tuple(bounds_on_grid(path, np.array([t for t, _ in grid])))
+            bounds = pi_bounds(sys, np.array([t for t, _ in grid]))
         except SingularTransitionError:
-            bounds = None
+            pass
     return RiccatiSolution(anchor_time=0.0, anchor_value=pi_0, grid=grid,
                            exists=exists, escape_time=escape_time, bounds=bounds)

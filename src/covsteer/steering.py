@@ -24,7 +24,7 @@ from .errors import (
 )
 from .matfun import BoundaryData, SystemSpec, kron, spd_sqrt, symmetrize, unvec, vec
 from .riccati import closed_form_on_path
-from .transition import TransitionPath, b_rinv_bt, solve_with_cond_check
+from .transition import TransitionPath, _phi_pi, _sandwich_bound, b_rinv_bt, solve_with_cond_check
 
 QUAD_ATOL = 1e-10
 QUAD_RTOL = 1e-9  # bounds the work when near-boundary integrands blow up
@@ -83,7 +83,7 @@ def _cdct(sys: SystemSpec, s) -> np.ndarray:
 
 def _upper_bound_10(path: TransitionPath) -> np.ndarray:
     p11, p12, _, _ = path.raw_blocks(1.0)
-    return symmetrize(-solve_with_cond_check(p12, p11, what="phi12(1,0)"))
+    return _sandwich_bound(p11, p12, what="phi12(1,0)")
 
 
 def _require_admissible(pi0: np.ndarray, u10: np.ndarray):
@@ -91,11 +91,6 @@ def _require_admissible(pi0: np.ndarray, u10: np.ndarray):
     if margin >= 0.0:
         raise RiccatiNonexistenceError(
             f"Pi0 is not admissible: lambda_max(Pi0 - upper bound) = {margin:.3e}")
-
-
-def _phi_pi(path: TransitionPath, pi0: np.ndarray, s) -> np.ndarray:
-    p11, p12, _, _ = path.raw_blocks(s)
-    return p11 + p12 @ pi0
 
 
 def _transported_noise(sys: SystemSpec, g: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -113,9 +108,9 @@ def map_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
     path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
     _require_admissible(pi0, _upper_bound_10(path))
 
-    integral, _, _ = adaptive_gk(lambda ss: _transported_noise(sys, _phi_pi(path, pi0, ss), ss),
+    integral, _, _ = adaptive_gk(lambda ss: _transported_noise(sys, _phi_pi(path, pi0, ss)[0], ss),
                                  0.0, 1.0, atol=quad_atol, rtol=QUAD_RTOL, max_panels=max_panels)
-    phi10 = _phi_pi(path, pi0, 1.0)
+    phi10 = _phi_pi(path, pi0, 1.0)[0]
     return symmetrize(phi10 @ (sigma0 + integral) @ phi10.T)
 
 
@@ -134,16 +129,14 @@ def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
     path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
     _require_admissible(pi0, _upper_bound_10(path))
 
-    p11_10, p12_10, _, _ = path.raw_blocks(1.0)
-    phi10 = p11_10 + p12_10 @ pi0
+    phi10, (_, p12_10, _, _) = _phi_pi(path, pi0, 1.0)
     # W_10 = ((phi12)^-1 phi11 + Pi0)^-1 in the stable factored form.
     w10 = symmetrize(np.linalg.solve(phi10, p12_10))
 
     n2 = n * n
 
     def stacked(ss):
-        p11, p12, _, _ = path.raw_blocks(ss)
-        g = p11 + p12 @ pi0
+        g, (_, p12, _, _) = _phi_pi(path, pi0, ss)
         w_s = symmetrize(np.linalg.solve(g, p12))
         w_s[ss < W_ZERO_TIME] = 0.0
         p = _transported_noise(sys, g, ss)
@@ -193,14 +186,13 @@ def special_case_pi0(sys: SystemSpec, bd: BoundaryData,
             raise ChannelMismatchError(
                 f"C D C' != B R^-1 B' at t={grid[bad[0]]:.3f}; closed form does not apply")
     path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
-    b10 = path.blocks(1.0)
-    phi12_inv = solve_with_cond_check(b10.phi12, what="phi12(1,0)")
-    minus_bound = -phi12_inv @ b10.phi11
+    p11, p12, _, _ = path.raw_blocks(1.0)
+    phi12_inv = solve_with_cond_check(p12, what="phi12(1,0)")
     s0_isqrt = spd_sqrt(bd.sigma0, inverse=True)
     s0_sqrt = spd_sqrt(bd.sigma0)
     inner = 0.25 * np.eye(sys.n) + s0_sqrt @ phi12_inv @ bd.sigma1 @ phi12_inv.T @ s0_sqrt
     root = spd_sqrt(symmetrize(inner))
-    pi0 = symmetrize(minus_bound) + 0.5 * np.linalg.inv(bd.sigma0) \
+    pi0 = _sandwich_bound(p11, p12) + 0.5 * np.linalg.inv(bd.sigma0) \
         - s0_isqrt @ root @ s0_isqrt
     return symmetrize(pi0)
 
@@ -327,10 +319,10 @@ def propagate_covariance(sys: SystemSpec, pi0: np.ndarray, sigma0: np.ndarray,
         hi = times[k:k + batch]
         width = (hi - times[k - 1:k - 1 + hi.size])[:, None]
         ss = (hi[:, None] - width + width * frac).ravel()
-        p = _transported_noise(sys, _phi_pi(path, pi0, ss), ss).reshape(hi.size, -1, n, n)
+        p = _transported_noise(sys, _phi_pi(path, pi0, ss)[0], ss).reshape(hi.size, -1, n, n)
         wts = width * np.tile(0.5 * w / sub, sub)
         acc = acc + np.cumsum(np.einsum("kj,kjab->kab", wts, p), axis=0)
-        g = _phi_pi(path, pi0, hi)
+        g = _phi_pi(path, pi0, hi)[0]
         sigma[k:k + hi.size] = g @ acc @ np.swapaxes(g, -1, -2)
         acc = acc[-1]
     sigma = symmetrize(sigma)

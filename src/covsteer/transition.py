@@ -6,7 +6,9 @@ hold verbatim and the Riccati/Lyapunov solutions are unchanged) to obtain
 the blocks Phi11, Phi12, Phi21, Phi22 of its transition matrix.  The
 blocks satisfy a family of symplectic identities that are computed and
 attached for verification, and they furnish the existence bounds and
-Gramian identity used by the Riccati and steering layers.
+Gramian identity used by the Riccati and steering layers.  The library
+reads every block from a dense TransitionPath; transition_blocks, a direct
+integration, serves only as the independent oracle in symplectic_residuals.
 """
 
 from dataclasses import dataclass
@@ -227,53 +229,62 @@ class PiBound:
         return self.kind == "finite"
 
 
-def _bound_from_blocks(blocks: TransitionBlocks) -> np.ndarray:
-    """-phi12^-1 phi11 for the given reversed-argument blocks, symmetrized."""
-    val = -solve_with_cond_check(blocks.phi12, blocks.phi11, what="phi12")
-    return symmetrize(val)
+def _sandwich_bound(p11, p12, what="phi12"):
+    """-p12^-1 p11, symmetrized, for one pair of blocks or (k, n, n) stacks.
 
-
-def pi_bounds(sys: SystemSpec, t: float,
-              rtol: float = DEFAULT_RTOL) -> tuple[PiBound, PiBound]:
-    """Existence bounds at time t: (-phi12(0,t)^-1 phi11(0,t), -phi12(1,t)^-1 phi11(1,t)).
-
-    The lower side is -infinity at t = 0 and the upper side +infinity at
-    t = 1, following the limit convention for the bounds at the horizon
-    endpoints.  Interior singularity of phi12 signals a system that is not
-    totally controllable.
+    Raises SingularTransitionError when any cond(p12) exceeds COND_LIMIT.
     """
-    if t > 0.0:
-        lower = PiBound("finite", _bound_from_blocks(transition_blocks(sys, 0.0, t, rtol=rtol)))
-    else:
-        lower = PiBound("neg_inf")
-    if t < 1.0:
-        upper = PiBound("finite", _bound_from_blocks(transition_blocks(sys, 1.0, t, rtol=rtol)))
-    else:
-        upper = PiBound("pos_inf")
-    return lower, upper
+    return symmetrize(-solve_with_cond_check(p12, p11, what=what))
 
 
-def bounds_on_grid(path: TransitionPath, times: np.ndarray) -> list:
-    """pi_bounds at many grid times reusing one dense path anchored at 0.
+def _phi_pi(path: TransitionPath, pi_anchor: np.ndarray, t) -> tuple:
+    """(PhiPi(t, anchor), blocks): PhiPi = phi11 + phi12 Pi_anchor, closed loop.
 
-    Phi(0,t) is the inverse of the stored Phi(t,0) and Phi(1,t) composes
-    with the endpoint value; this matches per-time direct integration
-    within the path tolerance.
+    blocks are the (phi11, phi12, phi21, phi22) of Phi_M(t, anchor) it is
+    read from; an array of times gives stacks.
     """
-    n = path.sys.n
-    times = np.asarray(times, dtype=float)
-    inv = np.linalg.inv(path.phi(times))
-    phi_1t = path.phi(1.0) @ inv
-    lower = [PiBound("neg_inf")] * len(times)
-    upper = [PiBound("pos_inf")] * len(times)
-    for out, mask, phi, what in ((lower, times > 0.0, inv, "phi12(0,t)"),
-                                 (upper, times < 1.0, phi_1t, "phi12(1,t)")):
+    blocks = path.raw_blocks(t)
+    return blocks[0] + blocks[1] @ pi_anchor, blocks
+
+
+def _symplectic_inverse(phi: np.ndarray) -> np.ndarray:
+    """Phi^-1 = [[phi22', -phi12'], [-phi21', phi11']] of a symplectic Phi or stack."""
+    n = phi.shape[-1] // 2
+    tr = np.swapaxes(phi, -1, -2)
+    return np.block([[tr[..., n:, n:], -tr[..., n:, :n]], [-tr[..., :n, n:], tr[..., :n, :n]]])
+
+
+def pi_bounds(sys: SystemSpec, t, rtol: float = DEFAULT_RTOL):
+    """Existence bounds at t: (-phi12(0,t)^-1 phi11(0,t), -phi12(1,t)^-1 phi11(1,t)).
+
+    Both sides read one path Phi_M(., 0): Phi_M(0,t) is the symplectic
+    inverse of Phi_M(t,0), so the lower side is phi12(t,0)'^-1 phi22(t,0)',
+    and Phi_M(1,t) = Phi_M(1,0) Phi_M(0,t).  The lower side is -infinity at
+    t = 0 and the upper side +infinity at t = 1, following the limit
+    convention for the bounds at the horizon endpoints.  An array of times
+    gives a tuple of (lower, upper) pairs.  The sandwich holds only inside
+    the horizon, so times outside [0, 1] raise ValueError.  Singularity of
+    phi12 signals a system that is not totally controllable.
+    """
+    ts = np.asarray(t, dtype=float)
+    flat = np.atleast_1d(ts)
+    outside = flat[~((flat >= 0.0) & (flat <= 1.0))]
+    if outside.size:
+        raise ValueError(f"existence bounds need times in [0, 1], got {outside[0]}")
+    n = sys.n
+    path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0), rtol=rtol)
+    phi_0t = _symplectic_inverse(path.phi(flat))
+    phi_1t = path.phi(1.0) @ phi_0t
+    lower = [PiBound("neg_inf")] * flat.size
+    upper = [PiBound("pos_inf")] * flat.size
+    for out, mask, phi, what in ((lower, flat > 0.0, phi_0t, "phi12(0,t)"),
+                                 (upper, flat < 1.0, phi_1t, "phi12(1,t)")):
         if mask.any():
-            mats = symmetrize(-solve_with_cond_check(
-                phi[mask, :n, n:], phi[mask, :n, :n], what=what))
+            mats = _sandwich_bound(phi[mask, :n, :n], phi[mask, :n, n:], what=what)
             for k, mat in zip(np.flatnonzero(mask), mats):
                 out[k] = PiBound("finite", mat)
-    return list(zip(lower, upper))
+    pairs = tuple(zip(lower, upper))
+    return pairs if ts.ndim else pairs[0]
 
 
 @dataclass(frozen=True)
@@ -291,7 +302,8 @@ def gramian_identity(sys: SystemSpec, pi_anchor: tuple, t: float,
 
     mbar(t, s) integrates PhiPi(t,tau) B R^-1 B' PhiPi(t,tau)' by adaptive
     quadrature; the identity says its value equals -phi12(t,s) PhiPi(t,s)'.
-    Requires the Riccati solution to exist on the span between s and t.
+    Requires the Riccati solution to exist on [0, 1] from an anchor s in
+    [0, 1].
     """
     from .riccati import existence_check
 
@@ -304,22 +316,15 @@ def gramian_identity(sys: SystemSpec, pi_anchor: tuple, t: float,
         z = np.zeros((sys.n, sys.n))
         return GramianCheck(mbar=z, rhs=z, residual=0.0)
 
-    lo, hi = min(s, t), max(s, t)
-    path = TransitionPath(sys, anchor=s, span=(lo, hi))
-
-    def phi_pi(tau):
-        p11, p12, _, _ = path.raw_blocks(tau)
-        return p11 + p12 @ pi_s
-
-    phi_pi_ts = phi_pi(t)
+    path = TransitionPath(sys, anchor=s, span=(min(s, t), max(s, t)))
+    phi_pi_ts, blocks_ts = _phi_pi(path, pi_s, t)
 
     def integrand(taus):
         # PhiPi(t,tau) = PhiPi(t,s) PhiPi(tau,s)^-1 by the composition rule.
-        g = phi_pi_ts @ np.linalg.inv(phi_pi(taus))
+        g = phi_pi_ts @ np.linalg.inv(_phi_pi(path, pi_s, taus)[0])
         return g @ b_rinv_bt(sys, taus) @ np.swapaxes(g, -1, -2)
 
     mbar, _, _ = adaptive_gk(integrand, s, t, atol=quad_atol)
-    blocks_ts = path.blocks(t)
-    rhs = -blocks_ts.phi12 @ phi_pi_ts.T
+    rhs = -blocks_ts[1] @ phi_pi_ts.T
     return GramianCheck(mbar=mbar, rhs=rhs,
                         residual=float(np.max(np.abs(mbar - rhs))))

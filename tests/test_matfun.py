@@ -139,7 +139,14 @@ def test_matrix_poly_arithmetic_matches_pointwise(tables, ts, factor):
         assert np.all(np.abs((f + g).eval(t) - (fv + gv)) <= rtol * (af + ag))
         assert np.all(np.abs((f - g).eval(t) - (fv - gv)) <= rtol * (af + ag))
         assert np.all(np.abs((f @ h).eval(t) - fv @ hv) <= rtol * (af @ ah))
-        assert np.all(np.abs(f.scale(factor).eval(t) - factor * fv) <= rtol * abs(factor) * af)
+        # With a subnormal product the rounding model fl(xy) = xy(1 + d) + e
+        # adds |e| <= 2^-1075, half the smallest subnormal, per product:
+        # 2 deg + 2 of them (deg + 1 coefficient products, deg Horner products
+        # and factor * fv), each carried to the value by at most max(1, |t|)^deg.
+        deg = f.coef.shape[0] - 1
+        underflow = (deg + 1) * max(1.0, abs(t)) ** deg * np.nextafter(0.0, 1.0)
+        assert np.all(np.abs(f.scale(factor).eval(t) - factor * fv)
+                      <= rtol * abs(factor) * af + underflow)
         assert np.array_equal(f.T.eval(t), fv.T)
         # Zero padding to the higher degree leaves every value exact.
         assert np.array_equal(MatrixPoly.hstack([f, g, f]).eval(t), np.hstack([fv, gv, fv]))

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from covsteer.errors import RiccatiNonexistenceError
 from covsteer.matfun import MatrixPoly, symmetrize
-from covsteer.transition import TransitionPath
+from covsteer.transition import TransitionPath, pi_bounds
 from covsteer.riccati import (
     closed_form_on_path,
     existence_check,
@@ -34,6 +34,17 @@ def test_existence_s1_examples():
 
     assert not existence_check(sys, 0.0, [[2.0]]).exists
     assert existence_check(sys, 0.5, [[0.0]]).exists
+
+
+def test_existence_refuses_anchor_outside_horizon():
+    # Pi(t) = -3 / (3t - 3.5) is finite on [0, 1], yet the sandwich read at
+    # s = 1.5 would deny it: the bounds only decide anchors in [0, 1].
+    sys = s1()
+    got = [solve_closed_form(sys, 1.5, [[-3.0]], t)[0, 0] for t in (0.0, 0.5, 1.0)]
+    assert_allclose(got, [3.0 / 3.5, 1.5, 6.0], rtol=1e-9)
+    for s in (1.5, -0.25):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            existence_check(sys, s, [[-3.0]])
 
 
 def test_closed_form_anchor_is_identity():
@@ -129,6 +140,11 @@ def test_bound_sandwich_on_solution_grid():
     sol = integrate_general(sys, pi0, grid_size=21)
     assert sol.exists
     assert sol.bounds is not None
+    want = pi_bounds(sys, np.array([t for t, _ in sol.grid]))
+    for got_pair, want_pair in zip(sol.bounds, want, strict=True):
+        for got, bound in zip(got_pair, want_pair):
+            assert got.kind == bound.kind
+            assert not got.is_finite or np.array_equal(got.matrix, bound.matrix)
     for (t, pi), (lower, upper) in zip(sol.grid, sol.bounds):
         assert np.max(np.abs(pi - pi.T)) <= 1e-10
         if upper.is_finite:
@@ -169,9 +185,12 @@ def test_integrate_general_vs_rk4_oracle():
         pi = y[0]
         return np.array([pi * pi - 1.0 - 2.0 * 0.25 * 4.0 * pi])
 
+    # The oracle is chained over the grid intervals at the step 1e-5.
+    prev, y = 0.0, np.array([0.0])
     for t, pi in sol.grid[1:]:
-        want = rk4_fixed(rhs, 0.0, np.array([0.0]), t, steps=max(10, int(t * 1e5)))[0]
-        assert abs(pi[0, 0] - want) <= 1e-6
+        y = rk4_fixed(rhs, prev, y, t, steps=max(10, round((t - prev) * 1e5)))
+        prev = t
+        assert abs(pi[0, 0] - y[0]) <= 1e-6
 
 
 def test_closed_form_vs_oracle_many_instances():

@@ -1,0 +1,44 @@
+"""The benchmark tracer (perfbench/tracer.py) still finds its entry points.
+
+Tracer.install() rebinds the public functions and methods it wraps, so a
+refactor that drops or moves one of them breaks every traced benchmark run.
+The check runs in a fresh interpreter because the rebinding lasts for the
+rest of the process.
+"""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+_SCRIPT = """
+import numpy as np
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+
+import covsteer
+from covsteer.matfun import MatrixPoly, SystemSpec
+
+one, zero = MatrixPoly.constant([[1.0]]), MatrixPoly.constant([[0.0]])
+sys_ = SystemSpec(n=1, p=1, q=1, A=zero, B=one, C=one, D=one, nu=zero, Q=zero, R=one)
+assert covsteer.existence_check(sys_, 0.0, np.zeros((1, 1))).exists
+covsteer.solve_closed_form(sys_, 0.0, np.zeros((1, 1)), 0.5)
+covsteer.transition_blocks(sys_, 1.0, 0.0)
+names = {span[0] for span in tracer.spans}
+want = {"riccati.existence", "transition.path_build", "riccati.closed_form",
+        "transition.direct"}
+assert want <= names, sorted(names)
+counts = tracer.counts["setup"]
+assert counts["transition.rhs_evals"] > 0 and counts["transition.phi_evals"] > 0, counts
+"""
+
+
+def test_tracer_installs_and_records_spans():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", _SCRIPT], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

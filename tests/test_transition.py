@@ -124,6 +124,47 @@ def test_pi_bounds_s1():
     _, upper1 = pi_bounds(s1(), 1.0)
     assert upper1.kind == "pos_inf"
 
+    # Phi(t, s) = [[1, s - t], [0, 1]]: lower(t) = -1/t, upper(t) = 1/(1 - t).
+    times = np.array([0.0, 0.25, 0.5, 0.5, 1.0])
+    pairs = pi_bounds(s1(), times)
+    assert len(pairs) == len(times)
+    assert pairs[0][0].kind == "neg_inf" and pairs[-1][1].kind == "pos_inf"
+    assert_allclose([lo.matrix[0, 0] for lo, _ in pairs[1:]], [-4.0, -2.0, -2.0, -1.0], rtol=1e-9)
+    assert_allclose([up.matrix[0, 0] for _, up in pairs[:-1]], [1.0, 4.0 / 3.0, 2.0, 2.0],
+                    rtol=1e-9)
+
+
+@pytest.mark.parametrize("t", [1.5, -0.1, np.array([0.5, 1.5]), np.nan])
+def test_pi_bounds_refuse_times_outside_horizon(t):
+    # The sandwich is a statement about anchors in [0, 1].
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        pi_bounds(s1(), t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pi_bounds_on_array_match_direct_oracle(n):
+    rng = np.random.default_rng(60 + n)
+    sys = random_controllable_system(rng, n)
+    times = np.array([0.0, 0.35, 1.0, 0.35, 0.6, 0.9, 0.05])
+    pairs = pi_bounds(sys, times)
+    assert len(pairs) == len(times)
+    for t, pair in zip(times, pairs):
+        for bound, end, kind in zip(pair, (0.0, 1.0), ("neg_inf", "pos_inf")):
+            if t == end:
+                assert bound.kind == kind
+                continue
+            b = transition_blocks(sys, end, t)
+            want = symmetrize(-np.linalg.solve(b.phi12, b.phi11))
+            # First order, dU = phi12^-1 (dphi11 + dphi12 U) with |dPhi| about
+            # rtol |Phi| on each side: the path's rtol (1e-10) times
+            # |phi12^-1| |Phi| >= cond(phi12), times 1 + |U|, times 10 for
+            # global over local RK45 error.
+            full = np.block([[b.phi11, b.phi12], [b.phi21, b.phi22]])
+            tol = 10 * 1e-10 * np.linalg.norm(np.linalg.inv(b.phi12), 2) \
+                * np.linalg.norm(full, 2) * (1.0 + np.linalg.norm(want, 2))
+            assert np.linalg.norm(bound.matrix - want, 2) <= tol
+            assert np.array_equal(bound.matrix, bound.matrix.T)
+
 
 def test_gramian_identity_trivial_and_s1():
     sys = s1()
@@ -135,6 +176,10 @@ def test_gramian_identity_trivial_and_s1():
     assert_allclose(check.mbar, [[1.0]], atol=1e-9)
     assert_allclose(check.rhs, [[1.0]], atol=1e-9)
     assert check.residual <= 1e-7
+
+    # The existence check it rests on refuses anchors outside [0, 1].
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        gramian_identity(sys, (1.5, [[-3.0]]), 1.0)
 
 
 def test_gramian_identity_random_system():
