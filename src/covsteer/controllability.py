@@ -10,7 +10,10 @@ constant controllable pair: the pair is reduced to the single-chain
 canonical form, the covariance is partitioned into nested layers, boundary
 derivatives are propagated outward-in, and each layer's corner entry is
 steered by an explicitly constructed scalar control (polynomial plus a
-flat exponential bump) that respects a running positivity floor.
+flat exponential bump) that respects a running positivity floor.  The
+corner is read in closed form from its integrating factor
+f = exp(2 int_t^1 nu); the only integrations left are each layer's two
+cumulative RK45 quadratures, int_0^t f m and int_0^t f (control polynomial).
 """
 
 import math
@@ -202,7 +205,8 @@ class _At:
     """One call's times with every packed polynomial evaluated there.
 
     Derivative towers, orders 0..k stacked on a leading axis, and plain time
-    functions (weight, bump) are memoised, so each is computed once a call.
+    functions (weight, bump, running integrals) are memoised, so each is
+    computed once a call.
     """
 
     def __init__(self, packed, t):
@@ -285,12 +289,10 @@ class ScalarSteeringProblem:
 class ScalarControl:
     """u(t) = polynomial + d0-scaled flat bump, with exact derivatives."""
 
-    poly: np.ndarray  # combined a + b + c coefficients, ascending
-    a_coeffs: tuple
-    b_coeffs: tuple
-    c0: float
+    poly: np.ndarray  # coefficients, ascending
     d0: float
     weight: object
+    poly_integral: object  # dense t -> int_0^t weight poly, from the floor check
     verification: dict
 
     def _polys(self, k: int) -> dict:
@@ -391,9 +393,9 @@ def scalar_steering_u(prob: ScalarSteeringProblem) -> ScalarControl:
     psi_poly = P.polymul(t_pow, P.polypow([1.0, -1.0], h_order + 1))
     ab = P.polyadd(a, b_poly)
     int_ab, _, sat_ab = adaptive_gk(lambda ts: f(ts) * P.polyval(ts, ab),
-                                    0.0, 1.0, atol=1e-12)
+                                    0.0, 1.0, atol=1e-12, rtol=1e-13)
     int_psi, _, sat_psi = adaptive_gk(lambda ts: f(ts) * P.polyval(ts, psi_poly),
-                                      0.0, 1.0, atol=1e-12)
+                                      0.0, 1.0, atol=1e-12, rtol=1e-13)
     if sat_ab or sat_psi or not np.isfinite(int_ab + int_psi):
         raise IntegrationFailureError(
             "weighted integral of the control polynomial did not converge")
@@ -426,8 +428,7 @@ def scalar_steering_u(prob: ScalarSteeringProblem) -> ScalarControl:
         "floor_margin": margin,
         "grid_points": FLOOR_GRID,
     }
-    return ScalarControl(poly=poly, a_coeffs=tuple(a), b_coeffs=tuple(b_coefs),
-                         c0=float(c0), d0=float(d0), weight=f,
+    return ScalarControl(poly=poly, d0=float(d0), weight=f, poly_integral=cum,
                          verification=verification)
 
 
@@ -437,19 +438,25 @@ def scalar_steering_u(prob: ScalarSteeringProblem) -> ScalarControl:
 
 @dataclass(frozen=True, eq=False)
 class _CornerFn:
-    """Corner entry integrated from its scalar linear equation.
+    """Corner entry read from its integrating factor.
 
-    Derivatives chain through the equation d sigma = 2 g + m + 2 nu sigma,
-    so order j + 1 comes from orders 0..j of sigma and the driving control g.
+    The corner obeys d sigma = 2 g + m + 2 nu sigma, and the control's weight
+    f = exp(2 int_t^1 nu) is that equation's integrating factor:
+    f sigma = f(0) sigma(0) + int_0^t f m + 2 int_0^t f g, where int_0^t f g
+    is g's running polynomial integral plus d0 psi.  Derivatives chain
+    through the equation, so order j + 1 comes from orders 0..j of sigma
+    and g.
     """
 
-    dense: object
+    start: float  # f(0) sigma(0)
+    cum_m: object  # t -> int_0^t f m
     g: object
     m_key: tuple
 
     def tower(self, at, k):
         out = np.empty((k + 1,) + at.shape)
-        out[0] = self.dense.sol(at.t)[0]
+        run = at.of(self.g.poly_integral) + self.g.d0 * at.of(_bump)  # int_0^t f g
+        out[0] = (self.start + at.of(self.cum_m) + 2.0 * run) / at.of(self.g.weight)
         if k:
             g, m, nu = at.tower(self.g, k - 1), at.poly(self.m_key), at.poly("nu")
         for j in range(k):
@@ -546,13 +553,11 @@ def _layer_entries(sig0, sig1, m_y, nu_c, h_order):
         h_m = h_order + n - m
         cbc = ctrl_bc[m]
         col = {i: np.zeros((h_m + 2, 2)) for i in range(1, m + 1)}  # col[m]: corner
+        col[m + 1] = cbc[m]  # the corner's right neighbour is, by symmetry, its control
         for i in range(1, m + 1):
             col[i][0] = sig0[i - 1, m - 1], sig1[i - 1, m - 1]
         for j in range(h_m + 1):
-            col[m][j + 1] = 2.0 * cbc[m][j] + P.polyval(ends, m_d[j].entry(m - 1, m - 1)) \
-                + 2.0 * _nu_leibniz(nu_ends, col[m], j)
-        for j in range(h_m + 1):
-            for i in range(1, m):
+            for i in range(1, m + 1):
                 col[i][j + 1] = col[i + 1][j] + cbc[i][j] \
                     + P.polyval(ends, m_d[j].entry(i - 1, m - 1)) \
                     + 2.0 * _nu_leibniz(nu_ends, col[i], j)
@@ -575,9 +580,10 @@ def _layer_entries(sig0, sig1, m_y, nu_c, h_order):
         cum_m = _cumulative_weighted(weight, lambda t, c=m_mm: P.polyval(t, c))
         s_mm_0 = sig0[m - 1, m - 1]
         s_mm_1 = sig1[m - 1, m - 1]
-        gamma_m = 0.5 * (s_mm_1 - f_at_0 * s_mm_0 - cum_m(1.0))
+        start = f_at_0 * s_mm_0
+        gamma_m = 0.5 * (s_mm_1 - start - cum_m(1.0))
 
-        def rho_m(t, m=m, cum_m=cum_m, s_mm_0=s_mm_0):
+        def rho_m(t, m=m, cum_m=cum_m, start=start):
             """Floor with q = col' blk^-1 col, col the column above the corner."""
             q = 0.0
             if m > 1:
@@ -585,7 +591,7 @@ def _layer_entries(sig0, sig1, m_y, nu_c, h_order):
                 col = np.stack([at.tower(entries[(i, m)], 0)[0] for i in range(1, m)], -1)
                 blk = _canonical(entries, at, m - 1)
                 q = np.sum(col * np.linalg.solve(blk, col[..., None])[..., 0], -1)
-            return 0.5 * (weight(t) * q - f_at_0 * s_mm_0 - cum_m(t))
+            return 0.5 * (weight(t) * q - start - cum_m(t))
 
         h_m = h_order + n - m
         bc = ctrl_bc[m][m][: h_m + 1]
@@ -593,16 +599,7 @@ def _layer_entries(sig0, sig1, m_y, nu_c, h_order):
             f=weight, gamma=gamma_m, alpha=tuple(bc[:, 0]), beta=tuple(bc[:, 1]), rho=rho_m))
         groups.update(control._polys(n - m))
         packed = _pack(groups)
-
-        dense = solve_ivp(
-            lambda t, y, g=control, mm_c=m_mm: [
-                2.0 * g.value(t) + P.polyval(t, mm_c)
-                + 2.0 * P.polyval(t, nu_c) * y[0]],
-            (0.0, 1.0), [s_mm_0], method="RK45", rtol=1e-12, atol=1e-14,
-            dense_output=True)
-        if not dense.success:
-            raise IntegrationFailureError("corner integration failed")
-        entries[(m, m)] = _CornerFn(dense, control, ("m", m - 1, m - 1))
+        entries[(m, m)] = _CornerFn(start, cum_m, control, ("m", m - 1, m - 1))
         entries[(m, m + 1)] = control
         layer_trace.append({
             "layer": m, "corner_targets": (s_mm_0, s_mm_1), "gamma": gamma_m,

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
 from covsteer.controllability import (
+    ExpIntegralWeight,
     ScalarSteeringProblem,
     _At,
     _layer_entries,
@@ -204,6 +205,19 @@ def test_scalar_steering_rejects_unconverged_integral():
             beta=(0.0,), rho=lambda t: -1.0))
 
 
+@pytest.mark.parametrize("gamma", [1e3, 1e6])
+@pytest.mark.parametrize("weight", [lambda t: 1.0, ExpIntegralWeight((0.3, -0.2))],
+                         ids=["unit", "exp"])
+def test_scalar_steering_large_integral_converges(gamma, weight):
+    # A weighted integral of size gamma meets a tolerance relative to it; an
+    # absolute one alone stalls at its rounding error.
+    u = scalar_steering_u(ScalarSteeringProblem(
+        f=weight, gamma=gamma, alpha=(gamma,), beta=(gamma,), rho=lambda t: -1.0))
+    assert u.verification["integral_residual"] <= 1e-9 * gamma
+    assert abs(u.value(0.0) - gamma) <= 1e-12 * gamma
+    assert abs(u.value(1.0) - gamma) <= 1e-12 * gamma
+
+
 def test_scalar_steering_hypothesis_check():
     with pytest.raises(PreconditionError):
         scalar_steering_u(ScalarSteeringProblem(
@@ -277,6 +291,12 @@ def time_varying_rate_steering():
                                        MatrixPoly.from_entries([[[0.1, 0.2]]]))
 
 
+def test_time_varying_rate_endpoints(time_varying_rate_steering):
+    # At t = 1 the closed-form corner misses its target only by the control's
+    # running-integral residual.
+    assert max(time_varying_rate_steering.endpoint_errors) <= 1e-10
+
+
 @settings(max_examples=25, deadline=None)
 @given(ts=st.lists(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-3),
                              st.floats(1.0 - 1e-3, 1.0)), min_size=1, max_size=12))
@@ -305,8 +325,10 @@ def test_entry_towers_match_central_difference():
         assert tower.shape == (2, 19)
         vals = [_At(packed, times + s * h).tower(entries[key], 0)[0] for s in (-2, -1, 1, 2)]
         central = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
-        # The corners' dense RK45 output differentiates to about 2e-8, and the
-        # difference quotient is good to about 3e-9 of the largest derivative.
+        # The corners' closed-form values against their equation-chained
+        # order-1 towers: their gaps are at most 3e-9.  The largest gap, about
+        # 1e-8 on layer 2's control, whose tower is exact, is the difference
+        # quotient's own error.
         assert np.max(np.abs(central - tower[1])) <= 1e-6 * max(1.0, np.max(np.abs(tower[1])))
 
 
