@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import RiccatiNonexistenceError, SingularTransitionError
+from .errors import RiccatiNonexistenceError
 from .matfun import SystemSpec, symmetrize
 from .transition import COND_LIMIT, TransitionPath, _phi_pi, _sandwich_bound, b_rinv_bt, pi_bounds
 
@@ -147,7 +147,10 @@ class RiccatiSolution:
     grid: tuple  # ((t, Pi(t)), ...)
     exists: bool
     escape_time: float | None
-    bounds: tuple | None  # per grid time (lower, upper) PiBound pairs
+    # Per grid time (lower, upper) PiBound pairs, None on a model with
+    # non-identity channels; a side whose phi12 has cond above COND_LIMIT
+    # (next to its horizon end) is None in its pair.
+    bounds: tuple | None
 
 
 def _general_rhs(sys: SystemSpec):
@@ -202,9 +205,6 @@ def integrate_general(sys: SystemSpec, pi_0: np.ndarray,
     bounds = None
     if not sys.has_non_identity_channels():
         # Existence sandwich only applies on the simplified model.
-        try:
-            bounds = pi_bounds(sys, np.array([t for t, _ in grid]))
-        except SingularTransitionError:
-            pass
+        bounds = pi_bounds(sys, np.array([t for t, _ in grid]))
     return RiccatiSolution(anchor_time=0.0, anchor_value=pi_0, grid=grid,
                            exists=exists, escape_time=escape_time, bounds=bounds)

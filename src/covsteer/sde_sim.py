@@ -497,21 +497,23 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
     else:
         env_var = np.full_like(env_mean, np.nan)
 
-    cost_estimate = None
-    if cfg.record_costs:
-        j_hat = float(np.mean(all_costs))
-        half = 0.0
-        if n_paths > 1:
-            half = 1.96 * float(np.std(all_costs, ddof=1)) / math.sqrt(n_paths)
-        cost_estimate = (j_hat, half)
-
     return SimulationResult(
         num_paths=n_paths, master_seed=cfg.master_seed, times=step.times,
         checkpoint_moments=tuple(moments), envelope_mean=env_mean,
-        envelope_var=env_var, cost_estimate=cost_estimate,
+        envelope_var=env_var,
+        cost_estimate=None if all_costs is None else _cost_mean_half_width(all_costs),
         path_costs=all_costs, retained=tuple(retained),
         jump_mean_counts=tuple(jump_totals / n_paths),
         martingale_mean=m_final_sum / n_paths, draw_s=draw_s, step_s=step_s)
+
+
+def _cost_mean_half_width(costs: np.ndarray) -> tuple:
+    """Mean of the per-path costs and its 95% confidence half-width (0 for one path)."""
+    j_hat = float(np.mean(costs))
+    half = 0.0
+    if len(costs) > 1:
+        half = 1.96 * float(np.std(costs, ddof=1)) / math.sqrt(len(costs))
+    return j_hat, half
 
 
 def _checkpoint(result: SimulationResult, t: float):
@@ -548,9 +550,4 @@ def estimate_cost(sys: SystemSpec, result: SimulationResult):
     if result.path_costs is None:
         raise PathsNotRetainedError(
             "per-path cost quadratures were not recorded (record_costs=False)")
-    costs = result.path_costs
-    j_hat = float(np.mean(costs))
-    half = 0.0
-    if len(costs) > 1:
-        half = 1.96 * float(np.std(costs, ddof=1)) / math.sqrt(len(costs))
-    return j_hat, half
+    return _cost_mean_half_width(result.path_costs)

@@ -23,6 +23,7 @@ from .matfun import MatrixPoly, SystemSpec, symmetrize
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-13
 COND_LIMIT = 1e12
+QUAD_ATOL = 1e-10  # gramian_identity's quadrature tolerance
 PHI_CHUNK = 256  # times per dense-output call; one call per grid cost 0.3-0.6 MB of peak RSS
 
 
@@ -264,7 +265,10 @@ def pi_bounds(sys: SystemSpec, t, rtol: float = DEFAULT_RTOL):
     convention for the bounds at the horizon endpoints.  An array of times
     gives a tuple of (lower, upper) pairs.  The sandwich holds only inside
     the horizon, so times outside [0, 1] raise ValueError.  Singularity of
-    phi12 signals a system that is not totally controllable.
+    phi12 signals a system that is not totally controllable, or a time too
+    close to the horizon end of its side: at a scalar time a cond(phi12)
+    above COND_LIMIT raises SingularTransitionError, on an array of times
+    only that side of that pair is None.
     """
     ts = np.asarray(t, dtype=float)
     flat = np.atleast_1d(ts)
@@ -279,6 +283,11 @@ def pi_bounds(sys: SystemSpec, t, rtol: float = DEFAULT_RTOL):
     upper = [PiBound("pos_inf")] * flat.size
     for out, mask, phi, what in ((lower, flat > 0.0, phi_0t, "phi12(0,t)"),
                                  (upper, flat < 1.0, phi_1t, "phi12(1,t)")):
+        if ts.ndim:
+            singular = mask & ~(np.linalg.cond(phi[:, :n, n:]) <= COND_LIMIT)
+            for k in np.flatnonzero(singular):
+                out[k] = None
+            mask &= ~singular
         if mask.any():
             mats = _sandwich_bound(phi[mask, :n, :n], phi[mask, :n, n:], what=what)
             for k, mat in zip(np.flatnonzero(mask), mats):
@@ -296,8 +305,7 @@ class GramianCheck:
     residual: float
 
 
-def gramian_identity(sys: SystemSpec, pi_anchor: tuple, t: float,
-                     quad_atol: float = 1e-10) -> GramianCheck:
+def gramian_identity(sys: SystemSpec, pi_anchor: tuple, t: float) -> GramianCheck:
     """Verify the closed-loop Gramian identity from the anchored Riccati solution.
 
     mbar(t, s) integrates PhiPi(t,tau) B R^-1 B' PhiPi(t,tau)' by adaptive
@@ -324,7 +332,7 @@ def gramian_identity(sys: SystemSpec, pi_anchor: tuple, t: float,
         g = phi_pi_ts @ np.linalg.inv(_phi_pi(path, pi_s, taus)[0])
         return g @ b_rinv_bt(sys, taus) @ np.swapaxes(g, -1, -2)
 
-    mbar, _, _ = adaptive_gk(integrand, s, t, atol=quad_atol)
+    mbar, _, _ = adaptive_gk(integrand, s, t, atol=QUAD_ATOL)
     rhs = -blocks_ts[1] @ phi_pi_ts.T
     return GramianCheck(mbar=mbar, rhs=rhs,
                         residual=float(np.max(np.abs(mbar - rhs))))

@@ -61,6 +61,20 @@ def example_noise():
         multiplicative=(NoiseComponent("wiener", const([[1.0]])),))
 
 
+def chain_system(n=3):
+    """Integrator chain (the canonical chain pair), C D C' = I, Q = 0, nu = 0.
+
+    phi12(0, t) behaves like t^(2n - 1) in its weakest direction, so its
+    condition number passes 1e12 near t = 0 (and phi12(1, t) near t = 1):
+    cond phi12(0, 0.001) is about 7e14 at n = 3.
+    """
+    from covsteer.controllability import canonical_chain_pair
+
+    a, b = canonical_chain_pair(n)
+    return make_system(n, 1, n, a, b, np.eye(n), np.eye(n), [[0.0]],
+                       np.zeros((n, n)), [[1.0]])
+
+
 def n3_q2_system():
     """Time-varying n = 3, p = 2, q = 2 system matching n3_q2_noise()."""
     mp = MatrixPoly.from_entries

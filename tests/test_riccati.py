@@ -14,6 +14,7 @@ from covsteer.riccati import (
 )
 
 from helpers import (
+    chain_system,
     const,
     integrate_riccati_oracle,
     make_system,
@@ -151,6 +152,24 @@ def test_bound_sandwich_on_solution_grid():
             assert np.min(np.linalg.eigvalsh(upper.matrix - pi)) > -1e-9
         if lower.is_finite:
             assert np.min(np.linalg.eigvalsh(pi - lower.matrix)) > -1e-9
+
+
+def test_integrate_general_keeps_well_conditioned_bounds():
+    # On the n = 3 chain phi12(0, t) is ill-conditioned only at t = 0.001
+    # (cond 7e14, 2.7e11 at t = 0.002), phi12(1, t) only next to t = 1.
+    sys = chain_system()
+    sol = integrate_general(sys, np.zeros((3, 3)), grid_size=1001)
+    assert sol.exists and sol.bounds is not None
+    times = np.array([t for t, _ in sol.grid])
+    lower_none = [t for t, (lower, _) in zip(times, sol.bounds) if lower is None]
+    upper_none = [t for t, (_, upper) in zip(times, sol.bounds) if upper is None]
+    assert lower_none == [0.001]
+    assert upper_none and min(upper_none) >= 0.99
+    kept = [k for k, t in enumerate(times) if 0.01 <= t <= 0.9]
+    want = pi_bounds(sys, times[kept])
+    for k, want_pair in zip(kept, want, strict=True):
+        for got, bound in zip(sol.bounds[k], want_pair):
+            assert np.array_equal(got.matrix, bound.matrix)
 
 
 def test_integrate_general_zero_fixed_point():

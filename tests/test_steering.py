@@ -1,14 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from covsteer import steering
 from covsteer.errors import (
     ChannelMismatchError,
+    IntegrationFailureError,
     NoConvergenceError,
+    PreconditionError,
     RiccatiNonexistenceError,
 )
 from covsteer.matfun import BoundaryData, symmetrize, unvec, vec
 from covsteer.steering import (
+    MAX_PASSES,
+    NEWTON_TOL,
     feedback_gain,
     jacobian_f,
     map_f,
@@ -17,9 +24,10 @@ from covsteer.steering import (
     solve_boundary,
     special_case_pi0,
 )
-from covsteer.transition import transition_blocks
+from covsteer.transition import TransitionPath, transition_blocks
 
 from helpers import (
+    const,
     lyapunov_oracle,
     random_admissible_pi0,
     random_controllable_system,
@@ -29,6 +37,22 @@ from helpers import (
 )
 
 P_STAR = (3.0 - np.sqrt(3.0)) / 2.0  # root of (1-p)^2 + (1-p) = 1/2
+WORKED_TARGET = BoundaryData(sigma0=np.eye(2), sigma1=np.diag([0.3, 0.2]))
+
+
+def _count_jacobian_passes(monkeypatch, fail_at=None, error=None):
+    """Record the Pi0 of every jacobian_f pass; pass number fail_at raises error."""
+    points = []
+    real = steering.jacobian_f
+
+    def counted(sys, sigma0, pi0, path=None):
+        points.append(np.array(pi0, dtype=float))
+        if len(points) == fail_at:
+            raise error
+        return real(sys, sigma0, pi0, path=path)
+
+    monkeypatch.setattr(steering, "jacobian_f", counted)
+    return points
 
 
 def test_map_f_uncontrolled_diffusion():
@@ -147,16 +171,54 @@ def test_solve_boundary_worked_example():
     assert all(k.shape == (1, 2) for _, k in sol.gain_grid)
 
 
-def test_solve_boundary_reports_non_convergence():
+def test_solve_boundary_reports_non_convergence(monkeypatch):
     # No iterate reaches 1e-30: Newton stalls near rounding level and the
-    # solve raises with its trace instead of returning.
-    bd = BoundaryData(sigma0=np.eye(2), sigma1=np.diag([0.3, 0.2]))
+    # solve raises with its trace once the pass budget is spent.
+    points = _count_jacobian_passes(monkeypatch)
     with pytest.raises(NoConvergenceError) as info:
-        solve_boundary(example_system(), bd, tol=1e-30)
+        solve_boundary(example_system(), WORKED_TARGET, tol=1e-30)
     err = info.value
     assert 0.0 < err.best_residual <= 1e-8
     assert err.trace and err.trace[-1][1] == err.best_residual
     assert err.trace[0][1] > err.best_residual
+    assert len(points) <= MAX_PASSES
+
+
+def test_newton_reads_each_point_from_one_jacobian_pass(monkeypatch):
+    sys = example_system()
+    path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
+    pi_init = special_case_pi0(sys, WORKED_TARGET, path=path, check_channels=False)
+    points = _count_jacobian_passes(monkeypatch)
+    map_calls = []
+    monkeypatch.setattr(steering, "map_f", lambda *args, **kwargs: map_calls.append(args))
+    pi, rel, trace, ok = steering._newton(sys, path, np.eye(2), WORKED_TARGET.sigma1, pi_init,
+                                          NEWTON_TOL, steering._symmetric_basis(2))
+    assert ok and rel <= NEWTON_TOL and not map_calls
+    # The start, then every candidate once: accepted ones are the iterates.
+    assert np.array_equal(points[0], pi_init) and np.array_equal(points[-1], pi)
+    assert len({p.tobytes() for p in points}) == len(points)
+    assert len(trace) <= len(points) <= MAX_PASSES
+
+
+@pytest.mark.parametrize("error", [RiccatiNonexistenceError("candidate outside the set"),
+                                   np.linalg.LinAlgError("Singular matrix")])
+def test_newton_halves_a_candidate_whose_pass_raises(monkeypatch, error):
+    want = solve_boundary(example_system(), WORKED_TARGET)
+    points = _count_jacobian_passes(monkeypatch, fail_at=2, error=error)
+    got = solve_boundary(example_system(), WORKED_TARGET)
+    # Pass 2 is the first candidate; its step was halved and the solve went on.
+    assert len(points) > len(want.newton_trace)
+    assert got.newton_trace[0][2] == 0.5 * want.newton_trace[0][2]
+    assert np.max(np.abs(got.pi0 - want.pi0)) <= 1e-10
+
+
+def test_solve_boundary_refuses_unsupported_inputs():
+    sys = example_system()
+    channel = replace(sys, general_channels=((const(2.0 * np.eye(2)), const([[0.25]])),))
+    with pytest.raises(PreconditionError, match="identity multiplicative"):
+        solve_boundary(channel, WORKED_TARGET)
+    with pytest.raises(PreconditionError, match="dimension"):
+        solve_boundary(sys, BoundaryData(sigma0=np.eye(3), sigma1=np.eye(3)))
 
 
 def test_map_f_reaches_target_with_solved_anchor():
@@ -248,6 +310,13 @@ def test_sigma_grid_does_not_depend_on_output_grid(contracting_case, grid_size):
     assert np.max(np.abs(got - fine[::1000 // (grid_size - 1)])) <= 1e-10 * np.max(np.abs(fine))
 
 
+def test_propagate_covariance_checks_sigma1_against_map_f(monkeypatch):
+    real = steering.map_f
+    monkeypatch.setattr(steering, "map_f", lambda *args, **kwargs: real(*args, **kwargs) + 1e-6)
+    with pytest.raises(IntegrationFailureError, match="disagrees"):
+        propagate_covariance(s1(), [[0.0]], [[1.0]], grid_size=11)
+
+
 def test_grid_below_two_points_is_rejected(contracting_case):
     sys, sigma0, pi0, _ = contracting_case
     for grid_size in (1, 0):
@@ -280,7 +349,7 @@ def test_limit_behavior_toward_bounds():
     rng = np.random.default_rng(73)
     sys = random_controllable_system(rng, 2)
     sigma0 = np.eye(2)
-    from covsteer.transition import transition_blocks
+    from covsteer.transition import TransitionPath, transition_blocks
 
     b = transition_blocks(sys, 1.0, 0.0)
     upper = symmetrize(-np.linalg.solve(b.phi12, b.phi11))

@@ -1,7 +1,9 @@
 """The benchmark tracer (perfbench/tracer.py) still finds its entry points.
 
 Tracer.install() rebinds the public functions and methods it wraps, so a
-refactor that drops or moves one of them breaks every traced benchmark run.
+refactor that drops or moves one of them, or changes what the tracer reads
+off a result (the Jacobian workspace's nodes), breaks every traced
+benchmark run.
 The check runs in a fresh interpreter because the rebinding lasts for the
 rest of the process.
 """
@@ -20,19 +22,22 @@ tracer = Tracer()
 tracer.install()
 
 import covsteer
-from covsteer.matfun import MatrixPoly, SystemSpec
+from covsteer.matfun import BoundaryData, MatrixPoly, SystemSpec
 
 one, zero = MatrixPoly.constant([[1.0]]), MatrixPoly.constant([[0.0]])
 sys_ = SystemSpec(n=1, p=1, q=1, A=zero, B=one, C=one, D=one, nu=zero, Q=zero, R=one)
 assert covsteer.existence_check(sys_, 0.0, np.zeros((1, 1))).exists
 covsteer.solve_closed_form(sys_, 0.0, np.zeros((1, 1)), 0.5)
 covsteer.transition_blocks(sys_, 1.0, 0.0)
+covsteer.solve_boundary(sys_, BoundaryData(sigma0=[[1.0]], sigma1=[[0.5]]), grid_size=11)
 names = {span[0] for span in tracer.spans}
 want = {"riccati.existence", "transition.path_build", "riccati.closed_form",
-        "transition.direct"}
+        "transition.direct", "steering.solve", "steering.jacobian", "steering.map_f",
+        "steering.propagate", "steering.cost", "steering.gain_grid"}
 assert want <= names, sorted(names)
 counts = tracer.counts["setup"]
 assert counts["transition.rhs_evals"] > 0 and counts["transition.phi_evals"] > 0, counts
+assert counts["steering.jacobian_nodes"] > 0, counts
 """
 
 

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from covsteer._quad import adaptive_gk
+from covsteer.errors import SingularTransitionError
 from covsteer.matfun import symmetrize
 from covsteer.riccati import closed_form_on_path
 from covsteer.steering import feedback_gain
@@ -17,6 +18,7 @@ from covsteer.transition import (
 )
 
 from helpers import (
+    chain_system,
     expm_blocks,
     make_system,
     random_admissible_pi0,
@@ -132,6 +134,12 @@ def test_pi_bounds_s1():
     assert_allclose([lo.matrix[0, 0] for lo, _ in pairs[1:]], [-4.0, -2.0, -2.0, -1.0], rtol=1e-9)
     assert_allclose([up.matrix[0, 0] for _, up in pairs[:-1]], [1.0, 4.0 / 3.0, 2.0, 2.0],
                     rtol=1e-9)
+
+
+def test_pi_bounds_refuse_singular_phi12_at_a_scalar_time():
+    # cond phi12(0, 0.001) is about 7e14 on the n = 3 chain.
+    with pytest.raises(SingularTransitionError, match=r"phi12\(0,t\) numerically singular"):
+        pi_bounds(chain_system(), 0.001)
 
 
 @pytest.mark.parametrize("t", [1.5, -0.1, np.array([0.5, 1.5]), np.nan])
