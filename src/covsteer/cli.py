@@ -140,8 +140,11 @@ class RunConfig:
             except (KeyError, ValueError, DimensionError) as exc:
                 raise ConfigError(f"bad boundary block: {exc}") from exc
 
-        self.options = dict(_DEFAULT_OPTIONS)
-        self.options.update(raw.get("options", {}))
+        options = raw.get("options", {})
+        unknown = sorted(set(options) - set(_DEFAULT_OPTIONS))
+        if unknown:
+            raise ConfigError(f"unknown option(s): {', '.join(unknown)}")
+        self.options = {**_DEFAULT_OPTIONS, **options}
 
     def emit(self) -> dict:
         return json.loads(json.dumps(self.raw))

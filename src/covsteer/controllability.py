@@ -12,8 +12,8 @@ derivatives are propagated outward-in, and each layer's corner entry is
 steered by an explicitly constructed scalar control (polynomial plus a
 flat exponential bump) that respects a running positivity floor.  The
 corner is read in closed form from its integrating factor
-f = exp(2 int_t^1 nu); the only integrations left are each layer's two
-cumulative RK45 quadratures, int_0^t f m and int_0^t f (control polynomial).
+f = exp(2 int_t^1 nu); each layer's two running integrals, int_0^t f m and
+int_0^t f (control polynomial), are exact for f's Chebyshev interpolant.
 """
 
 import math
@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as P
-from scipy.integrate import solve_ivp
+from numpy.polynomial import Chebyshev, polynomial as P
 
 from ._quad import adaptive_gk
 from .errors import (
@@ -36,6 +35,8 @@ from .matfun import BoundaryData, MatrixPoly, SystemSpec, symmetrize
 RANK_RTOL = 1e-10
 D0_MAX = 1e6
 FLOOR_GRID = 1001
+CHEB_DEGREES = (32, 64, 128, 256)
+CHEB_TAIL_RTOL = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +121,7 @@ def _kalman_rank(a, b):
 
 def canonical_chain_pair(n: int) -> tuple:
     """The single-chain pair: shift matrix with unit superdiagonal, input e_n."""
-    a = np.zeros((n, n))
-    for i in range(n - 1):
-        a[i, i + 1] = 1.0
-    b = np.zeros((n, 1))
-    b[n - 1, 0] = 1.0
-    return a, b
+    return np.eye(n, k=1), np.eye(n)[:, -1:]
 
 
 def canonical_transform(a: np.ndarray, b: np.ndarray) -> tuple:
@@ -236,8 +232,6 @@ class _At:
 def _bump(t):
     """psi(t) = exp(-1/(t(1-t))) extended by zero outside (0, 1)."""
     s = t * (1.0 - np.asarray(t, dtype=float))
-    if s.ndim == 0:  # math.exp: see ExpIntegralWeight
-        return math.exp(-1.0 / float(s)) if s > 0.0 else 0.0
     with np.errstate(over="ignore"):  # -1/s overflows only where psi underflows
         return np.where(s > 0.0, np.exp(-1.0 / np.where(s > 0.0, s, 1.0)), 0.0)
 
@@ -255,10 +249,7 @@ class ExpIntegralWeight:
 
     def __call__(self, t):
         anti, at_1 = self._antideriv
-        x = 2.0 * (at_1 - P.polyval(t, anti))
-        # math.exp at a single time is cheaper, and the RK45 steps that call
-        # it are sensitive to the last bit, where np.exp may differ.
-        return math.exp(x) if np.ndim(x) == 0 else np.exp(x)
+        return np.exp(2.0 * (at_1 - P.polyval(t, anti)))
 
     @property
     def log_deriv_coeffs(self):
@@ -271,10 +262,11 @@ class ScalarSteeringProblem:
     derivative lists (orders 0..H at both ends), and the floor function.
 
     f is called at single times (floats) and on 1-D time arrays, rho on 1-D
-    time arrays; either may return a scalar where it is constant.
+    time arrays; either may return a scalar where it is constant.  f must be
+    smooth: a kink, say, leaves the running integral unresolved.
     """
 
-    f: object  # callable weight, positive on [0, 1]
+    f: object  # callable weight, positive and smooth on [0, 1]
     gamma: float
     alpha: tuple
     beta: tuple
@@ -333,27 +325,30 @@ class ScalarControl:
             out[j] += scale * (rows[j + 1] / d_poly ** (j + 1)) / at.of(self.weight)
         return out
 
-    @cached_property
-    def _packed(self):
-        return {}
-
     def value(self, t):
         return self.derivative(t, 0)
 
     def derivative(self, t, order=1):
         """The order-th derivative of u at a time or a 1-D time array."""
-        if order not in self._packed:
-            self._packed[order] = _pack(self._polys(order))
-        return _At(self._packed[order], t).tower(self, order)[order]
+        return _At(_pack(self._polys(order)), t).tower(self, order)[order]
 
 
-def _cumulative_weighted(f, g, rtol=1e-12):
-    """Dense antiderivative t -> int_0^t f(s) g(s) ds, at a time or an array."""
-    sol = solve_ivp(lambda t, y: [f(t) * g(t)], (0.0, 1.0), [0.0],
-                    method="RK45", rtol=rtol, atol=1e-14, dense_output=True)
-    if not sol.success:
-        raise IntegrationFailureError("cumulative quadrature failed")
-    return lambda t: sol.sol(t)[0]
+def _cumulative_weighted(f, poly):
+    """Dense antiderivative t -> int_0^t f(s) poly(s) ds, at a time or an array.
+
+    f becomes its Chebyshev interpolant on [0, 1] at the first degree whose
+    upper half of coefficients is below CHEB_TAIL_RTOL of the largest; poly is
+    not interpolated, as its rounding can exceed that bound at every degree.
+    """
+    poly = P.Polynomial(poly).convert(domain=[0.0, 1.0], kind=Chebyshev)
+    for deg in CHEB_DEGREES:
+        cheb = Chebyshev.interpolate(lambda t: np.broadcast_to(f(t), t.shape), deg,
+                                     domain=[0.0, 1.0])
+        mags = np.abs(cheb.coef)
+        if np.max(mags[deg // 2:]) <= CHEB_TAIL_RTOL * np.max(mags):
+            anti = (cheb * poly).integ(lbnd=0.0)
+            return lambda t: anti(t)  # hashable for _At.of, unlike a Chebyshev
+    raise IntegrationFailureError(f"weight not resolved by a degree-{deg} Chebyshev interpolant")
 
 
 def scalar_steering_u(prob: ScalarSteeringProblem) -> ScalarControl:
@@ -363,8 +358,8 @@ def scalar_steering_u(prob: ScalarSteeringProblem) -> ScalarControl:
     The polynomial part matches the boundary data and the integral; the
     flat bump amplitude d0 is the smallest value on a doubling ladder that
     clears the floor on a 1001-point grid.  A weighted integral that does
-    not converge, or a running integral that misses gamma by more than
-    1e-9 max(1, |gamma|), raises IntegrationFailureError.
+    not converge, or a running integral that is not resolved or misses gamma
+    by more than 1e-9 max(1, |gamma|), raises IntegrationFailureError.
     """
     f = prob.f
     rho0, rho1 = np.broadcast_to(prob.rho(np.array([0.0, 1.0])), 2)
@@ -373,25 +368,13 @@ def scalar_steering_u(prob: ScalarSteeringProblem) -> ScalarControl:
             f"floor hypotheses violated: rho(0)={rho0:.3e}, rho(1)-gamma={rho1 - prob.gamma:.3e}")
     h_order = len(prob.alpha) - 1
 
-    a = np.array([prob.alpha[i] / math.factorial(i) for i in range(h_order + 1)])
-
-    # b(t) = t^{H+1} sum b_i (1-t)^i fixes the derivatives at t = 1 triangularly.
-    t_pow = np.zeros(h_order + 2)
-    t_pow[-1] = 1.0
-    phis = [P.polymul(t_pow, P.polypow([1.0, -1.0], i)) for i in range(h_order + 1)]
-    tri = np.zeros((h_order + 1, h_order + 1))
-    rhs = np.zeros(h_order + 1)
-    for j in range(h_order + 1):
-        for i in range(j + 1):
-            tri[j, i] = P.polyval(1.0, P.polyder(phis[i], j))
-        rhs[j] = prob.beta[j] - P.polyval(1.0, P.polyder(a, j))
-    b_coefs = np.linalg.solve(tri, rhs)
-    b_poly = np.zeros(1)
-    for i, bi in enumerate(b_coefs):
-        b_poly = P.polyadd(b_poly, bi * phis[i])
-
-    psi_poly = P.polymul(t_pow, P.polypow([1.0, -1.0], h_order + 1))
-    ab = P.polyadd(a, b_poly)
+    # Two-point Hermite polynomial of degree 2H + 1 from its confluent
+    # Vandermonde rows: orders 0..H of each power t^k at t = 0, then at t = 1.
+    powers = np.eye(2 * h_order + 2)  # column k: t^k
+    vander = [P.polyval(x, P.polyder(powers, j)) for x in (0.0, 1.0)
+              for j in range(h_order + 1)]
+    ab = np.linalg.solve(vander, np.concatenate([prob.alpha, prob.beta]))
+    psi_poly = P.polypow([0.0, 1.0, -1.0], h_order + 1)  # t^{H+1} (1-t)^{H+1}
     int_ab, _, sat_ab = adaptive_gk(lambda ts: f(ts) * P.polyval(ts, ab),
                                     0.0, 1.0, atol=1e-12, rtol=1e-13)
     int_psi, _, sat_psi = adaptive_gk(lambda ts: f(ts) * P.polyval(ts, psi_poly),
@@ -402,7 +385,7 @@ def scalar_steering_u(prob: ScalarSteeringProblem) -> ScalarControl:
     c0 = (prob.gamma - float(int_ab)) / float(int_psi)
     poly = P.polyadd(ab, c0 * psi_poly)
 
-    cum = _cumulative_weighted(f, lambda t: P.polyval(t, poly))
+    cum = _cumulative_weighted(f, poly)
     residual = abs(float(cum(1.0)) - prob.gamma)
     if not residual <= 1e-9 * max(1.0, abs(prob.gamma)):
         raise IntegrationFailureError(
@@ -576,8 +559,7 @@ def _layer_entries(sig0, sig1, m_y, nu_c, h_order):
             break
 
         # Corner sigma_mm driven by g_m (the next-column head, or U_m at m = n).
-        m_mm = m_y.entry(m - 1, m - 1)
-        cum_m = _cumulative_weighted(weight, lambda t, c=m_mm: P.polyval(t, c))
+        cum_m = _cumulative_weighted(weight, m_y.entry(m - 1, m - 1))
         s_mm_0 = sig0[m - 1, m - 1]
         s_mm_1 = sig1[m - 1, m - 1]
         start = f_at_0 * s_mm_0
@@ -624,11 +606,7 @@ def construct_feasible_steering(a: np.ndarray, b: np.ndarray, bd: BoundaryData,
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 1:
-        b = b[:, None]
-    n, p = b.shape
+    n = np.atleast_2d(a).shape[0]  # canonical_transform checks (A, B) itself
     if n > 3:
         raise PreconditionError("constructive steering is limited to n <= 3")
     if bd.sigma0.shape != (n, n):

@@ -18,7 +18,7 @@ class PreconditionError(CovsteerError):
 
 
 class IntegrationFailureError(CovsteerError):
-    """The adaptive step controller failed (underflow / pathological stiffness)."""
+    """A numerical integration failed or could not meet its error estimate."""
 
 
 class SingularTransitionError(CovsteerError):

@@ -269,7 +269,8 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Initial and target state covariances, both strictly positive definite."""
+    """Initial and target state covariances of one shape, both strictly
+    positive definite."""
 
     sigma0: np.ndarray
     sigma1: np.ndarray
@@ -284,6 +285,9 @@ class BoundaryData:
             if np.min(np.linalg.eigvalsh(symmetrize(arr))) <= 0.0:
                 raise ValueError(f"{name} is not positive definite")
             object.__setattr__(self, name, arr)
+        if self.sigma0.shape != self.sigma1.shape:
+            raise DimensionError(
+                f"sigma0 is {self.sigma0.shape} but sigma1 is {self.sigma1.shape}")
 
 
 @dataclass(frozen=True)

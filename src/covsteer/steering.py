@@ -99,14 +99,21 @@ def _transported_noise(sys: SystemSpec, g: np.ndarray, s: np.ndarray) -> np.ndar
 
 def map_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
           path: TransitionPath | None = None) -> np.ndarray:
-    """Terminal covariance reached from Sigma0 under the costate anchor Pi0."""
+    """Terminal covariance reached from Sigma0 under the costate anchor Pi0.
+
+    A quadrature that saturates before its tolerance raises
+    IntegrationFailureError.
+    """
     pi0 = symmetrize(np.asarray(pi0, dtype=float))
     sigma0 = np.asarray(sigma0, dtype=float)
     path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
     _require_admissible(pi0, _upper_bound_10(path))
 
-    integral, _, _ = adaptive_gk(lambda ss: _transported_noise(sys, _phi_pi(path, pi0, ss)[0], ss),
-                                 0.0, 1.0, atol=QUAD_ATOL, rtol=QUAD_RTOL)
+    integral, _, saturated = adaptive_gk(
+        lambda ss: _transported_noise(sys, _phi_pi(path, pi0, ss)[0], ss),
+        0.0, 1.0, atol=QUAD_ATOL, rtol=QUAD_RTOL)
+    if saturated:
+        raise IntegrationFailureError("boundary-map quadrature saturated")
     phi10 = _phi_pi(path, pi0, 1.0)[0]
     return symmetrize(phi10 @ (sigma0 + integral) @ phi10.T)
 
@@ -210,7 +217,8 @@ def _newton(sys, path, sigma0, target, pi_init, tol, basis):
     a fixed fraction of the distance to the admissibility boundary along the
     Newton direction, then halved until the candidate's pass succeeds with a
     smaller residual; the accepted pass is the next iteration's workspace.
-    At most MAX_PASSES passes are spent, accepted or not.
+    At most MAX_PASSES passes are spent, accepted or not.  A converged
+    iterate whose pass saturated raises IntegrationFailureError.
     """
     u10 = _upper_bound_10(path)
     target_norm = np.linalg.norm(target)
@@ -222,6 +230,10 @@ def _newton(sys, path, sigma0, target, pi_init, tol, basis):
         resid_mat = ws.f_value - target
         rel = float(np.linalg.norm(resid_mat) / target_norm)
         if rel <= tol:
+            if ws.saturated:
+                raise IntegrationFailureError(
+                    f"converged boundary map is from a saturated quadrature "
+                    f"(error estimate {ws.quad_error:.3e})")
             trace.append((it, rel, 0.0))
             return pi, rel, trace, True
         jac_red = basis.T @ ws.jac @ basis

@@ -20,8 +20,8 @@ from ._quad import adaptive_gk
 from .errors import IntegrationFailureError, RiccatiNonexistenceError, SingularTransitionError
 from .matfun import MatrixPoly, SystemSpec, symmetrize
 
-DEFAULT_RTOL = 1e-10
-DEFAULT_ATOL = 1e-13
+RTOL = 1e-10  # every transition integration's tolerances
+ATOL = 1e-13
 COND_LIMIT = 1e12
 QUAD_ATOL = 1e-10  # gramian_identity's quadrature tolerance
 PHI_CHUNK = 256  # times per dense-output call; one call per grid cost 0.3-0.6 MB of peak RSS
@@ -63,7 +63,7 @@ def hamiltonian(sys: SystemSpec):
     return m_of_t
 
 
-def _integrate_phi(m_of_t, dim, s, t, rtol, atol, dense=False):
+def _integrate_phi(m_of_t, dim, s, t, dense=False):
     if t == s and not dense:
         return np.eye(dim)
 
@@ -71,7 +71,7 @@ def _integrate_phi(m_of_t, dim, s, t, rtol, atol, dense=False):
         return (m_of_t(tau) @ y.reshape(dim, dim)).reshape(-1)
 
     sol = solve_ivp(rhs, (s, t), np.eye(dim).reshape(-1), method="RK45",
-                    rtol=rtol, atol=atol, dense_output=dense)
+                    rtol=RTOL, atol=ATOL, dense_output=dense)
     if not sol.success:
         raise IntegrationFailureError(
             f"transition integration failed on [{s}, {t}]: {sol.message}")
@@ -109,7 +109,6 @@ class TransitionBlocks:
     phi22: np.ndarray
     t: float
     s: float
-    tol: float
     identity_residuals: dict
     cond11: float
     cond22: float
@@ -132,23 +131,19 @@ def _symplectic_identity_residuals(p11, p12, p21, p22):
     }
 
 
-def _make_blocks(phi, t, s, tol):
+def _make_blocks(phi, t, s):
     n = phi.shape[0] // 2
     p11, p12 = phi[:n, :n], phi[:n, n:]
     p21, p22 = phi[n:, :n], phi[n:, n:]
     return TransitionBlocks(
-        phi11=p11, phi12=p12, phi21=p21, phi22=p22, t=t, s=s, tol=tol,
+        phi11=p11, phi12=p12, phi21=p21, phi22=p22, t=t, s=s,
         identity_residuals=_symplectic_identity_residuals(p11, p12, p21, p22),
         cond11=float(np.linalg.cond(p11)), cond22=float(np.linalg.cond(p22)))
 
 
-def transition_blocks(sys: SystemSpec, t: float, s: float,
-                      rtol: float = DEFAULT_RTOL,
-                      atol: float = DEFAULT_ATOL) -> TransitionBlocks:
+def transition_blocks(sys: SystemSpec, t: float, s: float) -> TransitionBlocks:
     """Blocks of Phi_M(t, s) by direct adaptive integration from s to t."""
-    dim = 2 * sys.n
-    phi = _integrate_phi(hamiltonian(sys), dim, s, t, rtol, atol)
-    return _make_blocks(phi, t, s, rtol)
+    return _make_blocks(_integrate_phi(hamiltonian(sys), 2 * sys.n, s, t), t, s)
 
 
 class TransitionPath:
@@ -159,21 +154,18 @@ class TransitionPath:
     after construction and safe to share across threads.
     """
 
-    def __init__(self, sys: SystemSpec, anchor: float = 0.0,
-                 span: tuple = (0.0, 1.0), rtol: float = DEFAULT_RTOL,
-                 atol: float = DEFAULT_ATOL):
+    def __init__(self, sys: SystemSpec, anchor: float = 0.0, span: tuple = (0.0, 1.0)):
         self.sys = sys
         self.anchor = float(anchor)
-        self.rtol = rtol
         self.dim = 2 * sys.n
         m_of_t = hamiltonian(sys)
         self._fwd = None
         self._bwd = None
         lo, hi = span
         if hi > anchor:
-            self._fwd = _integrate_phi(m_of_t, self.dim, anchor, hi, rtol, atol, dense=True)
+            self._fwd = _integrate_phi(m_of_t, self.dim, anchor, hi, dense=True)
         if lo < anchor:
-            self._bwd = _integrate_phi(m_of_t, self.dim, anchor, lo, rtol, atol, dense=True)
+            self._bwd = _integrate_phi(m_of_t, self.dim, anchor, lo, dense=True)
 
     def phi(self, t) -> np.ndarray:
         """Phi_M(t, anchor); an array of k times gives a (k, dim, dim) stack."""
@@ -191,7 +183,7 @@ class TransitionPath:
         return out if ts.ndim else out[0]
 
     def blocks(self, t: float) -> TransitionBlocks:
-        return _make_blocks(self.phi(t), t, self.anchor, self.rtol)
+        return _make_blocks(self.phi(t), t, self.anchor)
 
     def raw_blocks(self, t) -> tuple:
         """(phi11, phi12, phi21, phi22) without diagnostics; stacks for an array of times."""
@@ -208,7 +200,7 @@ def symplectic_residuals(sys: SystemSpec, blocks: TransitionBlocks) -> dict:
     blocks under argument reversal; the reversed blocks come from a second
     integration, not from inverting the forward result.
     """
-    rev = transition_blocks(sys, blocks.s, blocks.t, rtol=blocks.tol)
+    rev = transition_blocks(sys, blocks.s, blocks.t)
     out = dict(blocks.identity_residuals)
     out["phi11_reversal"] = float(np.max(np.abs(blocks.phi11 - rev.phi22.T)))
     out["phi12_antisymmetry"] = float(np.max(np.abs(blocks.phi12 + rev.phi12.T)))
@@ -255,7 +247,7 @@ def _symplectic_inverse(phi: np.ndarray) -> np.ndarray:
     return np.block([[tr[..., n:, n:], -tr[..., n:, :n]], [-tr[..., :n, n:], tr[..., :n, :n]]])
 
 
-def pi_bounds(sys: SystemSpec, t, rtol: float = DEFAULT_RTOL):
+def pi_bounds(sys: SystemSpec, t):
     """Existence bounds at t: (-phi12(0,t)^-1 phi11(0,t), -phi12(1,t)^-1 phi11(1,t)).
 
     Both sides read one path Phi_M(., 0): Phi_M(0,t) is the symplectic
@@ -276,7 +268,7 @@ def pi_bounds(sys: SystemSpec, t, rtol: float = DEFAULT_RTOL):
     if outside.size:
         raise ValueError(f"existence bounds need times in [0, 1], got {outside[0]}")
     n = sys.n
-    path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0), rtol=rtol)
+    path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
     phi_0t = _symplectic_inverse(path.phi(flat))
     phi_1t = path.phi(1.0) @ phi_0t
     lower = [PiBound("neg_inf")] * flat.size

@@ -16,6 +16,7 @@ from covsteer.cli import (
     main,
     parse_config,
 )
+from covsteer.errors import ConfigError
 
 
 @pytest.fixture()
@@ -43,6 +44,25 @@ def test_config_round_trip(example_raw):
     assert again.raw == example_raw
     assert again.system.n == 2
     assert cfg.boundary is not None
+
+
+def test_unknown_option_is_config_error(tmp_path, example_raw, capsys):
+    # A misspelt key would otherwise leave its option at the default.
+    example_raw["options"]["path"] = 5
+    with pytest.raises(ConfigError, match="unknown option"):
+        RunConfig(example_raw)
+    rc = main(["solve", "--config", write_cfg(tmp_path, example_raw),
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert "config error: unknown option(s): path" in capsys.readouterr().out
+
+
+def test_mismatched_boundary_shapes_are_config_error(tmp_path, example_raw, capsys):
+    example_raw["boundary"]["sigma1"] = np.eye(3).tolist()
+    rc = main(["solve", "--config", write_cfg(tmp_path, example_raw),
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert "bad boundary block: sigma0 is (2, 2) but sigma1 is (3, 3)" in capsys.readouterr().out
 
 
 def test_missing_config_is_config_error(tmp_path):

@@ -150,14 +150,47 @@ def test_scalar_steering_zero_case():
 
 
 def test_scalar_steering_first_order_data():
+    # Boundary data of orders 0..H for H = 1, 2, 3: the Hermite polynomial
+    # meets every order at both ends.
+    for alpha, beta in (((0.0, 1.0), (0.0, -1.0)),
+                        ((0.5, 1.0, -2.0), (0.3, -1.0, 4.0)),
+                        ((1.0, 0.5, -2.0, 6.0), (-0.5, 2.0, 1.0, -3.0))):
+        u = scalar_steering_u(ScalarSteeringProblem(
+            f=lambda t: 1.0, gamma=0.0, alpha=alpha, beta=beta, rho=lambda t: -1.0))
+        for order, (at_0, at_1) in enumerate(zip(alpha, beta)):
+            assert abs(u.derivative(0.0, order) - at_0) <= 1e-9
+            assert abs(u.derivative(1.0, order) - at_1) <= 1e-9
+        assert u.verification["integral_residual"] <= 1e-9
+
+
+def test_running_integral_refuses_a_kinked_weight():
+    # The running integral interpolates the weight by Chebyshev polynomials,
+    # which a kink leaves unresolved through degree 256; the integral target
+    # itself converges (the kink sits on a panel end).
+    with pytest.raises(IntegrationFailureError, match="weight not resolved"):
+        scalar_steering_u(ScalarSteeringProblem(
+            f=lambda t: 1.0 + np.abs(t - 0.5), gamma=1.0, alpha=(0.0,), beta=(0.0,),
+            rho=lambda t: -1.0))
+
+
+def test_running_integral_of_a_control_with_cancelling_terms():
+    # This H = 4 control has monomial coefficients near 1e3 that cancel, so
+    # its rounding is above 1e-13 of its size: a running integral that
+    # interpolated f u, not the weight alone, would find no resolving degree.
     u = scalar_steering_u(ScalarSteeringProblem(
-        f=lambda t: 1.0, gamma=0.0, alpha=(0.0, 1.0), beta=(0.0, -1.0),
+        f=lambda t: 1.0, gamma=-0.62, alpha=(-3.8, 0.81, 0.47, -0.56, -7.55),
+        beta=(-1.62, -0.15, 0.34, -4.59, -1.43), rho=lambda t: -1.0))
+    assert u.verification["integral_residual"] <= 1e-12
+    assert np.max(np.abs(u.poly)) >= 1e3
+
+
+def test_running_integral_meets_the_gate_on_a_steep_weight():
+    # f = exp(20 (1 - t)) spans more than eight decades over the horizon.
+    u = scalar_steering_u(ScalarSteeringProblem(
+        f=ExpIntegralWeight((10.0,)), gamma=1.0, alpha=(0.0,), beta=(0.0,),
         rho=lambda t: -1.0))
-    assert abs(u.value(0.0)) <= 1e-9
-    assert abs(u.derivative(0.0, 1) - 1.0) <= 1e-9
-    assert abs(u.value(1.0)) <= 1e-9
-    assert abs(u.derivative(1.0, 1) + 1.0) <= 1e-9
     assert u.verification["integral_residual"] <= 1e-9
+    assert abs(u.poly_integral(1.0) - 1.0) <= 1e-9
 
 
 def test_scalar_steering_needs_bump():

@@ -200,3 +200,8 @@ def test_boundary_data_requires_positive_definite():
         BoundaryData(sigma0=np.zeros((2, 2)), sigma1=np.eye(2))
     bd = BoundaryData(sigma0=np.eye(2), sigma1=np.diag([0.3, 0.2]))
     assert_allclose(bd.sigma1, np.diag([0.3, 0.2]))
+
+
+def test_boundary_data_refuses_mismatched_shapes():
+    with pytest.raises(DimensionError, match=r"sigma0 is \(2, 2\) but sigma1 is \(3, 3\)"):
+        BoundaryData(sigma0=np.eye(2), sigma1=np.eye(3))

@@ -126,6 +126,19 @@ def test_jacobian_reports_quadrature_saturation():
     times = [s for s, _, _ in edge.nodes]
     assert times == sorted(times) and 0.0 < times[0] and times[-1] < 1.0
     assert edge.quad_error > 1e3 * inside.quad_error
+    # map_f's quadrature, capped at 2000 panels, saturates there too; the
+    # unconverged value is refused, not returned.
+    with pytest.raises(IntegrationFailureError, match="saturated"):
+        map_f(sys, np.eye(2), upper - 1e-8 * np.eye(2))
+
+
+def test_newton_refuses_a_converged_saturated_pass(monkeypatch):
+    # A converged residual read from a saturated quadrature is not accepted.
+    real = steering.jacobian_f
+    monkeypatch.setattr(steering, "jacobian_f", lambda *args, **kwargs: replace(
+        real(*args, **kwargs), saturated=True))
+    with pytest.raises(IntegrationFailureError, match="saturated quadrature"):
+        solve_boundary(example_system(), WORKED_TARGET)
 
 
 def test_jacobian_commutes_with_transpose_swap():

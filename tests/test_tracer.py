@@ -22,10 +22,19 @@ tracer = Tracer()
 tracer.install()
 
 import covsteer
+from covsteer.controllability import canonical_chain_pair
 from covsteer.matfun import BoundaryData, MatrixPoly, SystemSpec
 
 one, zero = MatrixPoly.constant([[1.0]]), MatrixPoly.constant([[0.0]])
 sys_ = SystemSpec(n=1, p=1, q=1, A=zero, B=one, C=one, D=one, nu=zero, Q=zero, R=one)
+covsteer.validate_system(sys_)
+covsteer.classify(sys_)
+a2, b2 = canonical_chain_pair(2)
+covsteer.construct_feasible_steering(
+    a2, b2, BoundaryData(sigma0=np.eye(2), sigma1=np.diag([2.0, 1.0])),
+    MatrixPoly.constant(np.eye(2)), zero, grid_size=11)
+covsteer.maximal_interval(sys_, 0.0, np.zeros((1, 1)), (-0.5, 1.5))
+covsteer.integrate_general(sys_, np.zeros((1, 1)), grid_size=11)
 assert covsteer.existence_check(sys_, 0.0, np.zeros((1, 1))).exists
 covsteer.solve_closed_form(sys_, 0.0, np.zeros((1, 1)), 0.5)
 covsteer.transition_blocks(sys_, 1.0, 0.0)
@@ -33,7 +42,9 @@ covsteer.solve_boundary(sys_, BoundaryData(sigma0=[[1.0]], sigma1=[[0.5]]), grid
 names = {span[0] for span in tracer.spans}
 want = {"riccati.existence", "transition.path_build", "riccati.closed_form",
         "transition.direct", "steering.solve", "steering.jacobian", "steering.map_f",
-        "steering.propagate", "steering.cost", "steering.gain_grid"}
+        "steering.propagate", "steering.cost", "steering.gain_grid",
+        "matfun.validate", "controllability.classify", "controllability.construct",
+        "riccati.maxint", "riccati.integrate_general"}
 assert want <= names, sorted(names)
 counts = tracer.counts["setup"]
 assert counts["transition.rhs_evals"] > 0 and counts["transition.phi_evals"] > 0, counts
