@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import RiccatiNonexistenceError
 from .matfun import SystemSpec, symmetrize
@@ -177,6 +176,8 @@ def integrate_general(sys: SystemSpec, pi_0: np.ndarray,
     Blow-up (norm above 1e12 or solver failure) is a reported outcome:
     exists=False with the escape time, never an exception.
     """
+    from scipy.integrate import solve_ivp
+
     n = sys.n
     pi_0 = symmetrize(np.asarray(pi_0, dtype=float))
     times = np.linspace(0.0, 1.0, grid_size)

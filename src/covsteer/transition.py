@@ -1,30 +1,34 @@
 """Hamiltonian state transition matrix of the steering problem.
 
-The 2n x 2n matrix M(t) = [[A, -B R^-1 B'], [-Q, -A']] is integrated
-(after the normalization A <- A + nu I, under which all block formulas
-hold verbatim and the Riccati/Lyapunov solutions are unchanged) to obtain
-the blocks Phi11, Phi12, Phi21, Phi22 of its transition matrix.  The
-blocks satisfy a family of symplectic identities that are computed and
-attached for verification, and they furnish the existence bounds and
-Gramian identity used by the Riccati and steering layers.  The library
-reads every block from a dense TransitionPath; transition_blocks, a direct
-integration, serves only as the independent oracle in symplectic_residuals.
+The 2n x 2n matrix M(t) = [[A, -B R^-1 B'], [-Q, -A']], after the
+normalization A <- A + nu I (under which all block formulas hold verbatim
+and the Riccati/Lyapunov solutions are unchanged), has the transition
+matrix with blocks Phi11, Phi12, Phi21, Phi22.  They satisfy a family of
+symplectic identities that are computed and attached for verification, and
+furnish the existence bounds and Gramian identity used by the Riccati and
+steering layers.  The library reads every block from a TransitionPath, a
+piecewise Chebyshev series; transition_blocks, a direct RK45 integration,
+serves only as the independent oracle in symplectic_residuals.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from numpy.polynomial import chebyshev as C
 
 from ._quad import adaptive_gk
 from .errors import IntegrationFailureError, RiccatiNonexistenceError, SingularTransitionError
 from .matfun import MatrixPoly, SystemSpec, symmetrize
 
-RTOL = 1e-10  # every transition integration's tolerances
+RTOL = 1e-10  # transition_blocks' integration tolerances
 ATOL = 1e-13
 COND_LIMIT = 1e12
 QUAD_ATOL = 1e-10  # gramian_identity's quadrature tolerance
-PHI_CHUNK = 256  # times per dense-output call; one call per grid cost 0.3-0.6 MB of peak RSS
+PANEL_NORM = 4.0  # bound on h max||M||_2 per path panel (near 10, 7 digits were lost)
+CHEB_DEGREES = (16, 32, 64, 128, 256)
+CHEB_TAIL_RTOL = 1e-13  # bound on a panel's upper-half coefficients, relative to the largest
 
 
 def _brb(b: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -39,7 +43,7 @@ def b_rinv_bt(sys: SystemSpec, t) -> np.ndarray:
 
 
 def hamiltonian(sys: SystemSpec):
-    """Callable t -> M(t) for the system with nu folded into A.
+    """Callable t -> M(t), or the (k, 2n, 2n) stack on k times, with nu folded into A.
 
     Identity-like multiplicative channels are folded into nu, so the
     deterministic pair A + nu I, B carries the full state-dependent rate.
@@ -52,32 +56,16 @@ def hamiltonian(sys: SystemSpec):
     packed = MatrixPoly.hstack([sys.A, sys.Q, sys.B, nu_col])
 
     def m_of_t(t):
-        v = packed.eval(t)
-        m = np.empty((2 * n, 2 * n))
-        m[:n, :n] = v[:, :n] + v[0, -1] * eye
-        m[:n, n:] = -_brb(v[:, 2 * n: 2 * n + p], sys.R.eval(t))
-        m[n:, :n] = -v[:, n: 2 * n]
-        m[n:, n:] = -m[:n, :n].T
+        tt = np.asarray(t, dtype=float)[..., None, None]
+        v = packed.eval(tt)
+        m = np.empty(v.shape[:-2] + (2 * n, 2 * n))
+        m[..., :n, :n] = v[..., :n] + v[..., :1, -1:] * eye
+        m[..., :n, n:] = -_brb(v[..., 2 * n: 2 * n + p], sys.R.eval(tt))
+        m[..., n:, :n] = -v[..., n: 2 * n]
+        m[..., n:, n:] = -np.swapaxes(m[..., :n, :n], -1, -2)
         return m
 
     return m_of_t
-
-
-def _integrate_phi(m_of_t, dim, s, t, dense=False):
-    if t == s and not dense:
-        return np.eye(dim)
-
-    def rhs(tau, y):
-        return (m_of_t(tau) @ y.reshape(dim, dim)).reshape(-1)
-
-    sol = solve_ivp(rhs, (s, t), np.eye(dim).reshape(-1), method="RK45",
-                    rtol=RTOL, atol=ATOL, dense_output=dense)
-    if not sol.success:
-        raise IntegrationFailureError(
-            f"transition integration failed on [{s}, {t}]: {sol.message}")
-    if dense:
-        return sol
-    return sol.y[:, -1].reshape(dim, dim)
 
 
 def solve_with_cond_check(mat, rhs=None, what="matrix"):
@@ -142,44 +130,95 @@ def _make_blocks(phi, t, s):
 
 
 def transition_blocks(sys: SystemSpec, t: float, s: float) -> TransitionBlocks:
-    """Blocks of Phi_M(t, s) by direct adaptive integration from s to t."""
-    return _make_blocks(_integrate_phi(hamiltonian(sys), 2 * sys.n, s, t), t, s)
+    """Blocks of Phi_M(t, s) by direct RK45 integration from s to t."""
+    from scipy.integrate import solve_ivp
+
+    dim, m_of_t = 2 * sys.n, hamiltonian(sys)
+    phi = np.eye(dim)
+    if t != s:
+        sol = solve_ivp(lambda tau, y: (m_of_t(tau) @ y.reshape(dim, dim)).reshape(-1), (s, t),
+                        phi.reshape(-1), method="RK45", rtol=RTOL, atol=ATOL)
+        if not sol.success:
+            raise IntegrationFailureError(
+                f"transition integration failed on [{s}, {t}]: {sol.message}")
+        phi = sol.y[:, -1].reshape(dim, dim)
+    return _make_blocks(phi, t, s)
+
+
+@functools.cache
+def _cheb_operators(deg):
+    """Lobatto nodes on [-1, 1], values-to-coefficients and unit-panel integration from -1."""
+    x = -np.cos(np.pi * np.arange(deg + 1) / deg)
+    to_coef = np.linalg.inv(C.chebvander(x, deg))
+    cumulative = 0.5 * C.chebvander(x, deg + 1) @ C.chebint(np.eye(deg + 1), lbnd=-1) @ to_coef
+    return x, to_coef, cumulative
+
+
+def _panel(m_of_t, phi0, start, step):
+    """(degree, tail, node values, coefficients) of Phi on [start, start + step] from
+    Phi(start) = phi0: the Volterra form Phi = phi0 + int M Phi as (I - step S M) Phi = phi0."""
+    dim = len(phi0)
+    for deg in CHEB_DEGREES:
+        x, to_coef, cumulative = _cheb_operators(deg)
+        op = np.empty(((deg + 1) * dim,) * 2)
+        np.einsum("ij,jab->iajb", -step * cumulative, m_of_t(start + 0.5 * step * (x + 1.0)),
+                  out=op.reshape(deg + 1, dim, deg + 1, dim))
+        op.flat[:: len(op) + 1] += 1.0
+        vals = np.linalg.solve(op, np.tile(phi0, (deg + 1, 1))).reshape(deg + 1, dim, dim)
+        coef = (to_coef @ vals.reshape(deg + 1, -1)).reshape(deg + 1, dim, dim)
+        tail = np.max(np.abs(coef[deg // 2:])) / np.max(np.abs(coef))
+        if tail <= CHEB_TAIL_RTOL:  # also refuses NaN
+            return deg, float(tail), vals, coef
+    raise IntegrationFailureError(f"transition path unresolved at degree {deg} from t={start}")
 
 
 class TransitionPath:
-    """Dense transition matrix Phi_M(., anchor) over a span, one integration.
+    """Phi_M(., anchor) over a span as a piecewise Chebyshev series.
 
-    blocks(t) interpolates the stored dense solution; results match direct
-    integration to the integration tolerance.  Instances are immutable
-    after construction and safe to share across threads.
+    Each side of the anchor is split into equal panels of length h <= 1 with
+    h max||M||_2 <= PANEL_NORM at 17 Chebyshev points of the side; each is one
+    spectral solve, chained by Phi(t, anchor) = Phi(t, t_k) Phi(t_k, anchor).
+    degree and tail are the largest accepted degree and tail ratio, and
+    symplectic_drift the largest ||Phi'J Phi - J||_F / max(1, ||Phi||_F^2) at
+    the nodes.  Immutable after construction, so safe to share across threads.
     """
 
     def __init__(self, sys: SystemSpec, anchor: float = 0.0, span: tuple = (0.0, 1.0)):
-        self.sys = sys
         self.anchor = float(anchor)
-        self.dim = 2 * sys.n
-        m_of_t = hamiltonian(sys)
-        self._fwd = None
-        self._bwd = None
-        lo, hi = span
-        if hi > anchor:
-            self._fwd = _integrate_phi(m_of_t, self.dim, anchor, hi, dense=True)
-        if lo < anchor:
-            self._bwd = _integrate_phi(m_of_t, self.dim, anchor, lo, dense=True)
+        m_of_t, self.dim = hamiltonian(sys), 2 * sys.n
+        stats, self._panels = [(0, 0.0, 0.0)], []  # (start, end, coefficients of Phi(., anchor))
+        for end in (e for e in span if e != self.anchor):  # the span holds the anchor
+            probes = 0.5 * (self.anchor + end + (end - self.anchor) * _cheb_operators(16)[0])
+            count = abs(end - self.anchor) * max(
+                1.0, np.max(np.linalg.norm(m_of_t(probes), 2, axis=(1, 2))) / PANEL_NORM)
+            edges, phi0 = np.linspace(self.anchor, end, math.ceil(count) + 1), np.eye(self.dim)
+            for a, b in zip(edges[:-1], edges[1:]):
+                deg, tail, vals, coef = _panel(m_of_t, phi0, a, b - a)
+                # Phi^-1 Phi - I = -J(Phi'J Phi - J), on Phi / max(1, ||Phi||) against overflow
+                scale = np.maximum(1.0, np.linalg.norm(vals, axis=(1, 2)))[:, None, None]
+                unit = vals / scale
+                drift = np.linalg.norm(_symplectic_inverse(unit) @ unit
+                                       - np.eye(self.dim) / scale ** 2, axis=(1, 2))
+                stats.append((deg, tail, float(np.max(drift))))
+                self._panels.append((a, b, coef))
+                phi0 = vals[-1]
+        self.degree, self.tail, self.symplectic_drift = map(max, zip(*stats))
 
     def phi(self, t) -> np.ndarray:
         """Phi_M(t, anchor); an array of k times gives a (k, dim, dim) stack."""
         ts = np.asarray(t, dtype=float)
         flat = np.atleast_1d(ts)
         out = np.empty((flat.size, self.dim, self.dim))
-        out[flat == self.anchor] = np.eye(self.dim)
-        rows = out.reshape(flat.size, -1)
-        for sol, side in ((self._fwd, flat > self.anchor), (self._bwd, flat < self.anchor)):
-            idx = np.flatnonzero(side)
-            if idx.size and sol is None:
-                raise ValueError(f"t={flat[idx[0]]} outside the integrated span")
-            for lo in range(0, idx.size, PHI_CHUNK):
-                rows[idx[lo:lo + PHI_CHUNK]] = sol.sol(flat[idx[lo:lo + PHI_CHUNK]]).T
+        done = flat == self.anchor
+        out[done] = np.eye(self.dim)
+        for start, end, coef in self._panels:
+            frac = (flat - start) / (end - start)
+            sel = np.flatnonzero((frac > 0.0) & (frac <= 1.0))  # an edge reads the inner panel
+            vander = C.chebvander(2.0 * frac[sel] - 1.0, len(coef) - 1)
+            out[sel] = (vander @ coef.reshape(len(coef), -1)).reshape(-1, self.dim, self.dim)
+            done[sel] = True
+        if not done.all():
+            raise ValueError(f"t={flat[~done][0]} outside the integrated span")
         return out if ts.ndim else out[0]
 
     def blocks(self, t: float) -> TransitionBlocks:

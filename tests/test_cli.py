@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -241,3 +243,25 @@ def test_construct_command(tmp_path, example_raw):
     assert max(layers["endpoint_errors"]) <= 1e-6
     header, rows = read_csv(os.path.join(out, "construct_covariance.csv"))
     assert abs(rows[-1][1] - 0.3) <= 1e-6
+
+
+_SCIPY_FREE = """
+import sys
+import covsteer.cli
+assert "scipy" not in sys.modules, "import covsteer.cli loaded scipy"
+from covsteer.cli import EXIT_OK, example_config_path, main
+for command in ("solve", "construct"):
+    rc = main([command, "--config", example_config_path(), "--out", sys.argv[1] + "/" + command])
+    assert rc == EXIT_OK, (command, rc)
+    assert "scipy" not in sys.modules, f"covsteer {command} loaded scipy"
+"""
+
+
+def test_import_and_solve_load_no_scipy(tmp_path):
+    # Only the RK45 oracle transition_blocks and integrate_general need scipy.
+    # A fresh interpreter, as an earlier test in this process may import it.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from covsteer.errors import RiccatiNonexistenceError
 from covsteer.matfun import MatrixPoly, symmetrize
-from covsteer.transition import TransitionPath, pi_bounds
+from covsteer.transition import COND_LIMIT, TransitionPath, pi_bounds
 from covsteer.riccati import (
     closed_form_on_path,
     existence_check,
@@ -16,6 +16,7 @@ from covsteer.riccati import (
 from helpers import (
     chain_system,
     const,
+    expm_blocks,
     integrate_riccati_oracle,
     make_system,
     random_admissible_pi0,
@@ -155,16 +156,20 @@ def test_bound_sandwich_on_solution_grid():
 
 
 def test_integrate_general_keeps_well_conditioned_bounds():
-    # On the n = 3 chain phi12(0, t) is ill-conditioned only at t = 0.001
-    # (cond 7e14, 2.7e11 at t = 0.002), phi12(1, t) only next to t = 1.
+    # On the constant n = 3 chain the exact cond phi12(0, t) from expm is 7.2e14,
+    # 4.5e13, 8.9e12, 2.8e12 and 1.2e12 at t = 0.001..0.005 and 5.6e11 at 0.006;
+    # cond phi12(1, t) mirrors it on t = 0.995..0.999.  Exactly the sides above
+    # COND_LIMIT are None.
     sys = chain_system()
     sol = integrate_general(sys, np.zeros((3, 3)), grid_size=1001)
     assert sol.exists and sol.bounds is not None
     times = np.array([t for t, _ in sol.grid])
     lower_none = [t for t, (lower, _) in zip(times, sol.bounds) if lower is None]
     upper_none = [t for t, (_, upper) in zip(times, sol.bounds) if upper is None]
-    assert lower_none == [0.001]
-    assert upper_none and min(upper_none) >= 0.99
+    for got, end in ((lower_none, 0.0), (upper_none, 1.0)):
+        want = [t for t in times if t != end
+                and np.linalg.cond(expm_blocks(sys, end, t)[1]) > COND_LIMIT]
+        assert len(want) == 5 and got == want
     kept = [k for k, t in enumerate(times) if 0.01 <= t <= 0.9]
     want = pi_bounds(sys, times[kept])
     for k, want_pair in zip(kept, want, strict=True):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_ivp
 
 from covsteer import steering
 from covsteer.errors import (
@@ -32,6 +33,7 @@ from helpers import (
     random_admissible_pi0,
     random_controllable_system,
     random_spd,
+    riccati_rhs,
     s1,
     example_system,
 )
@@ -321,6 +323,29 @@ def test_sigma_grid_does_not_depend_on_output_grid(contracting_case, grid_size):
     # Shared times agree to rounding, which the cancellation in phi11 + phi12
     # Pi0 (terms near 1, sum near 1e-3 at t = 1) amplifies to about 4e-10.
     assert np.max(np.abs(got - fine[::1000 // (grid_size - 1)])) <= 1e-10 * np.max(np.abs(fine))
+
+
+def test_map_f_matches_joint_riccati_lyapunov_reference(contracting_case):
+    # DOP853 at rtol 1e-13 on (Pi, Sigma) together, with Pi' from the direct
+    # Riccati right-hand side and Sigma' = Acl Sigma + Sigma Acl' + C D C' +
+    # 2 nu Sigma.  Phi_Pi(1, 0) = phi11 + phi12 Pi0 is about 1e-3 here, made
+    # of terms near 1, so the map amplifies the transition path's error.
+    sys, sigma0, pi0, _ = contracting_case
+    n, pi_rhs, nu = sys.n, riccati_rhs(sys), sys.identity_channel_nu()
+
+    def rhs(t, y):
+        pi, sig = y[: n * n], y[n * n:].reshape(n, n)
+        b, c = sys.B.eval(t), sys.C.eval(t)
+        acl = sys.A.eval(t) - b @ np.linalg.solve(sys.R.eval(t), b.T) @ pi.reshape(n, n)
+        dsig = acl @ sig + sig @ acl.T + c @ sys.D.eval(t) @ c.T \
+            + 2.0 * float(nu.eval(t)[0, 0]) * sig
+        return np.concatenate([pi_rhs(t, pi), dsig.reshape(-1)])
+
+    sol = solve_ivp(rhs, (0.0, 1.0), np.concatenate([pi0.reshape(-1), sigma0.reshape(-1)]),
+                    method="DOP853", rtol=1e-13, atol=1e-15)
+    assert sol.success
+    want = sol.y[n * n:, -1].reshape(n, n)
+    assert np.linalg.norm(map_f(sys, sigma0, pi0) - want) <= 1e-7 * np.linalg.norm(want)
 
 
 def test_propagate_covariance_checks_sigma1_against_map_f(monkeypatch):

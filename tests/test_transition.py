@@ -4,12 +4,15 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
+from covsteer import transition
 from covsteer._quad import adaptive_gk
-from covsteer.errors import SingularTransitionError
+from covsteer.errors import IntegrationFailureError, SingularTransitionError
 from covsteer.matfun import symmetrize
 from covsteer.riccati import closed_form_on_path
 from covsteer.steering import feedback_gain
 from covsteer.transition import (
+    CHEB_DEGREES,
+    CHEB_TAIL_RTOL,
     TransitionPath,
     gramian_identity,
     pi_bounds,
@@ -299,3 +302,52 @@ def test_batched_path_evaluation_matches_per_time(batched_case, ts):
     _assert_stacks_equal(np.stack([k for _, k in gains]),
                          np.stack([feedback_gain(sys, [(t, pi)])[0][1]
                                    for t, pi in zip(times, pis)]))
+
+
+def _phi_of(blocks):
+    return np.block([[blocks.phi11, blocks.phi12], [blocks.phi21, blocks.phi22]])
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 3), which=st.integers(0, 2),
+       interior=st.floats(0.05, 0.95), lo=st.floats(-0.5, 0.0), hi=st.floats(1.0, 1.5))
+def test_spectral_path_matches_oracle_and_stays_symplectic(seed, n, which, interior, lo, hi):
+    sys = random_controllable_system(np.random.default_rng(seed), n)
+    anchor = (0.0, 1.0, interior)[which]
+    path = TransitionPath(sys, anchor=anchor, span=(lo, hi))
+    assert path.degree in CHEB_DEGREES and path.tail <= CHEB_TAIL_RTOL
+    assert path.symplectic_drift <= 1e-12
+    # The RK45 oracle runs at rtol 1e-10, so it is the looser of the two.
+    for t in (lo, 0.5 * (lo + anchor), 0.5 * (anchor + hi), hi):
+        want = _phi_of(transition_blocks(sys, t, anchor))
+        assert np.max(np.abs(path.phi(t) - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+    # A side longer than 1 is split into panels.  Phi is continuous across
+    # their edges: an edge reads the inner panel, one ulp outward the next.
+    for start, end, _ in path._panels:
+        if start != anchor:
+            here, beyond = path.phi(np.array([start, np.nextafter(start, end)]))
+            assert np.max(np.abs(here - beyond)) <= 1e-12 * max(1.0, np.max(np.abs(here)))
+
+
+@pytest.mark.parametrize("c", [20.0, 50.0, 200.0])
+def test_spectral_path_on_a_large_drift_matches_closed_form(c):
+    # M = [[c, -1], [-1, -c]] squares to w^2 I with w^2 = c^2 + 1, so
+    # Phi(t, 0) = cosh(w t) I + sinh(w t) / w M.  Panels keep h ||M|| <= 4;
+    # one unit panel at c = 50 gave phi11(1) = 2.1e16 for 5.2e21, tail check passed.
+    sys = make_system(1, 1, 1, [[c]], [[1.0]], [[1.0]], [[1.0]], [[0.0]], [[1.0]], [[1.0]])
+    path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
+    w = np.hypot(c, 1.0)
+    ts = np.linspace(0.0, 1.0, 101)
+    want = (np.cosh(w * ts)[:, None, None] * np.eye(2)
+            + (np.sinh(w * ts) / w)[:, None, None] * np.array([[c, -1.0], [-1.0, -c]]))
+    err = np.linalg.norm(path.phi(ts) - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+    assert np.max(err) <= 1e-12
+    assert path.symplectic_drift <= 1e-12
+
+
+def test_unresolved_path_raises(monkeypatch):
+    # The worked example needs degree 32 on [0, 1]; with the ladder cut at
+    # 16 no degree passes the tail check, and nothing falls back.
+    monkeypatch.setattr(transition, "CHEB_DEGREES", (16,))
+    with pytest.raises(IntegrationFailureError, match="unresolved at degree 16"):
+        TransitionPath(example_system(), anchor=0.0, span=(0.0, 1.0))
