@@ -212,9 +212,13 @@ class TransitionPath:
         done = flat == self.anchor
         out[done] = np.eye(self.dim)
         for start, end, coef in self._panels:
-            frac = (flat - start) / (end - start)
-            sel = np.flatnonzero((frac > 0.0) & (frac <= 1.0))  # an edge reads the inner panel
-            vander = C.chebvander(2.0 * frac[sel] - 1.0, len(coef) - 1)
+            # Membership by comparison: dividing first overflows on a subnormal-width
+            # panel.  An edge reads the inner panel, and |t - start| <= |end - start|
+            # in rounding too, so the fraction stays in (0, 1].
+            sel = np.flatnonzero(((min(start, end) < flat) & (flat < max(start, end)))
+                                 | (flat == end))
+            frac = (flat[sel] - start) / (end - start)
+            vander = C.chebvander(2.0 * frac - 1.0, len(coef) - 1)
             out[sel] = (vander @ coef.reshape(len(coef), -1)).reshape(-1, self.dim, self.dim)
             done[sel] = True
         if not done.all():

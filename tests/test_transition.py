@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
@@ -311,6 +311,7 @@ def _phi_of(blocks):
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 3), which=st.integers(0, 2),
        interior=st.floats(0.05, 0.95), lo=st.floats(-0.5, 0.0), hi=st.floats(1.0, 1.5))
+@example(seed=0, n=1, which=0, interior=0.5, lo=-5e-324, hi=1.0)  # a subnormal-width side
 def test_spectral_path_matches_oracle_and_stays_symplectic(seed, n, which, interior, lo, hi):
     sys = random_controllable_system(np.random.default_rng(seed), n)
     anchor = (0.0, 1.0, interior)[which]
