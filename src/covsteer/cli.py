@@ -268,6 +268,7 @@ def _cmd_solve(cfg: RunConfig, out: str):
         "optimal_cost": sol.optimal_cost,
         "residual": sol.residual,
         "newton_iterations": len(sol.newton_trace),
+        **{key: getattr(sol, key) for key in ("sigma_error", "cost_error", "accepted_panels")},
         "pi0": [list(row) for row in sol.pi0],
     })
     print(f"solve converged: residual={sol.residual:.3e} cost={sol.optimal_cost:.6f}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._quad import adaptive_gk
+from ._quad import adaptive_gk, interpolant_integrals
 from .errors import (
     ChannelMismatchError,
     IntegrationFailureError,
@@ -32,18 +32,12 @@ QUAD_RTOL = 1e-9  # bounds the work when near-boundary integrands blow up
 NEWTON_TOL = 1e-8
 MAX_PASSES = 30  # jacobian_f passes per solve, accepted or not
 W_ZERO_TIME = 1e-8  # below this s the node weight W_s0 is the zero matrix
-# Sigma(t): Gauss-Legendre nodes per sub-interval (3 left Sigma(1) 7e-8 off
-# the adaptive value on a contracting instance, 5 leave 1e-10), sub-intervals
-# on [0, 1] at least, whatever the output grid, and sub-intervals per batch,
-# so that no stack exceeds about 0.2 MB (n = 3).
-SIGMA_GL_NODES = 5
-SIGMA_MIN_STEPS = 1000
-SIGMA_CHUNK = 128
 
 
 @dataclass(frozen=True)
 class SteeringSolution:
-    """Optimal steering data: costate anchor, schedules, and cost."""
+    """Optimal steering data: costate anchor, schedules, cost, error estimates
+    of sigma_grid and optimal_cost, and the panels of Newton's accepted pass."""
 
     pi0: np.ndarray
     pi_grid: tuple
@@ -52,18 +46,22 @@ class SteeringSolution:
     optimal_cost: float
     newton_trace: tuple
     residual: float
+    sigma_error: float
+    cost_error: float
+    accepted_panels: int
 
 
 @dataclass(frozen=True)
 class JacobianWorkspace:
     """Pieces of the boundary-map Jacobian at one admissible point.
 
-    nodes holds (s, W_s0, P_s) at the shared quadrature nodes; jac is the
-    full n^2 x n^2 Jacobian (phiPi10 x phiPi10) S and f_value the map value
-    assembled from the same node set.  quad_error is the quadrature's error
-    estimate; saturated means the 400-panel cap stopped it above its tolerance.
+    nodes holds (s, W_s0, P_s) at the 15 nodes of each panel between edges;
+    jac is the full n^2 x n^2 Jacobian (phiPi10 x phiPi10) S and f_value the
+    map value assembled from the same nodes.  quad_error is the quadrature's
+    error estimate; saturated: the 400-panel cap stopped it above tolerance.
     """
 
+    edges: np.ndarray
     nodes: tuple
     S: np.ndarray
     jac: np.ndarray
@@ -99,23 +97,9 @@ def _transported_noise(sys: SystemSpec, g: np.ndarray, s: np.ndarray) -> np.ndar
 
 def map_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
           path: TransitionPath | None = None) -> np.ndarray:
-    """Terminal covariance reached from Sigma0 under the costate anchor Pi0.
-
-    A quadrature that saturates before its tolerance raises
-    IntegrationFailureError.
-    """
-    pi0 = symmetrize(np.asarray(pi0, dtype=float))
-    sigma0 = np.asarray(sigma0, dtype=float)
-    path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
-    _require_admissible(pi0, _upper_bound_10(path))
-
-    integral, _, saturated = adaptive_gk(
-        lambda ss: _transported_noise(sys, _phi_pi(path, pi0, ss)[0], ss),
-        0.0, 1.0, atol=QUAD_ATOL, rtol=QUAD_RTOL)
-    if saturated:
-        raise IntegrationFailureError("boundary-map quadrature saturated")
-    phi10 = _phi_pi(path, pi0, 1.0)[0]
-    return symmetrize(phi10 @ (sigma0 + integral) @ phi10.T)
+    """Terminal covariance reached from Sigma0 under the costate anchor Pi0:
+    Sigma(1) of propagate_covariance, whose failures it raises."""
+    return propagate_covariance(sys, pi0, sigma0, 2, path=path)[-1][1]
 
 
 def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
@@ -135,7 +119,6 @@ def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
     phi10, (_, p12_10, _, _) = _phi_pi(path, pi0, 1.0)
     # W_10 = ((phi12)^-1 phi11 + Pi0)^-1 in the stable factored form.
     w10 = symmetrize(np.linalg.solve(phi10, p12_10))
-
     n2 = n * n
 
     def stacked(ss):
@@ -149,7 +132,7 @@ def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
         return np.concatenate([p.reshape(len(ss), -1), w_s.reshape(len(ss), -1),
                                jac_part.reshape(len(ss), -1)], axis=1)
 
-    integral, quad_err, saturated, (node_ts, node_vals) = adaptive_gk(
+    integral, quad_err, saturated, (edges, node_ts, node_vals) = adaptive_gk(
         stacked, 0.0, 1.0, atol=QUAD_ATOL, rtol=QUAD_RTOL, max_panels=400,
         collect_nodes=True)
     p_int = integral[:n2].reshape(n, n)
@@ -160,7 +143,7 @@ def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
     f_value = symmetrize(phi10 @ (sigma0 + p_int) @ phi10.T)
     nodes = tuple((float(t), raw[n2:2 * n2].reshape(n, n), raw[:n2].reshape(n, n))
                   for t, raw in zip(node_ts, node_vals))
-    return JacobianWorkspace(nodes=nodes, S=s_mat, jac=jac, f_value=f_value,
+    return JacobianWorkspace(edges=edges, nodes=nodes, S=s_mat, jac=jac, f_value=f_value,
                              quad_error=float(quad_err), saturated=saturated)
 
 
@@ -211,14 +194,14 @@ def _boundary_step_cap(pi, delta, u10, fraction=0.9):
 
 
 def _newton(sys, path, sigma0, target, pi_init, tol, basis):
-    """Damped Newton on the symmetric subspace; returns (pi, residual, trace, ok).
+    """Damped Newton on the symmetric subspace; returns (pi, residual, trace, ws).
 
     Every point tried gets one jacobian_f pass.  The step is first capped at
     a fixed fraction of the distance to the admissibility boundary along the
     Newton direction, then halved until the candidate's pass succeeds with a
     smaller residual; the accepted pass is the next iteration's workspace.
-    At most MAX_PASSES passes are spent, accepted or not.  A converged
-    iterate whose pass saturated raises IntegrationFailureError.
+    ws is the converged pass, None once MAX_PASSES passes, accepted or not,
+    are spent; a converged pass that saturated raises IntegrationFailureError.
     """
     u10 = _upper_bound_10(path)
     target_norm = np.linalg.norm(target)
@@ -235,7 +218,7 @@ def _newton(sys, path, sigma0, target, pi_init, tol, basis):
                     f"converged boundary map is from a saturated quadrature "
                     f"(error estimate {ws.quad_error:.3e})")
             trace.append((it, rel, 0.0))
-            return pi, rel, trace, True
+            return pi, rel, trace, ws
         jac_red = basis.T @ ws.jac @ basis
         step_red = np.linalg.solve(jac_red, -(basis.T @ vec(resid_mat)))
         delta = symmetrize(unvec(basis @ step_red))
@@ -243,7 +226,7 @@ def _newton(sys, path, sigma0, target, pi_init, tol, basis):
         while True:
             if passes == MAX_PASSES:
                 trace.append((it, rel, alpha))
-                return pi, rel, trace, False
+                return pi, rel, trace, None
             passes += 1
             cand = symmetrize(pi + alpha * delta)
             try:
@@ -278,64 +261,57 @@ def solve_boundary(sys: SystemSpec, bd: BoundaryData,
     basis = _symmetric_basis(sys.n)
     pi_init = special_case_pi0(sys, bd, path=path, check_channels=False)
 
-    pi, rel, trace, ok = _newton(sys, path, bd.sigma0, bd.sigma1, pi_init, tol, basis)
-    if not ok:
+    pi, rel, trace, ws = _newton(sys, path, bd.sigma0, bd.sigma1, pi_init, tol, basis)
+    if ws is None:
         raise NoConvergenceError(
             f"Newton failed to reach relative residual {tol:.1e} (best {rel:.3e})",
             best_residual=rel, trace=trace)
 
     times = np.linspace(0.0, 1.0, grid_size)
     pi_grid = tuple(zip(times.tolist(), closed_form_on_path(path, pi, times)))
+    sigma, sigma_error = propagate_covariance(sys, pi, bd.sigma0, grid_size, path, _accepted=ws)
     solution = SteeringSolution(
         pi0=pi, pi_grid=pi_grid, gain_grid=tuple(feedback_gain(sys, pi_grid)),
-        sigma_grid=tuple(propagate_covariance(sys, pi, bd.sigma0, grid_size, path=path)),
-        optimal_cost=0.0, newton_trace=tuple(trace), residual=rel)
-    return replace(solution, optimal_cost=optimal_cost(sys, solution, bd, path=path))
+        sigma_grid=tuple(sigma), optimal_cost=0.0, newton_trace=tuple(trace),
+        residual=rel, sigma_error=sigma_error, cost_error=0.0,
+        accepted_panels=len(ws.edges) - 1)
+    cost, cost_error = optimal_cost(sys, solution, bd, path=path, _accepted=ws)
+    return replace(solution, optimal_cost=cost, cost_error=cost_error)
 
 
 def propagate_covariance(sys: SystemSpec, pi0: np.ndarray, sigma0: np.ndarray,
-                         grid_size: int = 1001,
-                         path: TransitionPath | None = None) -> list:
-    """Covariance trajectory under the optimal gain, as (t, Sigma(t)) pairs.
+                         grid_size: int = 1001, path: TransitionPath | None = None,
+                         *, _accepted: JacobianWorkspace | None = None) -> list:
+    """Covariance trajectory under the optimal gain, as (t, Sigma(t)) pairs;
+    given Newton's accepted pass as _accepted, (pairs, tail) instead.
 
     Explicit solution Sigma(t) = PhiPi(t,0) [Sigma0 + int_0^t P(s) ds]
-    PhiPi(t,0)', P the transported noise, integrated by Gauss-Legendre sums
-    over at least SIGMA_MIN_STEPS equal sub-intervals of the grid intervals,
-    so the accuracy does not depend on grid_size; Sigma(1) is cross-checked
-    against the boundary map's adaptive quadrature to 1e-7.
+    PhiPi(t,0)', P the transported noise, integrated exactly on its Legendre
+    interpolants on the panels of an adaptive quadrature of P (the accepted
+    pass's or its own), so the accuracy does not depend on grid_size; a tail
+    above 1e-7 max(1, ||Sigma0 + int_0^1 P||) raises IntegrationFailureError.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     pi0 = symmetrize(np.asarray(pi0, dtype=float))
-    sigma0 = np.asarray(sigma0, dtype=float)
     path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
-    _require_admissible(pi0, _upper_bound_10(path))
-    n = sys.n
+    if _accepted is None:
+        _require_admissible(pi0, _upper_bound_10(path))
+        _, _, saturated, (edges, _, p_nodes) = adaptive_gk(
+            lambda ss: _transported_noise(sys, _phi_pi(path, pi0, ss)[0], ss),
+            0.0, 1.0, atol=QUAD_ATOL, rtol=QUAD_RTOL, collect_nodes=True)
+        if saturated:
+            raise IntegrationFailureError("boundary-map quadrature saturated")
+    else:
+        edges, p_nodes = _accepted.edges, np.stack([p for _, _, p in _accepted.nodes])
     times = np.linspace(0.0, 1.0, grid_size)
-    x, w = np.polynomial.legendre.leggauss(SIGMA_GL_NODES)
-    sub = -(-SIGMA_MIN_STEPS // (grid_size - 1))  # sub-intervals per grid interval
-    frac = ((np.arange(sub)[:, None] + 0.5 * (1.0 + x)) / sub).ravel()
-    batch = max(1, SIGMA_CHUNK // sub)
-    sigma = np.empty((grid_size, n, n))
-    sigma[0] = acc = sigma0  # PhiPi(0,0) = I; acc is Sigma0 + int_0^t P(s) ds
-    for k in range(1, grid_size, batch):
-        hi = times[k:k + batch]
-        width = (hi - times[k - 1:k - 1 + hi.size])[:, None]
-        ss = (hi[:, None] - width + width * frac).ravel()
-        p = _transported_noise(sys, _phi_pi(path, pi0, ss)[0], ss).reshape(hi.size, -1, n, n)
-        wts = width * np.tile(0.5 * w / sub, sub)
-        acc = acc + np.cumsum(np.einsum("kj,kjab->kab", wts, p), axis=0)
-        g = _phi_pi(path, pi0, hi)[0]
-        sigma[k:k + hi.size] = g @ acc @ np.swapaxes(g, -1, -2)
-        acc = acc[-1]
-    sigma = symmetrize(sigma)
-
-    explicit = map_f(sys, sigma0, pi0, path=path)
-    mismatch = float(np.max(np.abs(sigma[-1] - explicit)))
-    if mismatch > 1e-7 * max(1.0, float(np.linalg.norm(explicit))):
-        raise IntegrationFailureError(
-            f"cumulative Sigma(1) disagrees with the adaptive quadrature by {mismatch:.3e}")
-    return list(zip(times.tolist(), sigma))
+    part, tail = interpolant_integrals(edges, p_nodes, times)
+    acc = np.asarray(sigma0, dtype=float) + part
+    if not tail <= 1e-7 * max(1.0, float(np.linalg.norm(acc[-1]))):  # also refuses NaN
+        raise IntegrationFailureError(f"transported noise unresolved: tail {tail:.3e}")
+    g = _phi_pi(path, pi0, times)[0]
+    pairs = list(zip(times.tolist(), symmetrize(g @ acc @ np.swapaxes(g, -1, -2))))
+    return pairs if _accepted is None else (pairs, tail)
 
 
 def feedback_gain(sys: SystemSpec, pi_grid) -> list:
@@ -349,15 +325,22 @@ def feedback_gain(sys: SystemSpec, pi_grid) -> list:
 
 
 def optimal_cost(sys: SystemSpec, sol: SteeringSolution, bd: BoundaryData,
-                 path: TransitionPath | None = None) -> float:
-    """Optimal cost: int tr(Pi C D C') dt plus the boundary correction."""
+                 path: TransitionPath | None = None,
+                 *, _accepted: JacobianWorkspace | None = None) -> float:
+    """Optimal cost: int tr(Pi C D C') dt plus the boundary correction;
+    given Newton's accepted pass as _accepted, (cost, error estimate) instead.
+
+    The quadrature starts from [0, 1], or from the accepted pass's panels.
+    """
     path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
     pi0 = sol.pi0
 
     def integrand(ts):
         return np.einsum("kij,kji->k", closed_form_on_path(path, pi0, ts), _cdct(sys, ts))
 
-    integral, _, _ = adaptive_gk(integrand, 0.0, 1.0, atol=QUAD_ATOL)
+    integral, err, _ = adaptive_gk(integrand, 0.0, 1.0, atol=QUAD_ATOL,
+                                   edges=None if _accepted is None else _accepted.edges)
     pi1 = closed_form_on_path(path, pi0, 1.0)
-    return float(integral) + float(np.trace(pi0 @ bd.sigma0)) \
+    cost = float(integral) + float(np.trace(pi0 @ bd.sigma0)) \
         - float(np.trace(pi1 @ bd.sigma1))
+    return cost if _accepted is None else (cost, float(err))

@@ -27,7 +27,7 @@ ATOL = 1e-13
 COND_LIMIT = 1e12
 QUAD_ATOL = 1e-10  # gramian_identity's quadrature tolerance
 PANEL_NORM = 4.0  # bound on h max||M||_2 per path panel (near 10, 7 digits were lost)
-CHEB_DEGREES = (16, 32, 64, 128, 256)
+CHEB_DEGREES = (16, 32, 48, 64, 128, 256)
 CHEB_TAIL_RTOL = 1e-13  # bound on a panel's upper-half coefficients, relative to the largest
 
 

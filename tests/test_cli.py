@@ -161,6 +161,8 @@ def test_solve_outputs_and_round_trip_precision(tmp_path):
     with open(os.path.join(out, "cost.json"), encoding="utf-8") as fh:
         cost = json.load(fh)
     assert cost["residual"] <= 1e-8
+    assert (cost["sigma_error"], cost["cost_error"], cost["accepted_panels"]) \
+        == (sol.sigma_error, sol.cost_error, sol.accepted_panels)
 
 
 def test_simulate_outputs_sorted_paths(tmp_path, example_raw):

@@ -3,9 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from covsteer import steering
+from covsteer._quad import _XK, adaptive_gk
 from covsteer.errors import (
     ChannelMismatchError,
     IntegrationFailureError,
@@ -17,6 +19,7 @@ from covsteer.matfun import BoundaryData, symmetrize, unvec, vec
 from covsteer.steering import (
     MAX_PASSES,
     NEWTON_TOL,
+    QUAD_ATOL,
     feedback_gain,
     jacobian_f,
     map_f,
@@ -25,6 +28,7 @@ from covsteer.steering import (
     solve_boundary,
     special_case_pi0,
 )
+from covsteer.riccati import closed_form_on_path
 from covsteer.transition import TransitionPath, transition_blocks
 
 from helpers import (
@@ -315,8 +319,8 @@ def contracting_case():
 
 @pytest.mark.parametrize("grid_size", [2, 11, 101])
 def test_sigma_grid_does_not_depend_on_output_grid(contracting_case, grid_size):
-    # One Gauss-Legendre interval per output interval misses the 1e-7
-    # endpoint check on this instance at grid 101 and below.
+    # The panels come from the adaptive quadrature of P, not from the output
+    # grid, so a coarse grid reads the same Sigma at the times it shares.
     sys, sigma0, pi0, fine = contracting_case
     got = np.stack([sigma for _, sigma in
                     propagate_covariance(sys, pi0, sigma0, grid_size=grid_size)])
@@ -325,12 +329,12 @@ def test_sigma_grid_does_not_depend_on_output_grid(contracting_case, grid_size):
     assert np.max(np.abs(got - fine[::1000 // (grid_size - 1)])) <= 1e-10 * np.max(np.abs(fine))
 
 
-def test_map_f_matches_joint_riccati_lyapunov_reference(contracting_case):
-    # DOP853 at rtol 1e-13 on (Pi, Sigma) together, with Pi' from the direct
-    # Riccati right-hand side and Sigma' = Acl Sigma + Sigma Acl' + C D C' +
-    # 2 nu Sigma.  Phi_Pi(1, 0) = phi11 + phi12 Pi0 is about 1e-3 here, made
-    # of terms near 1, so the map amplifies the transition path's error.
-    sys, sigma0, pi0, _ = contracting_case
+def _joint_riccati_lyapunov_reference(sys, sigma0, pi0, times):
+    """Sigma at the times by DOP853 at rtol 1e-13 on (Pi, Sigma) together.
+
+    Pi' comes from the direct Riccati right-hand side and Sigma' = Acl Sigma
+    + Sigma Acl' + C D C' + 2 nu Sigma.
+    """
     n, pi_rhs, nu = sys.n, riccati_rhs(sys), sys.identity_channel_nu()
 
     def rhs(t, y):
@@ -342,17 +346,102 @@ def test_map_f_matches_joint_riccati_lyapunov_reference(contracting_case):
         return np.concatenate([pi_rhs(t, pi), dsig.reshape(-1)])
 
     sol = solve_ivp(rhs, (0.0, 1.0), np.concatenate([pi0.reshape(-1), sigma0.reshape(-1)]),
-                    method="DOP853", rtol=1e-13, atol=1e-15)
+                    method="DOP853", rtol=1e-13, atol=1e-15, t_eval=times)
     assert sol.success
-    want = sol.y[n * n:, -1].reshape(n, n)
+    return sol.y[n * n:].T.reshape(-1, n, n)
+
+
+def test_map_f_matches_joint_riccati_lyapunov_reference(contracting_case):
+    # Phi_Pi(1, 0) = phi11 + phi12 Pi0 is about 1e-3 here, made of terms
+    # near 1, so the map amplifies the transition path's error.
+    sys, sigma0, pi0, _ = contracting_case
+    want = _joint_riccati_lyapunov_reference(sys, sigma0, pi0, [1.0])[-1]
     assert np.linalg.norm(map_f(sys, sigma0, pi0) - want) <= 1e-7 * np.linalg.norm(want)
 
 
-def test_propagate_covariance_checks_sigma1_against_map_f(monkeypatch):
-    real = steering.map_f
-    monkeypatch.setattr(steering, "map_f", lambda *args, **kwargs: real(*args, **kwargs) + 1e-6)
-    with pytest.raises(IntegrationFailureError, match="disagrees"):
+def test_solve_boundary_sigma_grid_matches_joint_reference(contracting_case):
+    # Every grid point counts, t = 1 included, where the cancellation in
+    # phi11 + phi12 Pi0 amplifies any error in the integral of P.
+    sys, sigma0, _, _ = contracting_case
+    sol = solve_boundary(sys, BoundaryData(sigma0=sigma0, sigma1=0.01 * np.eye(2)))
+    times = np.array([t for t, _ in sol.sigma_grid])
+    got = np.stack([sigma for _, sigma in sol.sigma_grid])
+    want = _joint_riccati_lyapunov_reference(sys, sigma0, sol.pi0, times)
+    rel = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+    assert np.max(rel) <= 1e-7
+
+
+def test_sigma_tail_check_refuses_an_unresolved_noise_integral(monkeypatch):
+    # delta P_13 at each panel's Kronrod nodes is odd, so the K15 and G7 sums
+    # of every panel, and with them the boundary map and its error estimate,
+    # do not move; only the interpolants' tail sees it.
+    odd = np.polynomial.legendre.legval(_XK, [0.0] * 13 + [1.0])
+
+    def bump(count):
+        return 1e-5 * np.tile(odd, count // len(_XK))[:, None, None]
+
+    real_noise, real_jacobian = steering._transported_noise, steering.jacobian_f
+    monkeypatch.setattr(steering, "_transported_noise",
+                        lambda sys, g, s: real_noise(sys, g, s) + bump(len(s)))
+    with pytest.raises(IntegrationFailureError, match="unresolved"):
         propagate_covariance(s1(), [[0.0]], [[1.0]], grid_size=11)
+    monkeypatch.undo()
+
+    # In solve_boundary only the accepted pass's node values are bumped, so
+    # that Newton converges as before.
+    def bumped_pass(*args, **kwargs):
+        ws = real_jacobian(*args, **kwargs)
+        return replace(ws, nodes=tuple((s, w, p + d) for (s, w, p), d
+                                       in zip(ws.nodes, bump(len(ws.nodes)))))
+
+    monkeypatch.setattr(steering, "jacobian_f", bumped_pass)
+    with pytest.raises(IntegrationFailureError, match="unresolved"):
+        solve_boundary(example_system(), WORKED_TARGET, grid_size=11)
+
+
+def _cost_integrand(sys, pi0):
+    """tr(Pi C D C') on an array of times, the integrand of optimal_cost."""
+    path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
+    return lambda ts: np.einsum("kij,kji->k", closed_form_on_path(path, pi0, ts),
+                                steering._cdct(sys, ts))
+
+
+def test_cost_refines_the_accepted_panels():
+    # The accepted pass's panels leave the cost integrand's own error
+    # estimate above QUAD_ATOL on this target; refinement brings it under.
+    sys = example_system()
+    bd = BoundaryData(sigma0=np.eye(2), sigma1=np.diag([8.0, 1e-3]))
+    sol = solve_boundary(sys, bd)
+    ws = jacobian_f(sys, bd.sigma0, sol.pi0)  # Newton's accepted pass, recomputed
+    assert len(ws.edges) - 1 == sol.accepted_panels
+    _, start_error, stopped = adaptive_gk(_cost_integrand(sys, sol.pi0), 0.0, 1.0,
+                                          atol=QUAD_ATOL, edges=ws.edges,
+                                          max_panels=sol.accepted_panels)
+    assert stopped and start_error > QUAD_ATOL >= sol.cost_error
+    fresh = optimal_cost(sys, sol, bd)  # adaptive from [0, 1]
+    assert abs(sol.optimal_cost - fresh) <= 1e-12 * abs(fresh)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 3))
+def test_solve_boundary_grids_match_the_standalone_routes(seed, n):
+    # solve_boundary reads Sigma and the cost from Newton's accepted pass;
+    # propagate_covariance and optimal_cost alone run their own quadratures.
+    # Each cost quadrature promises its own error estimate, absolute, so the
+    # two costs may differ by both estimates besides the relative rounding.
+    rng = np.random.default_rng(seed)
+    sys = random_controllable_system(rng, n)
+    sigma0 = random_spd(rng, n)
+    bd = BoundaryData(sigma0=sigma0,
+                      sigma1=map_f(sys, sigma0, random_admissible_pi0(rng, sys)))
+    sol = solve_boundary(sys, bd, grid_size=21)
+    got = np.stack([sigma for _, sigma in sol.sigma_grid])
+    want = np.stack([sigma for _, sigma in propagate_covariance(sys, sol.pi0, sigma0, 21)])
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+    fresh = optimal_cost(sys, sol, bd)
+    _, fresh_error, _ = adaptive_gk(_cost_integrand(sys, sol.pi0), 0.0, 1.0, atol=QUAD_ATOL)
+    assert abs(sol.optimal_cost - fresh) <= sol.cost_error + fresh_error + 1e-10 * abs(fresh)
+    assert 0.0 <= sol.sigma_error and 0.0 <= sol.cost_error
 
 
 def test_grid_below_two_points_is_rejected(contracting_case):

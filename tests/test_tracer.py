@@ -38,6 +38,7 @@ covsteer.integrate_general(sys_, np.zeros((1, 1)), grid_size=11)
 assert covsteer.existence_check(sys_, 0.0, np.zeros((1, 1))).exists
 covsteer.solve_closed_form(sys_, 0.0, np.zeros((1, 1)), 0.5)
 covsteer.transition_blocks(sys_, 1.0, 0.0)
+covsteer.map_f(sys_, [[1.0]], [[0.0]])  # solve_boundary itself calls no map_f
 counts = tracer.counts["setup"]
 before = counts.copy()
 covsteer.solve_boundary(sys_, BoundaryData(sigma0=[[1.0]], sigma1=[[0.5]]), grid_size=11)
