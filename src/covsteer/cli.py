@@ -189,8 +189,7 @@ def write_json(path: str, payload: dict):
 def write_csv(path: str, header: list, rows):
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, (int, np.integer)) else str(int(v))
-                              for v in row))
+        lines.append(",".join(_fmt(v) for v in row))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -317,38 +316,31 @@ def _simulation_config(cfg: RunConfig) -> SimulationConfig:
 def _run_simulation(cfg: RunConfig, out: str, sol, sim_cfg: SimulationConfig):
     result = simulate_paths(cfg.system, cfg.noise, sol.gain_grid, sim_cfg)
 
-    n = cfg.system.n
-    mom_rows = []
-    for t_cp, mean, cov, _ in result.checkpoint_moments:
-        cov_flat = list(cov.reshape(-1)) if cov is not None else [np.nan] * (n * n)
-        mom_rows.append([t_cp] + list(mean) + cov_flat)
+    n, steps = cfg.system.n, len(result.times)
+    no_cov = np.full((n, n), np.nan)  # a single path has no covariance
     write_csv(os.path.join(out, "moments.csv"),
               ["t"] + [f"mean_{i + 1}" for i in range(n)] + _matrix_header("cov", n, n),
-              mom_rows)
+              [np.concatenate([[t], mean, (no_cov if cov is None else cov).reshape(-1)])
+               for t, mean, cov, _ in result.checkpoint_moments])
 
-    env_rows = []
-    for k, t in enumerate(result.times):
-        row = [t]
-        for i in range(n):
-            half = 3.0 * np.sqrt(result.envelope_var[k, i])
-            row.extend([result.envelope_mean[k, i],
-                        result.envelope_mean[k, i] - half,
-                        result.envelope_mean[k, i] + half])
-        env_rows.append(row)
-    env_header = ["t"]
-    for i in range(n):
-        env_header.extend([f"mean_{i + 1}", f"lo3_{i + 1}", f"hi3_{i + 1}"])
-    write_csv(os.path.join(out, "envelope.csv"), env_header, env_rows)
+    # Per component: the mean, then the 3-sigma band below and above it.
+    mean, half = result.envelope_mean, 3.0 * np.sqrt(result.envelope_var)
+    band = np.stack([mean, mean - half, mean + half], axis=2).reshape(steps, 3 * n)
+    write_csv(os.path.join(out, "envelope.csv"),
+              ["t"] + [f"{col}_{i + 1}" for i in range(n) for col in ("mean", "lo3", "hi3")],
+              np.column_stack([result.times, band]))
 
     if result.retained:
-        p = cfg.system.p
-        rows = []
-        for k, t in enumerate(result.times):
-            for rp in result.retained:
-                rows.append([t, rp.path_id] + list(rp.states[k]) + list(rp.controls[k]))
+        p, kept = cfg.system.p, len(result.retained)
+        # Time-major rows: at each time, the retained paths in order.
         write_csv(os.path.join(out, "paths.csv"),
                   ["t", "path_id"] + [f"x_{i + 1}" for i in range(n)]
-                  + [f"u_{i + 1}" for i in range(p)], rows)
+                  + [f"u_{i + 1}" for i in range(p)],
+                  np.column_stack([
+                      np.repeat(result.times, kept),
+                      np.tile([rp.path_id for rp in result.retained], steps),
+                      np.stack([rp.states for rp in result.retained], axis=1).reshape(-1, n),
+                      np.stack([rp.controls for rp in result.retained], axis=1).reshape(-1, p)]))
 
     write_json(os.path.join(out, "simulation.json"), {
         "num_paths": result.num_paths,

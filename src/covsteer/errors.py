@@ -54,9 +54,5 @@ class InconsistentNoiseError(PreconditionError):
     """Noise model intensities disagree with the system's D(t), nu(t)."""
 
 
-class PathsNotRetainedError(CovsteerError):
-    """Requested per-path data was not recorded during simulation."""
-
-
 class MissingCheckpointError(CovsteerError):
     """No empirical moments were recorded at the requested time."""

@@ -41,7 +41,6 @@ from numpy.polynomial import polynomial as P
 from .errors import (
     InconsistentNoiseError,
     MissingCheckpointError,
-    PathsNotRetainedError,
     PreconditionError,
 )
 from .matfun import MatrixPoly, SystemSpec, symmetrize
@@ -132,7 +131,6 @@ class SimulationConfig:
     master_seed: int = 0
     checkpoint_times: tuple = (0.0, 1.0)
     retain_paths: int = 10
-    record_costs: bool = True
     initial_mean: np.ndarray | None = None
 
     def __post_init__(self):
@@ -165,8 +163,7 @@ class SimulationResult:
     checkpoint_moments: tuple  # (t, mean, cov, cov standard error); cov and se None for one path
     envelope_mean: np.ndarray  # (steps + 1, n)
     envelope_var: np.ndarray  # (steps + 1, n), unbiased per-component variance
-    cost_estimate: tuple | None  # (J, 95% half-width)
-    path_costs: np.ndarray | None
+    cost_estimate: tuple  # (J, 95% half-width) of the per-path cost quadratures
     retained: tuple  # RetainedPath entries
     jump_mean_counts: tuple  # mean accepted arrivals per compound component
     martingale_mean: np.ndarray  # empirical mean of m(1) per channel
@@ -410,16 +407,17 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
         if abs(step.times[idx] - t_cp) > 1e-9:
             raise ValueError(f"checkpoint {t_cp} is not on the step grid")
         cp_idx[float(t_cp)] = idx
-    # Per checkpoint, sums over the paths of x, x x', x^2 x' and x^2 (x^2)'
-    # (squares taken entrywise): the moments and their standard errors.
-    cp_acc = {idx: (np.zeros(n), np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n)))
+    # Per checkpoint, sums over the paths of x x', x^2 x' and x^2 (x^2)'
+    # (squares taken entrywise): with env_sum's x, the moments and their
+    # standard errors.
+    cp_acc = {idx: (np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n)))
               for idx in cp_idx.values()}
 
     env_sum = np.zeros((nsteps + 1, n))
     env_sq = np.zeros((nsteps + 1, n))
     m_final_sum = np.zeros(q)
     jump_totals = np.zeros(len(step.compound))
-    all_costs = np.empty(cfg.num_paths) if cfg.record_costs else None
+    all_costs = np.empty(cfg.num_paths)
     retained = []
     streams = _PathStreams(cfg.master_seed)
     width = min(_BLOCK, cfg.num_paths)
@@ -446,15 +444,13 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
             env_sum[k] += x @ ones
             env_sq[k] += sq @ ones
             if k in cp_acc:
-                s1, s2, s3, s4 = cp_acc[k]
-                s1 += x @ ones
+                s2, s3, s4 = cp_acc[k]
                 s2 += x @ x.T
                 s3 += sq @ x.T
                 s4 += sq @ sq.T
             if nkeep:
                 kept_x[:, k] = x[:, :nkeep].T
-            if cfg.record_costs:
-                cost += trap_w[k] * (_dot(cost_w[k].T, x) * x).sum(axis=0)
+            cost += trap_w[k] * (_dot(cost_w[k].T, x) * x).sum(axis=0)
             if k == nsteps:
                 break
             # x + (Acl x) dt + C dm + x dmu, added in that order, in place.
@@ -472,8 +468,7 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
             kept_u = (rows.transpose(1, 0, 2) @ kmat.transpose(0, 2, 1)).transpose(1, 0, 2)
         step_s += time.perf_counter() - mid
         m_final_sum += dm[:, :, :bsize].sum(axis=0) @ ones
-        if cfg.record_costs:
-            all_costs[lo:hi] = cost
+        all_costs[lo:hi] = cost
         for j in range(nkeep):
             retained.append(RetainedPath(path_id=lo + j, times=step.times,
                                          states=kept_x[j], controls=kept_u[j]))
@@ -481,8 +476,8 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
     n_paths = cfg.num_paths
     moments = []
     for t_cp in sorted(cp_idx):
-        s1, s2, s3, s4 = cp_acc[cp_idx[t_cp]]
-        mean = s1 / n_paths
+        s2, s3, s4 = cp_acc[cp_idx[t_cp]]
+        mean = env_sum[cp_idx[t_cp]] / n_paths
         cov = se = None
         if n_paths > 1:
             cov = symmetrize((s2 - n_paths * np.outer(mean, mean)) / (n_paths - 1))
@@ -501,8 +496,7 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
         num_paths=n_paths, master_seed=cfg.master_seed, times=step.times,
         checkpoint_moments=tuple(moments), envelope_mean=env_mean,
         envelope_var=env_var,
-        cost_estimate=None if all_costs is None else _cost_mean_half_width(all_costs),
-        path_costs=all_costs, retained=tuple(retained),
+        cost_estimate=_cost_mean_half_width(all_costs), retained=tuple(retained),
         jump_mean_counts=tuple(jump_totals / n_paths),
         martingale_mean=m_final_sum / n_paths, draw_s=draw_s, step_s=step_s)
 
@@ -544,10 +538,7 @@ def estimate_cost(sys: SystemSpec, result: SimulationResult):
     """Cost estimate from the per-path trapezoidal quadratures.
 
     The quadrature of x'Qx + u'Ru along each path (with its control
-    values) is accumulated during simulation; this reduces the retained
-    per-path integrals to a mean and a 95% confidence half-width.
+    values) is accumulated during simulation and reduced there to a mean
+    and a 95% confidence half-width, result.cost_estimate, returned here.
     """
-    if result.path_costs is None:
-        raise PathsNotRetainedError(
-            "per-path cost quadratures were not recorded (record_costs=False)")
-    return _cost_mean_half_width(result.path_costs)
+    return result.cost_estimate

@@ -330,7 +330,8 @@ def optimal_cost(sys: SystemSpec, sol: SteeringSolution, bd: BoundaryData,
     """Optimal cost: int tr(Pi C D C') dt plus the boundary correction;
     given Newton's accepted pass as _accepted, (cost, error estimate) instead.
 
-    The quadrature starts from [0, 1], or from the accepted pass's panels.
+    The quadrature starts from [0, 1], or from the accepted pass's panels;
+    one that saturates raises IntegrationFailureError.
     """
     path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
     pi0 = sol.pi0
@@ -338,8 +339,11 @@ def optimal_cost(sys: SystemSpec, sol: SteeringSolution, bd: BoundaryData,
     def integrand(ts):
         return np.einsum("kij,kji->k", closed_form_on_path(path, pi0, ts), _cdct(sys, ts))
 
-    integral, err, _ = adaptive_gk(integrand, 0.0, 1.0, atol=QUAD_ATOL,
-                                   edges=None if _accepted is None else _accepted.edges)
+    integral, err, saturated = adaptive_gk(
+        integrand, 0.0, 1.0, atol=QUAD_ATOL, rtol=QUAD_RTOL,
+        edges=None if _accepted is None else _accepted.edges)
+    if saturated:
+        raise IntegrationFailureError(f"cost quadrature saturated at error {err:.3e}")
     pi1 = closed_form_on_path(path, pi0, 1.0)
     cost = float(integral) + float(np.trace(pi0 @ bd.sigma0)) \
         - float(np.trace(pi1 @ bd.sigma1))

@@ -4,9 +4,9 @@ The 2n x 2n matrix M(t) = [[A, -B R^-1 B'], [-Q, -A']], after the
 normalization A <- A + nu I (under which all block formulas hold verbatim
 and the Riccati/Lyapunov solutions are unchanged), has the transition
 matrix with blocks Phi11, Phi12, Phi21, Phi22.  They satisfy a family of
-symplectic identities that are computed and attached for verification, and
-furnish the existence bounds and Gramian identity used by the Riccati and
-steering layers.  The library reads every block from a TransitionPath, a
+symplectic identities, which symplectic_residuals checks, and furnish the
+existence bounds and Gramian identity used by the Riccati and steering
+layers.  The library reads every block from a TransitionPath, a
 piecewise Chebyshev series; transition_blocks, a direct RK45 integration,
 serves only as the independent oracle in symplectic_residuals.
 """
@@ -84,12 +84,7 @@ def solve_with_cond_check(mat, rhs=None, what="matrix"):
 
 @dataclass(frozen=True)
 class TransitionBlocks:
-    """The four n x n blocks of Phi_M(t, s), with attached diagnostics.
-
-    identity_residuals holds the max-abs residuals of the six symplectic
-    identities; cond11/cond22 report the conditioning of the invertible
-    diagonal blocks.
-    """
+    """The four n x n blocks of Phi_M(t, s)."""
 
     phi11: np.ndarray
     phi12: np.ndarray
@@ -97,36 +92,17 @@ class TransitionBlocks:
     phi22: np.ndarray
     t: float
     s: float
-    identity_residuals: dict
-    cond11: float
-    cond22: float
 
     @property
     def n(self):
         return self.phi11.shape[0]
 
 
-def _symplectic_identity_residuals(p11, p12, p21, p22):
-    n = p11.shape[0]
-    eye = np.eye(n)
-    return {
-        "phi12T_phi22_symmetric": float(np.max(np.abs(p12.T @ p22 - p22.T @ p12))),
-        "phi21T_phi11_symmetric": float(np.max(np.abs(p21.T @ p11 - p11.T @ p21))),
-        "phi12_phi11T_symmetric": float(np.max(np.abs(p12 @ p11.T - p11 @ p12.T))),
-        "phi21_phi22T_symmetric": float(np.max(np.abs(p21 @ p22.T - p22 @ p21.T))),
-        "phi11T_phi22_unit": float(np.max(np.abs(p11.T @ p22 - p21.T @ p12 - eye))),
-        "phi11_phi22T_unit": float(np.max(np.abs(p11 @ p22.T - p12 @ p21.T - eye))),
-    }
-
-
 def _make_blocks(phi, t, s):
     n = phi.shape[0] // 2
     p11, p12 = phi[:n, :n], phi[:n, n:]
     p21, p22 = phi[n:, :n], phi[n:, n:]
-    return TransitionBlocks(
-        phi11=p11, phi12=p12, phi21=p21, phi22=p22, t=t, s=s,
-        identity_residuals=_symplectic_identity_residuals(p11, p12, p21, p22),
-        cond11=float(np.linalg.cond(p11)), cond22=float(np.linalg.cond(p22)))
+    return TransitionBlocks(phi11=p11, phi12=p12, phi21=p21, phi22=p22, t=t, s=s)
 
 
 def transition_blocks(sys: SystemSpec, t: float, s: float) -> TransitionBlocks:
@@ -229,7 +205,7 @@ class TransitionPath:
         return _make_blocks(self.phi(t), t, self.anchor)
 
     def raw_blocks(self, t) -> tuple:
-        """(phi11, phi12, phi21, phi22) without diagnostics; stacks for an array of times."""
+        """(phi11, phi12, phi21, phi22) as a tuple; stacks for an array of times."""
         n = self.dim // 2
         phi = self.phi(t)
         return phi[..., :n, :n], phi[..., :n, n:], phi[..., n:, :n], phi[..., n:, n:]
@@ -243,8 +219,17 @@ def symplectic_residuals(sys: SystemSpec, blocks: TransitionBlocks) -> dict:
     blocks under argument reversal; the reversed blocks come from a second
     integration, not from inverting the forward result.
     """
+    p11, p12, p21, p22 = blocks.phi11, blocks.phi12, blocks.phi21, blocks.phi22
+    eye = np.eye(blocks.n)
+    out = {
+        "phi12T_phi22_symmetric": float(np.max(np.abs(p12.T @ p22 - p22.T @ p12))),
+        "phi21T_phi11_symmetric": float(np.max(np.abs(p21.T @ p11 - p11.T @ p21))),
+        "phi12_phi11T_symmetric": float(np.max(np.abs(p12 @ p11.T - p11 @ p12.T))),
+        "phi21_phi22T_symmetric": float(np.max(np.abs(p21 @ p22.T - p22 @ p21.T))),
+        "phi11T_phi22_unit": float(np.max(np.abs(p11.T @ p22 - p21.T @ p12 - eye))),
+        "phi11_phi22T_unit": float(np.max(np.abs(p11 @ p22.T - p12 @ p21.T - eye))),
+    }
     rev = transition_blocks(sys, blocks.s, blocks.t)
-    out = dict(blocks.identity_residuals)
     out["phi11_reversal"] = float(np.max(np.abs(blocks.phi11 - rev.phi22.T)))
     out["phi12_antisymmetry"] = float(np.max(np.abs(blocks.phi12 + rev.phi12.T)))
     out["phi21_antisymmetry"] = float(np.max(np.abs(blocks.phi21 + rev.phi21.T)))
@@ -346,7 +331,7 @@ def gramian_identity(sys: SystemSpec, pi_anchor: tuple, t: float) -> GramianChec
     mbar(t, s) integrates PhiPi(t,tau) B R^-1 B' PhiPi(t,tau)' by adaptive
     quadrature; the identity says its value equals -phi12(t,s) PhiPi(t,s)'.
     Requires the Riccati solution to exist on [0, 1] from an anchor s in
-    [0, 1].
+    [0, 1].  A quadrature that saturates raises IntegrationFailureError.
     """
     from .riccati import existence_check
 
@@ -367,7 +352,9 @@ def gramian_identity(sys: SystemSpec, pi_anchor: tuple, t: float) -> GramianChec
         g = phi_pi_ts @ np.linalg.inv(_phi_pi(path, pi_s, taus)[0])
         return g @ b_rinv_bt(sys, taus) @ np.swapaxes(g, -1, -2)
 
-    mbar, _, _ = adaptive_gk(integrand, s, t, atol=QUAD_ATOL)
+    mbar, err, saturated = adaptive_gk(integrand, s, t, atol=QUAD_ATOL)
+    if saturated:
+        raise IntegrationFailureError(f"Gramian quadrature saturated at error {err:.3e}")
     rhs = -blocks_ts[1] @ phi_pi_ts.T
     return GramianCheck(mbar=mbar, rhs=rhs,
                         residual=float(np.max(np.abs(mbar - rhs))))

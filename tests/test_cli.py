@@ -18,7 +18,9 @@ from covsteer.cli import (
     main,
     parse_config,
 )
-from covsteer.errors import ConfigError
+from covsteer.errors import ConfigError, IntegrationFailureError
+from covsteer.sde_sim import SimulationConfig, simulate_paths
+from covsteer.steering import solve_boundary
 
 
 @pytest.fixture()
@@ -92,6 +94,35 @@ def test_validate_failure_exits_2(tmp_path, example_raw):
     rc = main(["validate", "--config", write_cfg(tmp_path, example_raw),
                "--out", str(tmp_path / "o")])
     assert rc == EXIT_PRECONDITION
+
+
+def test_explicit_intensities_are_the_ones_validated(tmp_path, example_raw, capsys):
+    # D and nu given in the system block, with no noise block to derive them.
+    del example_raw["noise"]
+    example_raw["system"].update({"D": [[[1.0]]], "nu": [[[-0.5]]]})
+    rc = main(["validate", "--config", write_cfg(tmp_path, example_raw),
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_PRECONDITION
+    assert "validation failure: nu negative" in capsys.readouterr().out
+
+
+def test_general_channel_solve_is_precondition_violation(tmp_path, example_raw, capsys):
+    example_raw["system"]["general_channels"] = [
+        {"E": [[[2.0], [0.0]], [[0.0], [2.0]]], "nu": [0.25]}]
+    rc = main(["solve", "--config", write_cfg(tmp_path, example_raw),
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_PRECONDITION
+    assert "only identity multiplicative channels" in capsys.readouterr().out
+
+
+def test_other_package_errors_exit_2(tmp_path, monkeypatch, capsys):
+    def saturated(*args, **kwargs):
+        raise IntegrationFailureError("cost quadrature saturated")
+
+    monkeypatch.setattr(cli, "solve_boundary", saturated)
+    rc = main(["solve", "--config", example_config_path(), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_PRECONDITION
+    assert capsys.readouterr().out == "error: cost quadrature saturated\n"
 
 
 def test_solve_zero_input_exits_2(tmp_path, example_raw):
@@ -168,8 +199,8 @@ def test_solve_outputs_and_round_trip_precision(tmp_path):
 def test_simulate_outputs_sorted_paths(tmp_path, example_raw):
     example_raw["options"].update({"paths": 300, "grid": 101, "retain_paths": 4})
     out = str(tmp_path / "o")
-    rc = main(["simulate", "--config", write_cfg(tmp_path, example_raw),
-               "--out", out, "--seed", "5"])
+    config = write_cfg(tmp_path, example_raw)
+    rc = main(["simulate", "--config", config, "--out", out, "--seed", "5"])
     assert rc == EXIT_OK
     for name in ("cost.json", "moments.csv", "envelope.csv", "paths.csv", "simulation.json"):
         assert os.path.exists(os.path.join(out, name))
@@ -181,6 +212,46 @@ def test_simulate_outputs_sorted_paths(tmp_path, example_raw):
     with open(os.path.join(out, "simulation.json"), encoding="utf-8") as fh:
         sim = json.load(fh)
     assert sim["draw_s"] > 0.0 and sim["step_s"] > 0.0
+
+    # The envelope reads back bit for bit as mean and mean -/+ 3 sqrt(var)
+    # of the same run made directly.
+    cfg = parse_config(config)
+    opts = cfg.options
+    sol = solve_boundary(cfg.system, cfg.boundary, grid_size=opts["grid"],
+                         tol=opts["newton_tol"])
+    res = simulate_paths(cfg.system, cfg.noise, sol.gain_grid, SimulationConfig(
+        num_paths=opts["paths"], sigma0=cfg.boundary.sigma0, step_size=opts["dt"],
+        master_seed=5, retain_paths=opts["retain_paths"]))
+    header, rows = read_csv(os.path.join(out, "envelope.csv"))
+    assert header == ["t", "mean_1", "lo3_1", "hi3_1", "mean_2", "lo3_2", "hi3_2"]
+    rows = np.array(rows)
+    mean, half = res.envelope_mean, 3.0 * np.sqrt(res.envelope_var)
+    assert np.array_equal(rows[:, 0], res.times)
+    assert np.array_equal(rows[:, 1::3], mean)
+    assert np.array_equal(rows[:, 2::3], mean - half)
+    assert np.array_equal(rows[:, 3::3], mean + half)
+
+
+def test_simulate_single_path_writes_nan_covariance(tmp_path, example_raw):
+    example_raw["options"].update({"paths": 1, "grid": 101})
+    out = str(tmp_path / "o")
+    rc = main(["simulate", "--config", write_cfg(tmp_path, example_raw), "--out", out])
+    assert rc == EXIT_OK
+    with open(os.path.join(out, "moments.csv"), encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in fh]
+    assert header == ["t", "mean_1", "mean_2", "cov_1_1", "cov_1_2", "cov_2_1", "cov_2_2"]
+    assert [row[0] for row in rows] == ["0", "1"]
+    for row in rows:
+        assert row[3:] == ["nan"] * 4
+        assert all(np.isfinite(float(v)) for v in row[1:3])
+
+    # With no checkpoints the table is its header alone.
+    example_raw["options"]["checkpoints"] = []
+    rc = main(["simulate", "--config", write_cfg(tmp_path, example_raw), "--out", out])
+    assert rc == EXIT_OK
+    with open(os.path.join(out, "moments.csv"), encoding="utf-8") as fh:
+        assert fh.read() == ",".join(header) + "\n"
 
 
 def test_certify_pass_and_mismatch(tmp_path, example_raw):

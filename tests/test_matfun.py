@@ -189,6 +189,14 @@ def test_validate_flags_each_corruption(field, value):
     assert any(c.name == field for c in report.failures())
 
 
+def test_validate_flags_a_negative_general_channel_rate():
+    channels = [(const(2.0 * np.eye(2)), const([[0.25]])),
+                (const(np.eye(2)), const([[-0.5]]))]
+    sys = make_system(2, 1, 1, [[-2.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[1.0], [0.0]],
+                      [[1.0]], [[0.5]], [[1.0, 0.0], [0.0, 0.0]], [[1.0]], channels)
+    assert [c.name for c in validate_system(sys).failures()] == ["nu_2"]
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(DimensionError, match="B declared 2x1"):
         make_system(2, 1, 1, np.zeros((2, 2)), [[0.0, 1.0]], [[1.0], [0.0]],

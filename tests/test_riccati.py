@@ -129,6 +129,12 @@ def test_maximal_interval_global_zero():
     assert mi.t0 == -3.0 and mi.t1 == 3.0
 
 
+@pytest.mark.parametrize("window", [(0.5, 2.0), (-2.0, -0.5)])
+def test_maximal_interval_window_must_contain_the_anchor(window):
+    with pytest.raises(ValueError, match="must contain the anchor"):
+        maximal_interval(s1(), 0.0, [[0.0]], window)
+
+
 def test_maximal_interval_tanh_case():
     # pi' = pi^2 - 1 from 0: pi = -tanh(t), global to the right.
     mi = maximal_interval(s1_with_q(), 0.0, [[0.0]], (-0.5, 4.0))

@@ -9,7 +9,6 @@ from covsteer import sde_sim
 from covsteer.errors import (
     InconsistentNoiseError,
     MissingCheckpointError,
-    PathsNotRetainedError,
     PreconditionError,
 )
 from covsteer.matfun import BoundaryData, MatrixPoly
@@ -103,7 +102,7 @@ def test_scalar_variance_reaches_target():
 def zero_gain_run():
     sys = example_system()
     cfg = SimulationConfig(num_paths=100000, sigma0=np.eye(2),
-                           step_size=1e-3, master_seed=11, record_costs=False)
+                           step_size=1e-3, master_seed=11)
     return sys, simulate_paths(sys, example_noise(), zero_gain(1, 2), cfg)
 
 
@@ -142,7 +141,7 @@ def test_moment_ode_consistency_n3_q2():
     sys, n_paths = n3_q2_system(), 20000
     sigma0 = np.diag([1.0, 0.5, 2.0])
     cfg = SimulationConfig(num_paths=n_paths, sigma0=sigma0, step_size=1e-3,
-                           master_seed=61, record_costs=False)
+                           master_seed=61)
     res = simulate_paths(sys, n3_q2_noise(), n3_q2_gain(), cfg)
     want = _moment_ode_terminal(sys, sigma0, n3_q2_gain())
     _, cov = empirical_moments(res, 1.0)
@@ -254,7 +253,7 @@ def test_thinning_law_with_interior_supremum():
     assert sup[k] > max(rate.eval(times[k])[0, 0], rate.eval(times[k + 1])[0, 0])
 
     cfg = SimulationConfig(num_paths=n_paths, sigma0=np.zeros((1, 1)), step_size=dt,
-                           master_seed=41, retain_paths=n_paths, record_costs=False)
+                           master_seed=41, retain_paths=n_paths)
     res = simulate_paths(sys, noise, zero_gain(1, 1), cfg)
     hits = np.array([np.diff(rp.states[:, 0]) != 0.0 for rp in res.retained])
     counts = hits.sum(axis=1)
@@ -294,7 +293,7 @@ def test_injected_standard_normal_moments():
         additive=(NoiseComponent("wiener", const([[0.0]]), channel=0),),
         multiplicative=())
     cfg = SimulationConfig(num_paths=n_paths, sigma0=np.eye(2),
-                           step_size=1e-2, master_seed=17, record_costs=False)
+                           step_size=1e-2, master_seed=17)
     res = simulate_paths(sys, noise, zero_gain(1, 2), cfg)
     mean, cov = empirical_moments(res, 1.0)
     assert np.all(np.abs(mean) <= 3.0 / np.sqrt(n_paths))
@@ -306,7 +305,7 @@ def test_injected_standard_normal_moments():
     # Central moments: shifting every path by a constant changes neither.
     shifted = simulate_paths(sys, noise, zero_gain(1, 2), SimulationConfig(
         num_paths=n_paths, sigma0=np.eye(2), step_size=1e-2, master_seed=17,
-        record_costs=False, initial_mean=np.array([3.0, -2.0])))
+        initial_mean=np.array([3.0, -2.0])))
     assert_allclose(empirical_moments(shifted, 1.0)[1], cov, rtol=1e-9)
     assert_allclose(covariance_standard_error(shifted, 1.0), se, rtol=1e-9)
 
@@ -330,15 +329,6 @@ def test_estimate_cost_scalar_interval():
     j_hat, half = estimate_cost(sys, res)
     assert abs(j_hat - sol.optimal_cost) <= half + 0.01
     assert res.cost_estimate == (j_hat, half)
-
-
-def test_estimate_cost_requires_recording():
-    sys = s1()
-    cfg = SimulationConfig(num_paths=10, sigma0=np.array([[1.0]]),
-                           step_size=1e-2, master_seed=31, record_costs=False)
-    res = simulate_paths(sys, unit_wiener_noise(), zero_gain(1, 1), cfg)
-    with pytest.raises(PathsNotRetainedError):
-        estimate_cost(sys, res)
 
 
 def test_inconsistent_noise_rejected():

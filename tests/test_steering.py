@@ -20,6 +20,7 @@ from covsteer.steering import (
     MAX_PASSES,
     NEWTON_TOL,
     QUAD_ATOL,
+    QUAD_RTOL,
     feedback_gain,
     jacobian_f,
     map_f,
@@ -408,18 +409,32 @@ def _cost_integrand(sys, pi0):
 
 def test_cost_refines_the_accepted_panels():
     # The accepted pass's panels leave the cost integrand's own error
-    # estimate above QUAD_ATOL on this target; refinement brings it under.
+    # estimate above the quadrature's tolerance, atol + rtol |integral|, on
+    # this target; refinement brings it under.
     sys = example_system()
-    bd = BoundaryData(sigma0=np.eye(2), sigma1=np.diag([8.0, 1e-3]))
+    bd = BoundaryData(sigma0=np.eye(2), sigma1=np.diag([50.0, 1e-4]))
     sol = solve_boundary(sys, bd)
     ws = jacobian_f(sys, bd.sigma0, sol.pi0)  # Newton's accepted pass, recomputed
     assert len(ws.edges) - 1 == sol.accepted_panels
-    _, start_error, stopped = adaptive_gk(_cost_integrand(sys, sol.pi0), 0.0, 1.0,
-                                          atol=QUAD_ATOL, edges=ws.edges,
-                                          max_panels=sol.accepted_panels)
-    assert stopped and start_error > QUAD_ATOL >= sol.cost_error
+    integral, start_error, stopped = adaptive_gk(_cost_integrand(sys, sol.pi0), 0.0, 1.0,
+                                                 atol=QUAD_ATOL, edges=ws.edges,
+                                                 max_panels=sol.accepted_panels)
+    tolerance = QUAD_ATOL + QUAD_RTOL * abs(integral)
+    assert stopped and start_error > tolerance >= sol.cost_error
     fresh = optimal_cost(sys, sol, bd)  # adaptive from [0, 1]
     assert abs(sol.optimal_cost - fresh) <= 1e-12 * abs(fresh)
+
+
+def test_cost_quadrature_saturation_raises(monkeypatch):
+    # A ripple of period 6e-8 in Pi(t) is far finer than 2000 panels
+    # resolve, so the cost quadrature saturates instead of returning.
+    sys, bd = s1(), BoundaryData(sigma0=[[1.0]], sigma1=[[0.5]])
+    sol = solve_boundary(sys, bd)
+    real = steering.closed_form_on_path
+    monkeypatch.setattr(steering, "closed_form_on_path", lambda path, pi0, t: real(path, pi0, t)
+                        + np.sin(1e8 * np.asarray(t))[..., None, None])
+    with pytest.raises(IntegrationFailureError, match="cost quadrature saturated"):
+        optimal_cost(sys, sol, bd)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -427,8 +442,8 @@ def test_cost_refines_the_accepted_panels():
 def test_solve_boundary_grids_match_the_standalone_routes(seed, n):
     # solve_boundary reads Sigma and the cost from Newton's accepted pass;
     # propagate_covariance and optimal_cost alone run their own quadratures.
-    # Each cost quadrature promises its own error estimate, absolute, so the
-    # two costs may differ by both estimates besides the relative rounding.
+    # Each cost quadrature promises its own error estimate, so the two costs
+    # may differ by both estimates besides the relative rounding.
     rng = np.random.default_rng(seed)
     sys = random_controllable_system(rng, n)
     sigma0 = random_spd(rng, n)

@@ -200,6 +200,16 @@ def test_gramian_identity_random_system():
     assert check.residual <= 1e-7
 
 
+def test_gramian_quadrature_saturation_raises(monkeypatch):
+    # A ripple of period 6e-8 in B R^-1 B' is far finer than 2000 panels
+    # resolve, so the quadrature saturates instead of returning its estimate.
+    real = transition.b_rinv_bt
+    monkeypatch.setattr(transition, "b_rinv_bt", lambda sys, t: real(sys, t)
+                        + np.sin(1e8 * np.asarray(t))[..., None, None])
+    with pytest.raises(IntegrationFailureError, match="Gramian quadrature saturated"):
+        gramian_identity(s1(), (0.0, [[0.0]]), 1.0)
+
+
 def test_block_ratio_monotonicity_loewner():
     rng = np.random.default_rng(17)
     sys = random_controllable_system(rng, 2)
@@ -344,6 +354,13 @@ def test_spectral_path_on_a_large_drift_matches_closed_form(c):
     err = np.linalg.norm(path.phi(ts) - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
     assert np.max(err) <= 1e-12
     assert path.symplectic_drift <= 1e-12
+
+
+@pytest.mark.parametrize("t", [-0.25, [0.25, 0.75]])
+def test_path_refuses_times_outside_its_span(t):
+    path = TransitionPath(example_system(), anchor=0.0, span=(0.0, 0.5))
+    with pytest.raises(ValueError, match="t=0.75|t=-0.25"):
+        path.phi(t)
 
 
 def test_unresolved_path_raises(monkeypatch):
