@@ -350,6 +350,7 @@ def _run_simulation(cfg: RunConfig, out: str, sol, sim_cfg: SimulationConfig):
         "martingale_mean": list(result.martingale_mean),
         "draw_s": result.draw_s,
         "step_s": result.step_s,
+        "draw_threads": result.draw_threads,
     })
     return result
 

@@ -24,14 +24,21 @@ draws come in a fixed order:
 
 Noise is drawn for a block of paths at a time into step-major increment
 buffers, dm of shape (steps, q, paths) and dmu of shape (steps, paths),
-that the Euler step loop then consumes.  The loop holds the block's states
-state-major, as an (n, paths) array, so every term of the update and every
-statistic is a pass over contiguous rows of paths.  At each checkpoint it
-also accumulates the per-path fourth moments that give the standard error
-of each covariance entry.
+that the Euler step loop then consumes.  A block's paths are split into
+contiguous runs, one per usable CPU: the calling thread draws the first
+and worker threads the others, each with its own streams and into its own
+columns, and all are joined before the block is stepped.  Results do not
+depend on the number of threads; draw_s is the wall time of the drawing
+and draw_threads the number of threads that drew.  The loop holds the
+block's states state-major, as an (n, paths) array, so every term of the
+update and every statistic is a pass over contiguous rows of paths.  At
+each checkpoint it also accumulates the per-path fourth moments that give
+the standard error of each covariance entry.
 """
 
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -47,6 +54,10 @@ from .matfun import MatrixPoly, SystemSpec, symmetrize
 
 _BLOCK = 4096  # fixed batching constant; results do not depend on it
 _DRAW_CHUNK = 256  # paths drawn between copies into the step-major buffers
+# Threads that draw a block's noise, one per CPU this process may use (every
+# CPU where the platform has no affinity mask); results do not depend on it.
+_DRAW_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
 _CONSISTENCY_TOL = 1e-10
 
 
@@ -169,6 +180,7 @@ class SimulationResult:
     martingale_mean: np.ndarray  # empirical mean of m(1) per channel
     draw_s: float  # wall time drawing noise (perf_counter seconds)
     step_s: float  # wall time in the Euler step loop
+    draw_threads: int  # threads that drew the noise of the widest block
 
 
 def _step_suprema(coeffs: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -192,17 +204,17 @@ class _PathStreams:
     """Path i's stream is Generator(Philox(key=master_seed << 64 | i)).
 
     One Philox is re-keyed through its state for each path: the same
-    stream, without seeding a new bit generator per path.
+    stream, without seeding a new bit generator per path.  The state holds
+    lists, which the setter reads in less than half the time of arrays.
     """
 
     def __init__(self, master_seed: int):
         self._bitgen = np.random.Philox(key=0)  # re-keyed before every use
-        self._key = np.array([0, master_seed], dtype=np.uint64)  # [path, seed]
+        self._key = [0, master_seed]  # [path, seed]
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0}
+            "state": {"counter": [0, 0, 0, 0], "key": self._key},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         self._gen = np.random.Generator(self._bitgen)
 
     def at(self, path_index: int) -> np.random.Generator:
@@ -280,17 +292,26 @@ class _StepData:
         self.trap_w[:-1] += 0.5 * self.dts
         self.trap_w[1:] += 0.5 * self.dts
 
-        self.wiener = []  # (is_multiplicative, channel, per-step scale)
+        # (is_multiplicative, channel, per-step scale, zero-scale steps): the
+        # steps are given for the first component on a target, which writes
+        # it, and None for a later one, which adds to it.
+        self.wiener = []
         self.compound = []  # (is_multiplicative, channel, _Dominating, jump std)
+        written = set()  # channels, None for mu
         for comp in noise.additive + noise.multiplicative:
             mult = comp.channel is None
             if comp.kind == "wiener":
                 rate0 = comp.rate.eval(tt[:-1])[:, 0, 0]
                 scale = np.sqrt(np.clip(rate0, 0.0, None) * self.dts)
-                self.wiener.append((mult, comp.channel, scale))
+                first = comp.channel not in written
+                written.add(comp.channel)
+                self.wiener.append((mult, comp.channel, scale,
+                                    np.flatnonzero(scale == 0.0) if first else None))
             else:
                 self.compound.append((mult, comp.channel, _Dominating(comp.rate.entry(), times),
                                       comp.jump_std))
+        self.bare_channels = [ch for ch in range(sys.q) if ch not in written]
+        self.bare_mu = None not in written
 
 
 def _dot(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -323,27 +344,30 @@ def _covariance_standard_error(mean, m2, m3, m4, cov, num_paths):
     return np.sqrt(np.clip(central - cov ** 2, 0.0, None) / num_paths)
 
 
-def _draw_block(step: _StepData, streams: _PathStreams, lo: int, hi: int,
-                mean0, l0, dm: np.ndarray, dmu: np.ndarray):
-    """Noise of paths lo..hi-1 under the per-path stream protocol.
+def _draw_range(step: _StepData, streams: _PathStreams, z: np.ndarray, lo: int,
+                a: int, b: int, mean0, l0, x0: np.ndarray, dm: np.ndarray,
+                dmu: np.ndarray) -> np.ndarray:
+    """Noise of paths a..b-1 of the block that starts at path lo.
 
-    Writes the increments into dm[:, :, :hi - lo] and dmu[:, :hi - lo] and
-    returns the (n, hi - lo) initial states and the accepted arrivals per
-    compound component.  Paths are drawn _DRAW_CHUNK at a time into a
-    path-major scratch buffer whose columns are then copied step-major.
+    Writes columns a - lo to b - lo - 1 of the initial states x0 and of
+    the increment buffers dm and dmu, and no others, so disjoint ranges
+    may be drawn at once; returns the accepted arrivals per compound
+    component.  Paths are drawn _DRAW_CHUNK at a time into the path-major
+    scratch z, whose columns are then written step-major: the first Wiener
+    component on a target writes it, later ones and the jumps add to it,
+    and a target that no Wiener component writes is zeroed first.
     """
-    bsize = hi - lo
-    n = len(mean0)
-    nw = len(step.wiener)
-    dm[:, :, :bsize] = 0.0
-    dmu[:, :bsize] = 0.0
-    x0 = np.empty((n, bsize))
+    n, nw = len(mean0), len(step.wiener)
+    cols = slice(a - lo, b - lo)
+    for ch in step.bare_channels:
+        dm[:, ch, cols] = 0.0
+    if step.bare_mu:
+        dmu[:, cols] = 0.0
     arrivals = [([], [], [], []) for _ in step.compound]  # count, place, accept, size
-    z = np.empty((min(_DRAW_CHUNK, bsize), n + step.nsteps * nw))
-    for c0 in range(0, bsize, _DRAW_CHUNK):
-        zc = z[: min(_DRAW_CHUNK, bsize - c0)]
+    for c0 in range(a, b, _DRAW_CHUNK):
+        zc = z[: min(_DRAW_CHUNK, b - c0)]
         for j in range(len(zc)):
-            gen = streams.at(lo + c0 + j)
+            gen = streams.at(c0 + j)
             gen.standard_normal(out=zc[j])
             for (count, place, accept, size), (_, _, dom, _) in zip(arrivals, step.compound):
                 cnt = gen.poisson(dom.total)
@@ -352,25 +376,65 @@ def _draw_block(step: _StepData, streams: _PathStreams, lo: int, hi: int,
                 place.append(u[:cnt])
                 accept.append(u[cnt:])
                 size.append(gen.standard_normal(cnt))
-        c1 = c0 + len(zc)
+        chunk = slice(c0 - lo, c0 - lo + len(zc))
         # The column-vector product repeats the per-path l0 @ z arithmetic.
-        x0[:, c0:c1] = (mean0 + (l0 @ zc[:, :n, None])[:, :, 0]).T
-        for wi, (mult, ch, scale) in enumerate(step.wiener):
-            inc = zc[:, n + wi::nw].T * scale[:, None]
-            if mult:
-                dmu[:, c0:c1] += inc
+        x0[:, chunk] = (mean0 + (l0 @ zc[:, :n, None])[:, :, 0]).T
+        for wi, (mult, ch, scale, zero_steps) in enumerate(step.wiener):
+            dst = dmu[:, chunk] if mult else dm[:, ch, chunk]
+            if zero_steps is None:
+                dst += zc[:, n + wi::nw].T * scale[:, None]
             else:
-                dm[:, ch, c0:c1] += inc
+                np.multiply(zc[:, n + wi::nw].T, scale[:, None], out=dst)
+                dst[zero_steps] = 0.0  # +0.0 as from a zeroed buffer, not z * 0.0's -0.0
 
     accepted = np.zeros(len(step.compound))
     for ci, ((count, place, accept, size), (mult, ch, dom, jstd)) in enumerate(
             zip(arrivals, step.compound)):
-        paths = np.repeat(np.arange(bsize), count)
+        paths = np.repeat(np.arange(cols.start, cols.stop), count)
         k, keep = dom.thin(np.concatenate(place), np.concatenate(accept))
         jumps = np.concatenate(size)[keep] * jstd
+        # Each path's jumps, in draw order, into this range's own columns.
         np.add.at(dmu if mult else dm[:, ch], (k[keep], paths[keep]), jumps)
         accepted[ci] = np.count_nonzero(keep)
-    return x0, accepted
+    return accepted
+
+
+def _draw_block(step: _StepData, drawers: list, lo: int, hi: int, mean0, l0,
+                dm: np.ndarray, dmu: np.ndarray):
+    """Noise of paths lo..hi-1, split into contiguous runs of whole draw chunks.
+
+    Each drawer, a (streams, scratch) pair, draws one run: the first on
+    this thread, the others on worker threads, all joined before this
+    returns or raises.  Returns the (n, hi - lo) initial states and the
+    accepted arrivals per compound component.
+    """
+    chunks = -(-(hi - lo) // _DRAW_CHUNK)
+    runs = min(len(drawers), chunks)
+    edges = [min(hi, lo + _DRAW_CHUNK * (chunks * i // runs)) for i in range(runs + 1)]
+    x0 = np.empty((len(mean0), hi - lo))
+    results = [None] * runs
+
+    def draw(i):
+        try:
+            results[i] = _draw_range(step, *drawers[i], lo, edges[i], edges[i + 1],
+                                     mean0, l0, x0, dm, dmu)
+        except BaseException as exc:  # re-raised on the calling thread below
+            results[i] = exc
+
+    workers = []
+    try:
+        for i in range(1, runs):
+            worker = threading.Thread(target=draw, args=(i,))
+            worker.start()
+            workers.append(worker)
+        draw(0)
+    finally:
+        for worker in workers:
+            worker.join()
+    for res in results:
+        if isinstance(res, BaseException):
+            raise res
+    return x0, sum(results)
 
 
 def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
@@ -419,17 +483,20 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
     jump_totals = np.zeros(len(step.compound))
     all_costs = np.empty(cfg.num_paths)
     retained = []
-    streams = _PathStreams(cfg.master_seed)
     width = min(_BLOCK, cfg.num_paths)
     dm = np.empty((nsteps, q, width))
     dmu = np.empty((nsteps, width))
+    # One (streams, scratch) drawer per thread that draws the widest block.
+    zwidth = n + nsteps * len(step.wiener)
+    drawers = [(_PathStreams(cfg.master_seed), np.empty((min(_DRAW_CHUNK, width), zwidth)))
+               for _ in range(min(_DRAW_THREADS, -(-width // _DRAW_CHUNK)))]
     draw_s = step_s = 0.0
 
     for lo in range(0, cfg.num_paths, _BLOCK):
         hi = min(lo + _BLOCK, cfg.num_paths)
         bsize = hi - lo
         start = time.perf_counter()
-        x, accepted = _draw_block(step, streams, lo, hi, mean0, l0, dm, dmu)
+        x, accepted = _draw_block(step, drawers, lo, hi, mean0, l0, dm, dmu)
         jump_totals += accepted
         mid = time.perf_counter()
         draw_s += mid - start
@@ -498,7 +565,8 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
         envelope_var=env_var,
         cost_estimate=_cost_mean_half_width(all_costs), retained=tuple(retained),
         jump_mean_counts=tuple(jump_totals / n_paths),
-        martingale_mean=m_final_sum / n_paths, draw_s=draw_s, step_s=step_s)
+        martingale_mean=m_final_sum / n_paths, draw_s=draw_s, step_s=step_s,
+        draw_threads=len(drawers))
 
 
 def _cost_mean_half_width(costs: np.ndarray) -> tuple:

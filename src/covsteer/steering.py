@@ -268,8 +268,10 @@ def solve_boundary(sys: SystemSpec, bd: BoundaryData,
             best_residual=rel, trace=trace)
 
     times = np.linspace(0.0, 1.0, grid_size)
-    pi_grid = tuple(zip(times.tolist(), closed_form_on_path(path, pi, times)))
-    sigma, sigma_error = propagate_covariance(sys, pi, bd.sigma0, grid_size, path, _accepted=ws)
+    read = _phi_pi(path, pi, times)  # Phi on the grid, read once for Pi and Sigma
+    pi_grid = tuple(zip(times.tolist(), closed_form_on_path(path, pi, times, _read=read)))
+    sigma, sigma_error = propagate_covariance(sys, pi, bd.sigma0, grid_size, path,
+                                              _accepted=ws, _growth=read[0])
     solution = SteeringSolution(
         pi0=pi, pi_grid=pi_grid, gain_grid=tuple(feedback_gain(sys, pi_grid)),
         sigma_grid=tuple(sigma), optimal_cost=0.0, newton_trace=tuple(trace),
@@ -281,7 +283,8 @@ def solve_boundary(sys: SystemSpec, bd: BoundaryData,
 
 def propagate_covariance(sys: SystemSpec, pi0: np.ndarray, sigma0: np.ndarray,
                          grid_size: int = 1001, path: TransitionPath | None = None,
-                         *, _accepted: JacobianWorkspace | None = None) -> list:
+                         *, _accepted: JacobianWorkspace | None = None,
+                         _growth: np.ndarray | None = None) -> list:
     """Covariance trajectory under the optimal gain, as (t, Sigma(t)) pairs;
     given Newton's accepted pass as _accepted, (pairs, tail) instead.
 
@@ -290,6 +293,7 @@ def propagate_covariance(sys: SystemSpec, pi0: np.ndarray, sigma0: np.ndarray,
     interpolants on the panels of an adaptive quadrature of P (the accepted
     pass's or its own), so the accuracy does not depend on grid_size; a tail
     above 1e-7 max(1, ||Sigma0 + int_0^1 P||) raises IntegrationFailureError.
+    _growth is PhiPi(t, 0) on the grid when the caller has read it already.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
@@ -309,7 +313,7 @@ def propagate_covariance(sys: SystemSpec, pi0: np.ndarray, sigma0: np.ndarray,
     acc = np.asarray(sigma0, dtype=float) + part
     if not tail <= 1e-7 * max(1.0, float(np.linalg.norm(acc[-1]))):  # also refuses NaN
         raise IntegrationFailureError(f"transported noise unresolved: tail {tail:.3e}")
-    g = _phi_pi(path, pi0, times)[0]
+    g = _phi_pi(path, pi0, times)[0] if _growth is None else _growth
     pairs = list(zip(times.tolist(), symmetrize(g @ acc @ np.swapaxes(g, -1, -2))))
     return pairs if _accepted is None else (pairs, tail)
 

@@ -322,6 +322,7 @@ _SCIPY_FREE = """
 import sys
 import covsteer.cli
 assert "scipy" not in sys.modules, "import covsteer.cli loaded scipy"
+assert "concurrent.futures" not in sys.modules, "import covsteer.cli loaded concurrent.futures"
 from covsteer.cli import EXIT_OK, example_config_path, main
 for command in ("solve", "construct"):
     rc = main([command, "--config", example_config_path(), "--out", sys.argv[1] + "/" + command])

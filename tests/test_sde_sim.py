@@ -1,3 +1,6 @@
+import threading
+from sys import getswitchinterval, setswitchinterval
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,7 +206,7 @@ _BATCHING_CASES = {
 }
 
 
-def _jump_run(case, num_paths, block=None, chunk=None):
+def _jump_run(case, num_paths, block=None, chunk=None, threads=None):
     system, noise, gain, sigma0 = _BATCHING_CASES[case]
     cfg = SimulationConfig(num_paths=num_paths, sigma0=sigma0, step_size=1e-2,
                            master_seed=57, retain_paths=num_paths)
@@ -212,6 +215,8 @@ def _jump_run(case, num_paths, block=None, chunk=None):
             mp.setattr(sde_sim, "_BLOCK", block)
         if chunk is not None:
             mp.setattr(sde_sim, "_DRAW_CHUNK", chunk)
+        if threads is not None:
+            mp.setattr(sde_sim, "_DRAW_THREADS", threads)
         return simulate_paths(system(), noise(), gain(), cfg)
 
 
@@ -222,17 +227,83 @@ def jump_reference():
 
 @pytest.mark.parametrize("case", list(_BATCHING_CASES))
 @settings(max_examples=8, deadline=None)
-@given(num_paths=st.integers(1, 24), block=st.integers(1, 9), chunk=st.integers(1, 5))
-def test_jump_paths_do_not_depend_on_batching(jump_reference, case, num_paths, block, chunk):
+@given(num_paths=st.integers(1, 24), block=st.integers(1, 9), chunk=st.integers(1, 5),
+       threads=st.integers(1, 4))
+def test_jump_paths_do_not_depend_on_batching(jump_reference, case, num_paths, block, chunk,
+                                              threads):
     # Compound-Poisson arrivals are drawn from each path's own stream, so a
-    # path's trajectory depends on neither the path count nor the batching.
+    # path's trajectory depends on neither the path count, the batching nor
+    # the number of draw threads.
     ref = jump_reference[case]
-    res = _jump_run(case, num_paths, block, chunk)
+    res = _jump_run(case, num_paths, block, chunk, threads)
+    assert res.draw_threads == min(threads, -(-min(block, num_paths) // chunk))
     assert [rp.path_id for rp in res.retained] == list(range(num_paths))
     for rp in res.retained:
         assert np.array_equal(rp.states, ref.retained[rp.path_id].states)
         assert np.array_equal(rp.controls, ref.retained[rp.path_id].controls)
     assert res.jump_mean_counts == _jump_run(case, num_paths).jump_mean_counts
+
+
+@pytest.mark.parametrize("case", list(_BATCHING_CASES))
+def test_statistics_do_not_depend_on_draw_threads(case):
+    # Same blocks and chunks: every statistic, not only each path, is
+    # bit-identical for any number of draw threads.  A short switch
+    # interval makes the threads interleave often.
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        one, many = (_jump_run(case, 23, block=11, chunk=2, threads=t) for t in (1, 4))
+    finally:
+        setswitchinterval(interval)
+    assert (one.draw_threads, many.draw_threads) == (1, 4)
+    for field in ("envelope_mean", "envelope_var", "martingale_mean"):
+        assert np.array_equal(getattr(one, field), getattr(many, field))
+    assert (one.cost_estimate, one.jump_mean_counts) == (many.cost_estimate, many.jump_mean_counts)
+    for (_, *got), (_, *want) in zip(many.checkpoint_moments, one.checkpoint_moments):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+class _RangeFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing_run", [0, 2])
+def test_failing_draw_thread_reaches_the_caller(monkeypatch, failing_run):
+    # Run 0 is drawn on the calling thread and run 2 on a worker; either
+    # way the error surfaces with its type and every worker is joined.
+    draw_range = sde_sim._draw_range
+    starts = []
+
+    def failing(step, streams, z, lo, a, *args):
+        starts.append(a)
+        if a == lo + failing_run * 2:  # runs of one chunk of two paths
+            raise _RangeFailure(a)
+        return draw_range(step, streams, z, lo, a, *args)
+
+    monkeypatch.setattr(sde_sim, "_draw_range", failing)
+    monkeypatch.setattr(sde_sim, "_DRAW_THREADS", 4)
+    monkeypatch.setattr(sde_sim, "_DRAW_CHUNK", 2)
+    before = threading.active_count()
+    with pytest.raises(_RangeFailure):
+        _jump_run("example", 8)
+    assert threading.active_count() == before
+    assert sorted(starts) == [0, 2, 4, 6]
+
+
+def test_zero_rate_increments_are_positive_zero():
+    # z * 0.0 is -0.0 for a negative z; a zero-rate step's increment is
+    # +0.0 instead, as when components are added to a zeroed buffer.  mu has
+    # no component here and is zeroed.
+    sys = make_system(2, 1, 1, np.zeros((2, 2)), [[0.0], [1.0]], [[1.0], [0.0]],
+                      [[0.0]], [[0.0]], np.zeros((2, 2)), [[1.0]])
+    noise = NoiseModel(
+        additive=(NoiseComponent("wiener", const([[0.0]]), channel=0),), multiplicative=())
+    step = sde_sim._StepData(sys, noise, zero_gain(1, 2), 1e-2)
+    dm, dmu = np.full((step.nsteps, 1, 8), np.nan), np.full((step.nsteps, 8), np.nan)
+    drawer = (sde_sim._PathStreams(5), np.empty((8, 2 + step.nsteps)))
+    sde_sim._draw_block(step, [drawer], 0, 8, np.zeros(2), np.eye(2), dm, dmu)
+    for buf in (dm, dmu):
+        assert np.all(buf == 0.0) and not np.any(np.signbit(buf))
 
 
 def test_thinning_law_with_interior_supremum():

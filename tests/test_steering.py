@@ -454,7 +454,9 @@ def test_solve_boundary_grids_match_the_standalone_routes(seed, n):
     want = np.stack([sigma for _, sigma in propagate_covariance(sys, sol.pi0, sigma0, 21)])
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
     fresh = optimal_cost(sys, sol, bd)
-    _, fresh_error, _ = adaptive_gk(_cost_integrand(sys, sol.pi0), 0.0, 1.0, atol=QUAD_ATOL)
+    # The error estimate of the quadrature that produced fresh.
+    _, fresh_error, _ = adaptive_gk(_cost_integrand(sys, sol.pi0), 0.0, 1.0,
+                                    atol=QUAD_ATOL, rtol=QUAD_RTOL)
     assert abs(sol.optimal_cost - fresh) <= sol.cost_error + fresh_error + 1e-10 * abs(fresh)
     assert 0.0 <= sol.sigma_error and 0.0 <= sol.cost_error
 
