@@ -23,8 +23,6 @@ from .matfun import (
     BoundaryData,
     MatrixPoly,
     SystemSpec,
-    evaluate,
-    kron,
     unvec,
     validate_system,
     vec,
@@ -44,7 +42,6 @@ from .sde_sim import (
     covariance_standard_error,
     derive_intensities,
     empirical_moments,
-    estimate_cost,
     simulate_paths,
 )
 from .steering import (
@@ -91,14 +88,11 @@ __all__ = [
     "covariance_standard_error",
     "derive_intensities",
     "empirical_moments",
-    "estimate_cost",
-    "evaluate",
     "existence_check",
     "feedback_gain",
     "gramian_identity",
     "integrate_general",
     "jacobian_f",
-    "kron",
     "map_f",
     "maximal_interval",
     "optimal_cost",

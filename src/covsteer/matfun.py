@@ -83,10 +83,6 @@ class MatrixPoly:
         return cls._of(np.zeros((1, rows, cols)))
 
     @classmethod
-    def identity(cls, n):
-        return cls.constant(np.eye(n))
-
-    @classmethod
     def hstack(cls, parts):
         """Matrices with equal row counts side by side, degrees zero-padded."""
         deg = max(len(part.coef) for part in parts)
@@ -101,10 +97,6 @@ class MatrixPoly:
     @property
     def cols(self):
         return self.coef.shape[2]
-
-    @property
-    def degree(self):
-        return len(self.coef) - 1
 
     def entry(self, i=0, j=0) -> np.ndarray:
         """Ascending coefficients of entry (i, j) as a 1-D array."""
@@ -169,16 +161,6 @@ class MatrixPoly:
         if not self.is_constant(tol):
             return False
         return np.max(np.abs(self.eval(0.0) - np.asarray(mat))) <= tol
-
-
-def evaluate(f: MatrixPoly, t: float, order: int = 0) -> np.ndarray:
-    """Order-th time derivative of f at t; order 0 returns f(t)."""
-    return f.eval(t, order)
-
-
-def kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
 def vec(h: np.ndarray) -> np.ndarray:

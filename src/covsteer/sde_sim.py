@@ -600,13 +600,3 @@ def covariance_standard_error(result: SimulationResult, t: float):
     Estimated from the per-path fourth moments; None for a single path.
     """
     return _checkpoint(result, t)[3]
-
-
-def estimate_cost(sys: SystemSpec, result: SimulationResult):
-    """Cost estimate from the per-path trapezoidal quadratures.
-
-    The quadrature of x'Qx + u'Ru along each path (with its control
-    values) is accumulated during simulation and reduced there to a mean
-    and a 95% confidence half-width, result.cost_estimate, returned here.
-    """
-    return result.cost_estimate

@@ -11,7 +11,7 @@ channel coincides with the control channel and doubles as the warm start.
 """
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import (
     PreconditionError,
     RiccatiNonexistenceError,
 )
-from .matfun import BoundaryData, SystemSpec, kron, spd_sqrt, symmetrize, unvec, vec
+from .matfun import BoundaryData, SystemSpec, spd_sqrt, symmetrize, unvec, vec
 from .riccati import closed_form_on_path
 from .transition import TransitionPath, _phi_pi, _sandwich_bound, b_rinv_bt, solve_with_cond_check
 
@@ -138,8 +138,8 @@ def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
     p_int = integral[:n2].reshape(n, n)
     jac_int = integral[2 * n2:].reshape(n2, n2)
 
-    s_mat = kron(sigma0, w10) + kron(w10, sigma0) + jac_int
-    jac = kron(phi10, phi10) @ s_mat
+    s_mat = np.kron(sigma0, w10) + np.kron(w10, sigma0) + jac_int
+    jac = np.kron(phi10, phi10) @ s_mat
     f_value = symmetrize(phi10 @ (sigma0 + p_int) @ phi10.T)
     nodes = tuple((float(t), raw[n2:2 * n2].reshape(n, n), raw[:n2].reshape(n, n))
                   for t, raw in zip(node_ts, node_vals))
@@ -272,13 +272,12 @@ def solve_boundary(sys: SystemSpec, bd: BoundaryData,
     pi_grid = tuple(zip(times.tolist(), closed_form_on_path(path, pi, times, _read=read)))
     sigma, sigma_error = propagate_covariance(sys, pi, bd.sigma0, grid_size, path,
                                               _accepted=ws, _growth=read[0])
-    solution = SteeringSolution(
+    cost, cost_error = optimal_cost(sys, pi, bd, path=path, _accepted=ws)
+    return SteeringSolution(
         pi0=pi, pi_grid=pi_grid, gain_grid=tuple(feedback_gain(sys, pi_grid)),
-        sigma_grid=tuple(sigma), optimal_cost=0.0, newton_trace=tuple(trace),
-        residual=rel, sigma_error=sigma_error, cost_error=0.0,
+        sigma_grid=tuple(sigma), optimal_cost=cost, newton_trace=tuple(trace),
+        residual=rel, sigma_error=sigma_error, cost_error=cost_error,
         accepted_panels=len(ws.edges) - 1)
-    cost, cost_error = optimal_cost(sys, solution, bd, path=path, _accepted=ws)
-    return replace(solution, optimal_cost=cost, cost_error=cost_error)
 
 
 def propagate_covariance(sys: SystemSpec, pi0: np.ndarray, sigma0: np.ndarray,
@@ -328,17 +327,18 @@ def feedback_gain(sys: SystemSpec, pi_grid) -> list:
     return list(zip(ts, gains))
 
 
-def optimal_cost(sys: SystemSpec, sol: SteeringSolution, bd: BoundaryData,
+def optimal_cost(sys: SystemSpec, pi0: np.ndarray, bd: BoundaryData,
                  path: TransitionPath | None = None,
                  *, _accepted: JacobianWorkspace | None = None) -> float:
-    """Optimal cost: int tr(Pi C D C') dt plus the boundary correction;
-    given Newton's accepted pass as _accepted, (cost, error estimate) instead.
+    """Optimal cost under the costate anchor Pi0: int tr(Pi C D C') dt plus
+    the boundary correction; given Newton's accepted pass as _accepted,
+    (cost, error estimate) instead.
 
     The quadrature starts from [0, 1], or from the accepted pass's panels;
     one that saturates raises IntegrationFailureError.
     """
     path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
-    pi0 = sol.pi0
+    pi0 = np.asarray(pi0, dtype=float)
 
     def integrand(ts):
         return np.einsum("kij,kji->k", closed_form_on_path(path, pi0, ts), _cdct(sys, ts))

@@ -6,9 +6,9 @@ and the Riccati/Lyapunov solutions are unchanged), has the transition
 matrix with blocks Phi11, Phi12, Phi21, Phi22.  They satisfy a family of
 symplectic identities, which symplectic_residuals checks, and furnish the
 existence bounds and Gramian identity used by the Riccati and steering
-layers.  The library reads every block from a TransitionPath, a
-piecewise Chebyshev series; transition_blocks, a direct RK45 integration,
-serves only as the independent oracle in symplectic_residuals.
+layers.  Every block is read from a TransitionPath, a piecewise
+Chebyshev series; transition_blocks builds one anchored at s for a single
+pair of times.
 """
 
 import functools
@@ -22,8 +22,6 @@ from ._quad import adaptive_gk
 from .errors import IntegrationFailureError, RiccatiNonexistenceError, SingularTransitionError
 from .matfun import MatrixPoly, SystemSpec, symmetrize
 
-RTOL = 1e-10  # transition_blocks' integration tolerances
-ATOL = 1e-13
 COND_LIMIT = 1e12
 QUAD_ATOL = 1e-10  # gramian_identity's quadrature tolerance
 PANEL_NORM = 4.0  # bound on h max||M||_2 per path panel (near 10, 7 digits were lost)
@@ -96,29 +94,6 @@ class TransitionBlocks:
     @property
     def n(self):
         return self.phi11.shape[0]
-
-
-def _make_blocks(phi, t, s):
-    n = phi.shape[0] // 2
-    p11, p12 = phi[:n, :n], phi[:n, n:]
-    p21, p22 = phi[n:, :n], phi[n:, n:]
-    return TransitionBlocks(phi11=p11, phi12=p12, phi21=p21, phi22=p22, t=t, s=s)
-
-
-def transition_blocks(sys: SystemSpec, t: float, s: float) -> TransitionBlocks:
-    """Blocks of Phi_M(t, s) by direct RK45 integration from s to t."""
-    from scipy.integrate import solve_ivp
-
-    dim, m_of_t = 2 * sys.n, hamiltonian(sys)
-    phi = np.eye(dim)
-    if t != s:
-        sol = solve_ivp(lambda tau, y: (m_of_t(tau) @ y.reshape(dim, dim)).reshape(-1), (s, t),
-                        phi.reshape(-1), method="RK45", rtol=RTOL, atol=ATOL)
-        if not sol.success:
-            raise IntegrationFailureError(
-                f"transition integration failed on [{s}, {t}]: {sol.message}")
-        phi = sol.y[:, -1].reshape(dim, dim)
-    return _make_blocks(phi, t, s)
 
 
 @functools.cache
@@ -201,14 +176,17 @@ class TransitionPath:
             raise ValueError(f"t={flat[~done][0]} outside the integrated span")
         return out if ts.ndim else out[0]
 
-    def blocks(self, t: float) -> TransitionBlocks:
-        return _make_blocks(self.phi(t), t, self.anchor)
-
     def raw_blocks(self, t) -> tuple:
         """(phi11, phi12, phi21, phi22) as a tuple; stacks for an array of times."""
         n = self.dim // 2
         phi = self.phi(t)
         return phi[..., :n, :n], phi[..., :n, n:], phi[..., n:, :n], phi[..., n:, n:]
+
+
+def transition_blocks(sys: SystemSpec, t: float, s: float) -> TransitionBlocks:
+    """Blocks of Phi_M(t, s), read from a TransitionPath anchored at s."""
+    path = TransitionPath(sys, anchor=s, span=(min(s, t), max(s, t)))
+    return TransitionBlocks(*path.raw_blocks(t), t=t, s=s)
 
 
 def symplectic_residuals(sys: SystemSpec, blocks: TransitionBlocks) -> dict:
@@ -217,7 +195,7 @@ def symplectic_residuals(sys: SystemSpec, blocks: TransitionBlocks) -> dict:
     Includes the six same-argument identities, the diagonal-block relation
     phi11(t,s) = phi22(s,t)', and the antisymmetry of the off-diagonal
     blocks under argument reversal; the reversed blocks come from a second
-    integration, not from inverting the forward result.
+    path anchored at t, not from inverting the forward result.
     """
     p11, p12, p21, p22 = blocks.phi11, blocks.phi12, blocks.phi21, blocks.phi22
     eye = np.eye(blocks.n)

@@ -1,9 +1,10 @@
 """Shared builders and independent oracles for the test suite.
 
 Oracles here deliberately avoid the library's solution paths: constant
-systems use the matrix exponential, Riccati references integrate the
-differential equation directly, and one fixed-step RK4 integrator is
-hand-rolled for the general-channel comparison.
+systems use the matrix exponential, transition-block and Riccati
+references integrate their differential equations directly by RK45, and
+one fixed-step RK4 integrator is hand-rolled for the general-channel
+comparison.
 """
 
 import numpy as np
@@ -136,9 +137,9 @@ def random_controllable_system(rng, n, p=None, degree=2, channel_match=False):
         l_fac = random_poly_matrix(rng, n, n, 1, scale=0.5)
         q_mat = l_fac @ l_fac.T
         if channel_match:
-            r = MatrixPoly.identity(p)
+            r = const(np.eye(p))
             c = b
-            d = MatrixPoly.identity(p)
+            d = const(np.eye(p))
             q_ch = p
         else:
             q_ch = int(rng.integers(1, n + 1))
@@ -175,6 +176,22 @@ def expm_blocks(sys, t, s):
     n = sys.n
     phi = expm(hamiltonian_const(sys) * (t - s))
     return phi[:n, :n], phi[:n, n:], phi[n:, :n], phi[n:, n:]
+
+
+def rk45_blocks(sys, t, s):
+    """Blocks of Phi_M(t, s) by direct RK45 integration from s to t, the
+    reference for the library's spectral TransitionPath."""
+    from covsteer.transition import TransitionBlocks, hamiltonian
+
+    dim, m_of_t = 2 * sys.n, hamiltonian(sys)
+    phi = np.eye(dim)
+    if t != s:
+        sol = solve_ivp(lambda tau, y: (m_of_t(tau) @ y.reshape(dim, dim)).reshape(-1), (s, t),
+                        phi.reshape(-1), method="RK45", rtol=1e-10, atol=1e-13)
+        assert sol.success, sol.message
+        phi = sol.y[:, -1].reshape(dim, dim)
+    n = sys.n
+    return TransitionBlocks(phi[:n, :n], phi[:n, n:], phi[n:, :n], phi[n:, n:], t=t, s=s)
 
 
 def riccati_rhs(sys):

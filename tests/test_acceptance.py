@@ -82,9 +82,9 @@ def test_criterion_02_monotonicity_suite():
             t1, t2 = np.sort(rng.uniform(s + 0.05, 1.0, size=2))
             if t2 - t1 < 0.02:
                 continue
-            b1, b2 = path.blocks(t1), path.blocks(t2)
-            x1 = -np.linalg.solve(b1.phi11, b1.phi12)
-            x2 = -np.linalg.solve(b2.phi11, b2.phi12)
+            b1, b2 = path.raw_blocks(t1), path.raw_blocks(t2)
+            x1 = -np.linalg.solve(b1[0], b1[1])
+            x2 = -np.linalg.solve(b2[0], b2[1])
             lam = float(np.min(np.linalg.eigvalsh(symmetrize(x2 - x1))))
             worst = min(worst, lam)
             checked += 1

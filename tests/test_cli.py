@@ -328,11 +328,20 @@ for command in ("solve", "construct"):
     rc = main([command, "--config", example_config_path(), "--out", sys.argv[1] + "/" + command])
     assert rc == EXIT_OK, (command, rc)
     assert "scipy" not in sys.modules, f"covsteer {command} loaded scipy"
+import numpy as np
+import covsteer
+from covsteer.matfun import MatrixPoly, SystemSpec
+one, zero = MatrixPoly.constant([[1.0]]), MatrixPoly.constant([[0.0]])
+sys_ = SystemSpec(n=1, p=1, q=1, A=zero, B=one, C=one, D=one, nu=zero, Q=zero, R=one)
+covsteer.symplectic_residuals(sys_, covsteer.transition_blocks(sys_, 1.0, 0.0))
+covsteer.pi_bounds(sys_, np.array([0.0, 0.5, 1.0]))
+covsteer.maximal_interval(sys_, 0.0, np.zeros((1, 1)), (-0.5, 1.5))
+assert "scipy" not in sys.modules, "the transition blocks or the existence analysis loaded scipy"
 """
 
 
 def test_import_and_solve_load_no_scipy(tmp_path):
-    # Only the RK45 oracle transition_blocks and integrate_general need scipy.
+    # Of the library, only integrate_general needs scipy.
     # A fresh interpreter, as an earlier test in this process may import it.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE, str(tmp_path)],

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from covsteer.errors import DimensionError
 from covsteer.matfun import (
     BoundaryData,
     MatrixPoly,
-    evaluate,
-    kron,
     unvec,
     validate_system,
     vec,
@@ -19,14 +17,14 @@ from helpers import const, make_system, example_system
 
 def test_evaluate_constant():
     f = const([[1.0]])
-    assert_allclose(evaluate(f, 0.7, 0), [[1.0]])
+    assert_allclose(f.eval(0.7, 0), [[1.0]])
 
 
 def test_evaluate_affine_derivative():
     f = MatrixPoly.from_entries([[[3.0, 1.0]]])  # 3 + t
-    assert_allclose(evaluate(f, 0.5, 1), [[1.0]])
-    assert_allclose(evaluate(f, 0.2, 0), [[3.2]])
-    assert_allclose(evaluate(f, 0.9, 2), [[0.0]])
+    assert_allclose(f.eval(0.5, 1), [[1.0]])
+    assert_allclose(f.eval(0.2, 0), [[3.2]])
+    assert_allclose(f.eval(0.9, 2), [[0.0]])
 
 
 def test_evaluate_matches_finite_differences():
@@ -42,7 +40,7 @@ def test_evaluate_matches_finite_differences():
 
 
 def test_kron_identity():
-    assert_allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
+    assert_allclose(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
 
 def test_kron_hand_example():
@@ -54,7 +52,7 @@ def test_kron_hand_example():
         [0.0, 3.0, 0.0, 4.0],
         [3.0, 0.0, 4.0, 0.0],
     ])
-    assert_allclose(kron(x, y), expected)
+    assert_allclose(np.kron(x, y), expected)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -64,7 +62,7 @@ def test_kron_vec_identity(n):
         x = rng.standard_normal((n, n))
         y = rng.standard_normal((n, n))
         h = rng.standard_normal((n, n))
-        lhs = kron(x, y) @ vec(h)
+        lhs = np.kron(x, y) @ vec(h)
         rhs = vec(y @ h @ x.T)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
@@ -127,26 +125,41 @@ def test_matrix_poly_stacked_eval_is_per_time_eval(tables, ts, order):
         assert stack[k].tobytes() == f.eval(t, order).tobytes()
 
 
+def _underflow(products, t, deg):
+    """Bound on the error of `products` subnormal products.  The rounding
+    model fl(xy) = xy(1 + d) + e adds |e| <= 2^-1075, half the smallest
+    subnormal, per product, carried to the value by at most max(1, |t|)^deg.
+    A sum or difference whose result is subnormal is exact."""
+    return products * max(1.0, abs(t)) ** deg * np.nextafter(0.0, 1.0) / 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(tables=_poly_tables(), ts=_TIMES, factor=_COEF)
+@example(tables=([[[0.0, 0.0]], [[0.0, 0.0]], [[0.0, 1.0]]],
+                 [[[0.0, 0.0]], [[0.0, 0.0]], [[0.0, 1.5]]], [[[1.0]]]),
+         ts=[5e-324], factor=1.0)  # (f + g)(t) = 2.5 subnormal units rounds to 2, f(t) + g(t) to 3
 def test_matrix_poly_arithmetic_matches_pointwise(tables, ts, factor):
     rtol = 1e-13
     f, g, h = (MatrixPoly.from_entries(tab) for tab in tables)
     abs_f, abs_g, abs_h = (_abs_poly(tab) for tab in tables)
+    deg_f, deg_g, deg_h = (len(p.coef) - 1 for p in (f, g, h))
+    deg_fg = max(deg_f, deg_g)
     for t in ts:
         fv, gv, hv = f.eval(t), g.eval(t), h.eval(t)
         af, ag, ah = abs_f.eval(abs(t)), abs_g.eval(abs(t)), abs_h.eval(abs(t))
-        assert np.all(np.abs((f + g).eval(t) - (fv + gv)) <= rtol * (af + ag))
-        assert np.all(np.abs((f - g).eval(t) - (fv - gv)) <= rtol * (af + ag))
-        assert np.all(np.abs((f @ h).eval(t) - fv @ hv) <= rtol * (af @ ah))
-        # With a subnormal product the rounding model fl(xy) = xy(1 + d) + e
-        # adds |e| <= 2^-1075, half the smallest subnormal, per product:
-        # 2 deg + 2 of them (deg + 1 coefficient products, deg Horner products
-        # and factor * fv), each carried to the value by at most max(1, |t|)^deg.
-        deg = f.coef.shape[0] - 1
-        underflow = (deg + 1) * max(1.0, abs(t)) ** deg * np.nextafter(0.0, 1.0)
+        # Horner products: deg_fg for f + g, deg_f for f and deg_g for g.
+        under = _underflow(3 * deg_fg, t, deg_fg)
+        assert np.all(np.abs((f + g).eval(t) - (fv + gv)) <= rtol * (af + ag) + under)
+        assert np.all(np.abs((f - g).eval(t) - (fv - gv)) <= rtol * (af + ag) + under)
+        # Per unit of (1 + |f|)(1 + |h|): the product's coefficient and Horner
+        # products, fv @ hv's own, and f's and h's evaluation errors carried
+        # through the other factor, fewer than (deg_f + 2)(deg_h + 2) in all.
+        under = _underflow((deg_f + 2) * (deg_h + 2), t, deg_f + deg_h) * ((1 + af) @ (1 + ah))
+        assert np.all(np.abs((f @ h).eval(t) - fv @ hv) <= rtol * (af @ ah) + under)
+        # 2 deg_f + 2 products: deg_f + 1 coefficient products, deg_f Horner
+        # products and factor * fv.
         assert np.all(np.abs(f.scale(factor).eval(t) - factor * fv)
-                      <= rtol * abs(factor) * af + underflow)
+                      <= rtol * abs(factor) * af + _underflow(2 * deg_f + 2, t, deg_f))
         assert np.array_equal(f.T.eval(t), fv.T)
         # Zero padding to the higher degree leaves every value exact.
         assert np.array_equal(MatrixPoly.hstack([f, g, f]).eval(t), np.hstack([fv, gv, fv]))
@@ -155,7 +168,12 @@ def test_matrix_poly_arithmetic_matches_pointwise(tables, ts, factor):
                   for e in row] for row in tables[0]]
         want = np.array([[sum(e) for e in row] for row in terms])
         bound = np.array([[sum(abs(x) for x in e) for e in row] for row in terms])
-        assert np.all(np.abs(f.derivative().eval(t) - want) <= rtol * bound)
+        # 2 deg_f - 1 products in f', 2 deg_f in want, and t^(k-1) within one
+        # subnormal, that is two units, amplified by |k c_k|.
+        weight = np.array([[1.0 + sum(k * abs(c) for k, c in enumerate(e)) for e in row]
+                           for row in tables[0]])
+        assert np.all(np.abs(f.derivative().eval(t) - want)
+                      <= rtol * bound + _underflow(4 * deg_f, t, deg_f) * weight)
 
 
 def test_validate_example_system_passes():

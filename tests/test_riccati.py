@@ -187,7 +187,7 @@ def test_integrate_general_zero_fixed_point():
     # E = I with nu = 0.5 and Q = 0: zero stays a fixed point.
     sys = make_system(1, 1, 1, [[0.0]], [[1.0]], [[1.0]], [[1.0]],
                       [[0.5]], [[0.0]], [[1.0]],
-                      channels=((MatrixPoly.identity(1), const([[0.0]])),))
+                      channels=((const([[1.0]]), const([[0.0]])),))
     sol = integrate_general(sys, [[0.0]], grid_size=11)
     assert sol.exists
     assert all(abs(pi[0, 0]) <= 1e-12 for _, pi in sol.grid)
@@ -196,7 +196,7 @@ def test_integrate_general_zero_fixed_point():
 def test_integrate_general_blowup_matches_maximal_interval():
     sys = make_system(1, 1, 1, [[0.0]], [[1.0]], [[1.0]], [[1.0]],
                       [[0.0]], [[0.0]], [[1.0]],
-                      channels=((MatrixPoly.identity(1), const([[0.0]])),))
+                      channels=((const([[1.0]]), const([[0.0]])),))
     sol = integrate_general(sys, [[2.0]], grid_size=101)
     assert not sol.exists
     assert sol.escape_time is not None

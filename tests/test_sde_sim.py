@@ -22,7 +22,6 @@ from covsteer.sde_sim import (
     covariance_standard_error,
     derive_intensities,
     empirical_moments,
-    estimate_cost,
     simulate_paths,
 )
 from covsteer.steering import solve_boundary
@@ -386,7 +385,7 @@ def test_estimate_cost_zero_integrand():
     cfg = SimulationConfig(num_paths=50, sigma0=np.array([[1.0]]),
                            step_size=1e-2, master_seed=23)
     res = simulate_paths(sys, unit_wiener_noise(), zero_gain(1, 1), cfg)
-    j_hat, half = estimate_cost(sys, res)
+    j_hat, half = res.cost_estimate
     assert j_hat == 0.0
     assert half == 0.0
 
@@ -397,9 +396,8 @@ def test_estimate_cost_scalar_interval():
     cfg = SimulationConfig(num_paths=20000, sigma0=np.array([[1.0]]),
                            step_size=1e-3, master_seed=29)
     res = simulate_paths(sys, unit_wiener_noise(), sol.gain_grid, cfg)
-    j_hat, half = estimate_cost(sys, res)
+    j_hat, half = res.cost_estimate
     assert abs(j_hat - sol.optimal_cost) <= half + 0.01
-    assert res.cost_estimate == (j_hat, half)
 
 
 def test_inconsistent_noise_rejected():

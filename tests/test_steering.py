@@ -421,7 +421,7 @@ def test_cost_refines_the_accepted_panels():
                                                  max_panels=sol.accepted_panels)
     tolerance = QUAD_ATOL + QUAD_RTOL * abs(integral)
     assert stopped and start_error > tolerance >= sol.cost_error
-    fresh = optimal_cost(sys, sol, bd)  # adaptive from [0, 1]
+    fresh = optimal_cost(sys, sol.pi0, bd)  # adaptive from [0, 1]
     assert abs(sol.optimal_cost - fresh) <= 1e-12 * abs(fresh)
 
 
@@ -434,7 +434,7 @@ def test_cost_quadrature_saturation_raises(monkeypatch):
     monkeypatch.setattr(steering, "closed_form_on_path", lambda path, pi0, t: real(path, pi0, t)
                         + np.sin(1e8 * np.asarray(t))[..., None, None])
     with pytest.raises(IntegrationFailureError, match="cost quadrature saturated"):
-        optimal_cost(sys, sol, bd)
+        optimal_cost(sys, sol.pi0, bd)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -453,7 +453,7 @@ def test_solve_boundary_grids_match_the_standalone_routes(seed, n):
     got = np.stack([sigma for _, sigma in sol.sigma_grid])
     want = np.stack([sigma for _, sigma in propagate_covariance(sys, sol.pi0, sigma0, 21)])
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
-    fresh = optimal_cost(sys, sol, bd)
+    fresh = optimal_cost(sys, sol.pi0, bd)
     # The error estimate of the quadrature that produced fresh.
     _, fresh_error, _ = adaptive_gk(_cost_integrand(sys, sol.pi0), 0.0, 1.0,
                                     atol=QUAD_ATOL, rtol=QUAD_RTOL)
@@ -518,7 +518,7 @@ def test_scalar_map_is_monotone_decreasing():
 def test_optimal_cost_consistency_with_monte_carlo_free_case():
     sol = solve_boundary(s1(), BoundaryData(sigma0=[[1.0]], sigma1=[[2.0]]))
     bd = BoundaryData(sigma0=[[1.0]], sigma1=[[2.0]])
-    assert abs(optimal_cost(s1(), sol, bd)) <= 1e-9
+    assert abs(optimal_cost(s1(), sol.pi0, bd)) <= 1e-9
 
 
 @pytest.mark.parametrize("target", [

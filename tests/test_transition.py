@@ -26,6 +26,7 @@ from helpers import (
     make_system,
     random_admissible_pi0,
     random_controllable_system,
+    rk45_blocks,
     s1,
     s1_with_q,
     example_system,
@@ -164,10 +165,10 @@ def test_pi_bounds_on_array_match_direct_oracle(n):
             if t == end:
                 assert bound.kind == kind
                 continue
-            b = transition_blocks(sys, end, t)
+            b = rk45_blocks(sys, end, t)
             want = symmetrize(-np.linalg.solve(b.phi12, b.phi11))
             # First order, dU = phi12^-1 (dphi11 + dphi12 U) with |dPhi| about
-            # rtol |Phi| on each side: the path's rtol (1e-10) times
+            # rtol |Phi| on each side: the oracle's rtol (1e-10) times
             # |phi12^-1| |Phi| >= cond(phi12), times 1 + |U|, times 10 for
             # global over local RK45 error.
             full = np.block([[b.phi11, b.phi12], [b.phi21, b.phi22]])
@@ -217,8 +218,8 @@ def test_block_ratio_monotonicity_loewner():
     path = TransitionPath(sys, anchor=s, span=(s, 1.0))
 
     def n_like(t):
-        b = path.blocks(t)
-        return symmetrize(-np.linalg.solve(b.phi11, b.phi12))
+        p11, p12, _, _ = path.raw_blocks(t)
+        return symmetrize(-np.linalg.solve(p11, p12))
 
     prev = None
     for t in (0.3, 0.5, 0.7, 0.95):
@@ -269,15 +270,15 @@ def test_dense_path_matches_direct_integration():
     sys = example_system()
     path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
     for t in (0.2, 0.77):
-        direct = transition_blocks(sys, t, 0.0)
-        dense = path.blocks(t)
-        assert np.max(np.abs(direct.phi12 - dense.phi12)) <= 1e-9
-        assert np.max(np.abs(direct.phi21 - dense.phi21)) <= 1e-9
+        direct = rk45_blocks(sys, t, 0.0)
+        _, dense12, dense21, _ = path.raw_blocks(t)
+        assert np.max(np.abs(direct.phi12 - dense12)) <= 1e-9
+        assert np.max(np.abs(direct.phi21 - dense21)) <= 1e-9
     # An interior anchor serves both sides of it from one array of times.
     mid = TransitionPath(sys, anchor=0.4, span=(0.0, 1.0))
     times = np.array([0.77, 0.1, 0.4])
     for t, phi in zip(times, mid.phi(times)):
-        b = transition_blocks(sys, t, 0.4)
+        b = rk45_blocks(sys, t, 0.4)
         direct = np.block([[b.phi11, b.phi12], [b.phi21, b.phi22]])
         assert np.max(np.abs(direct - phi)) <= 1e-9
 
@@ -330,7 +331,7 @@ def test_spectral_path_matches_oracle_and_stays_symplectic(seed, n, which, inter
     assert path.symplectic_drift <= 1e-12
     # The RK45 oracle runs at rtol 1e-10, so it is the looser of the two.
     for t in (lo, 0.5 * (lo + anchor), 0.5 * (anchor + hi), hi):
-        want = _phi_of(transition_blocks(sys, t, anchor))
+        want = _phi_of(rk45_blocks(sys, t, anchor))
         assert np.max(np.abs(path.phi(t) - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
     # A side longer than 1 is split into panels.  Phi is continuous across
     # their edges: an edge reads the inner panel, one ulp outward the next.
