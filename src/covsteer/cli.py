@@ -360,6 +360,8 @@ def _cmd_certify(cfg: RunConfig, out: str) -> int:
     if sim_cfg.num_paths < 2:
         raise ConfigError(
             f"certify needs at least 2 paths for a covariance, got {sim_cfg.num_paths}")
+    if not any(abs(t - 1.0) <= 1e-9 for t in sim_cfg.checkpoint_times):
+        raise ConfigError("certify needs a checkpoint at t=1.0")
     sol = _cmd_solve(cfg, out)
     result = _run_simulation(cfg, out, sol, sim_cfg)
     _, cov = empirical_moments(result, 1.0)

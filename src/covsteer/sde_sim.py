@@ -10,26 +10,35 @@ dominating intensity (each step's supremum of the rate) and thinned to the
 rate (Lewis & Shedler); accepted jumps are applied at the end of their
 step, all increments evaluated at the left endpoint (Ito convention).
 
-Every path has its own counter-based random stream, Philox keyed by
-(master seed, path index), so results are bit-reproducible and
-independent of any batching or scheduling.  Within a path's stream the
-draws come in a fixed order:
+Noise comes from counter-based streams, one for each fixed chunk of
+S = _STREAM_CHUNK paths: stream j is Generator(Philox(key=master_seed << 64
+| j)) and covers paths [j S, (j + 1) S).  (Monte Carlo outputs therefore
+differ from those of the earlier one-stream-per-path scheme.)  Within a
+chunk the draws come in a fixed order:
 
-1. standard_normal(n + nsteps * nw): the initial state's n normals, then
-   the nw Wiener increments of each step in turn;
-2. for each compound component, in model order: N = poisson(sum of the
-   dominating step masses), random(2 N) (N placements inverting the
-   dominating intensity, then N accept variates) and standard_normal(N)
-   (the jump sizes).
+1. standard_normal((n, S)): the chunk's initial states, a column a path;
+2. if there are nw > 0 Wiener components, standard_normal((nsteps, nw, S)):
+   each step's increments, component by component, a column a path;
+3. for each compound component, in model order: the counts N =
+   poisson(sum of the dominating step masses, S), random(2 sum N) (the
+   placements inverting the dominating intensity, then the accept
+   variates) and standard_normal(sum N) (the jump sizes); the arrivals are
+   the chunk's paths' in path order, N[i] of them for path i.
+
+A chunk is always drawn whole and a path reads only its own columns, so its
+values depend on the seed, its index and S alone, not on the path count,
+the batching or the scheduling; keyed counter-based substreams are
+independent (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11).
 
 Noise is drawn for a block of paths at a time into step-major increment
 buffers, dm of shape (steps, q, paths) and dmu of shape (steps, paths),
-that the Euler step loop then consumes.  A block's paths are split into
-contiguous runs, one per usable CPU: the calling thread draws the first
-and worker threads the others, each with its own streams and into its own
+that the Euler step loop then consumes.  The chunks a block touches are
+split into contiguous runs, one per usable CPU: the calling thread draws
+the first and worker threads the others, each into its own scratch and
 columns, and all are joined before the block is stepped.  Results do not
 depend on the number of threads; draw_s is the wall time of the drawing
-and draw_threads the number of threads that drew.  The loop holds the
+and draw_threads the most threads that drew one block.  The loop holds the
 block's states state-major, as an (n, paths) array, so every term of the
 update and every statistic is a pass over contiguous rows of paths.  At
 each checkpoint it also accumulates the per-path fourth moments that give
@@ -53,7 +62,7 @@ from .errors import (
 from .matfun import MatrixPoly, SystemSpec, symmetrize
 
 _BLOCK = 4096  # fixed batching constant; results do not depend on it
-_DRAW_CHUNK = 256  # paths drawn between copies into the step-major buffers
+_STREAM_CHUNK = 256  # paths per noise stream; a path's values depend on it
 # Threads that draw a block's noise, one per CPU this process may use (every
 # CPU where the platform has no affinity mask); results do not depend on it.
 _DRAW_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -152,6 +161,10 @@ class SimulationConfig:
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError(
                 f"master seed {self.master_seed} outside [0, 2**64)")
+        times = _step_times(self.step_size)
+        for t_cp in self.checkpoint_times:
+            if np.min(np.abs(times - t_cp)) > 1e-9:
+                raise ValueError(f"checkpoint {t_cp} is not on the step grid")
         object.__setattr__(self, "sigma0", np.asarray(self.sigma0, dtype=float))
         if self.initial_mean is not None:
             object.__setattr__(self, "initial_mean",
@@ -180,7 +193,14 @@ class SimulationResult:
     martingale_mean: np.ndarray  # empirical mean of m(1) per channel
     draw_s: float  # wall time drawing noise (perf_counter seconds)
     step_s: float  # wall time in the Euler step loop
-    draw_threads: int  # threads that drew the noise of the widest block
+    draw_threads: int  # most threads that drew one block's noise
+
+
+def _step_times(dt: float) -> np.ndarray:
+    """The Euler grid: steps of dt from 0, the last one cut to end at 1."""
+    times = np.minimum(np.arange(int(math.ceil(1.0 / dt - 1e-12)) + 1) * dt, 1.0)
+    times[-1] = 1.0
+    return times
 
 
 def _step_suprema(coeffs: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -198,29 +218,6 @@ def _step_suprema(coeffs: np.ndarray, times: np.ndarray) -> np.ndarray:
             if times[k] < r.real:
                 sup[k] = max(sup[k], float(P.polyval(r.real, coeffs)))
     return sup
-
-
-class _PathStreams:
-    """Path i's stream is Generator(Philox(key=master_seed << 64 | i)).
-
-    One Philox is re-keyed through its state for each path: the same
-    stream, without seeding a new bit generator per path.  The state holds
-    lists, which the setter reads in less than half the time of arrays.
-    """
-
-    def __init__(self, master_seed: int):
-        self._bitgen = np.random.Philox(key=0)  # re-keyed before every use
-        self._key = [0, master_seed]  # [path, seed]
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": self._key},
-            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        self._gen = np.random.Generator(self._bitgen)
-
-    def at(self, path_index: int) -> np.random.Generator:
-        self._key[0] = path_index
-        self._bitgen.state = self._state
-        return self._gen
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -274,12 +271,9 @@ class _StepData:
     """Per-step evaluations shared by every path, stacked along axis 0."""
 
     def __init__(self, sys, noise, gain, dt):
-        nsteps = int(math.ceil(1.0 / dt - 1e-12))
-        times = np.minimum(np.arange(nsteps + 1) * dt, 1.0)
-        times[-1] = 1.0
-        self.times = times
+        self.times = times = _step_times(dt)
         self.dts = np.diff(times)
-        self.nsteps = nsteps
+        self.nsteps = nsteps = len(times) - 1
 
         tt = times[:, None, None]  # MatrixPoly.eval broadcasts over leading axes
         self.kmat = _gain_on_grid(gain, times)
@@ -344,79 +338,73 @@ def _covariance_standard_error(mean, m2, m3, m4, cov, num_paths):
     return np.sqrt(np.clip(central - cov ** 2, 0.0, None) / num_paths)
 
 
-def _draw_range(step: _StepData, streams: _PathStreams, z: np.ndarray, lo: int,
-                a: int, b: int, mean0, l0, x0: np.ndarray, dm: np.ndarray,
+def _draw_range(step: _StepData, seed: int, w: np.ndarray, lo: int, hi: int,
+                j0: int, j1: int, mean0, l0, x0: np.ndarray, dm: np.ndarray,
                 dmu: np.ndarray) -> np.ndarray:
-    """Noise of paths a..b-1 of the block that starts at path lo.
+    """Noise of chunks j0..j1-1 for the paths of the block lo..hi-1.
 
-    Writes columns a - lo to b - lo - 1 of the initial states x0 and of
-    the increment buffers dm and dmu, and no others, so disjoint ranges
-    may be drawn at once; returns the accepted arrivals per compound
-    component.  Paths are drawn _DRAW_CHUNK at a time into the path-major
-    scratch z, whose columns are then written step-major: the first Wiener
+    Each chunk's stream is drawn whole into the step-major scratch w, of
+    shape (nsteps, nw, _STREAM_CHUNK), and only the block's columns of the
+    initial states x0 and of the increment buffers dm and dmu are written,
+    so disjoint runs of chunks may be drawn at once.  The first Wiener
     component on a target writes it, later ones and the jumps add to it,
-    and a target that no Wiener component writes is zeroed first.
+    and a target that no Wiener component writes is zeroed first.  Returns
+    the block's accepted arrivals per compound component.
     """
-    n, nw = len(mean0), len(step.wiener)
-    cols = slice(a - lo, b - lo)
-    for ch in step.bare_channels:
-        dm[:, ch, cols] = 0.0
-    if step.bare_mu:
-        dmu[:, cols] = 0.0
-    arrivals = [([], [], [], []) for _ in step.compound]  # count, place, accept, size
-    for c0 in range(a, b, _DRAW_CHUNK):
-        zc = z[: min(_DRAW_CHUNK, b - c0)]
-        for j in range(len(zc)):
-            gen = streams.at(c0 + j)
-            gen.standard_normal(out=zc[j])
-            for (count, place, accept, size), (_, _, dom, _) in zip(arrivals, step.compound):
-                cnt = gen.poisson(dom.total)
-                u = gen.random(2 * cnt)
-                count.append(cnt)
-                place.append(u[:cnt])
-                accept.append(u[cnt:])
-                size.append(gen.standard_normal(cnt))
-        chunk = slice(c0 - lo, c0 - lo + len(zc))
-        # The column-vector product repeats the per-path l0 @ z arithmetic.
-        x0[:, chunk] = (mean0 + (l0 @ zc[:, :n, None])[:, :, 0]).T
-        for wi, (mult, ch, scale, zero_steps) in enumerate(step.wiener):
-            dst = dmu[:, chunk] if mult else dm[:, ch, chunk]
-            if zero_steps is None:
-                dst += zc[:, n + wi::nw].T * scale[:, None]
-            else:
-                np.multiply(zc[:, n + wi::nw].T, scale[:, None], out=dst)
-                dst[zero_steps] = 0.0  # +0.0 as from a zeroed buffer, not z * 0.0's -0.0
-
     accepted = np.zeros(len(step.compound))
-    for ci, ((count, place, accept, size), (mult, ch, dom, jstd)) in enumerate(
-            zip(arrivals, step.compound)):
-        paths = np.repeat(np.arange(cols.start, cols.stop), count)
-        k, keep = dom.thin(np.concatenate(place), np.concatenate(accept))
-        jumps = np.concatenate(size)[keep] * jstd
-        # Each path's jumps, in draw order, into this range's own columns.
-        np.add.at(dmu if mult else dm[:, ch], (k[keep], paths[keep]), jumps)
-        accepted[ci] = np.count_nonzero(keep)
+    for j in range(j0, j1):
+        gen = np.random.Generator(np.random.Philox(key=seed << 64 | j))
+        base = j * _STREAM_CHUNK
+        a, b = max(lo, base), min(hi, base + _STREAM_CHUNK)
+        src, cols = slice(a - base, b - base), slice(a - lo, b - lo)
+        z = gen.standard_normal((len(mean0), _STREAM_CHUNK))
+        x0[:, cols] = (mean0[:, None] + l0 @ z)[:, src]
+        for ch in step.bare_channels:
+            dm[:, ch, cols] = 0.0
+        if step.bare_mu:
+            dmu[:, cols] = 0.0
+        if step.wiener:
+            gen.standard_normal(out=w)
+        for wi, (mult, ch, scale, zero_steps) in enumerate(step.wiener):
+            dst, wc = dmu[:, cols] if mult else dm[:, ch, cols], w[:, wi, src]
+            if zero_steps is None:
+                wc *= scale[:, None]  # in the scratch: no temporary the size of a chunk
+                dst += wc
+            else:
+                np.multiply(wc, scale[:, None], out=dst)
+                dst[zero_steps] = 0.0  # +0.0 as from a zeroed buffer, not w * 0.0's -0.0
+        for ci, (mult, ch, dom, jstd) in enumerate(step.compound):
+            counts = gen.poisson(dom.total, _STREAM_CHUNK)
+            u = gen.random(2 * int(counts.sum()))
+            size = gen.standard_normal(len(u) // 2)
+            paths = np.repeat(np.arange(_STREAM_CHUNK), counts)
+            k, keep = dom.thin(u[:len(size)], u[len(size):])
+            keep &= (paths >= src.start) & (paths < src.stop)
+            # Each path's jumps, in draw order, into the block's own columns.
+            np.add.at(dmu if mult else dm[:, ch], (k[keep], paths[keep] + base - lo),
+                      size[keep] * jstd)
+            accepted[ci] += np.count_nonzero(keep)
     return accepted
 
 
-def _draw_block(step: _StepData, drawers: list, lo: int, hi: int, mean0, l0,
-                dm: np.ndarray, dmu: np.ndarray):
-    """Noise of paths lo..hi-1, split into contiguous runs of whole draw chunks.
+def _draw_block(step: _StepData, scratch: list, seed: int, lo: int, hi: int, mean0,
+                l0, dm: np.ndarray, dmu: np.ndarray):
+    """Noise of paths lo..hi-1, from the streams of the chunks they touch.
 
-    Each drawer, a (streams, scratch) pair, draws one run: the first on
-    this thread, the others on worker threads, all joined before this
-    returns or raises.  Returns the (n, hi - lo) initial states and the
-    accepted arrivals per compound component.
+    The chunks are split into contiguous runs, one per scratch buffer: the
+    first is drawn on this thread, the others on worker threads, all
+    joined before this returns or raises.  Returns the (n, hi - lo)
+    initial states and the accepted arrivals per compound component.
     """
-    chunks = -(-(hi - lo) // _DRAW_CHUNK)
-    runs = min(len(drawers), chunks)
-    edges = [min(hi, lo + _DRAW_CHUNK * (chunks * i // runs)) for i in range(runs + 1)]
+    first, stop = lo // _STREAM_CHUNK, (hi - 1) // _STREAM_CHUNK + 1
+    runs = min(len(scratch), stop - first)
+    edges = [first + (stop - first) * i // runs for i in range(runs + 1)]
     x0 = np.empty((len(mean0), hi - lo))
     results = [None] * runs
 
     def draw(i):
         try:
-            results[i] = _draw_range(step, *drawers[i], lo, edges[i], edges[i + 1],
+            results[i] = _draw_range(step, seed, scratch[i], lo, hi, edges[i], edges[i + 1],
                                      mean0, l0, x0, dm, dmu)
         except BaseException as exc:  # re-raised on the calling thread below
             results[i] = exc
@@ -465,12 +453,8 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
     kmat, acl, cmat, cost_w, trap_w, dts = \
         step.kmat, step.acl, step.cmat, step.cost_w, step.trap_w, step.dts
 
-    cp_idx = {}
-    for t_cp in cfg.checkpoint_times:
-        idx = int(np.argmin(np.abs(step.times - t_cp)))
-        if abs(step.times[idx] - t_cp) > 1e-9:
-            raise ValueError(f"checkpoint {t_cp} is not on the step grid")
-        cp_idx[float(t_cp)] = idx
+    # SimulationConfig has checked that every checkpoint is on the grid.
+    cp_idx = {float(t): int(np.argmin(np.abs(step.times - t))) for t in cfg.checkpoint_times}
     # Per checkpoint, sums over the paths of x x', x^2 x' and x^2 (x^2)'
     # (squares taken entrywise): with env_sum's x, the moments and their
     # standard errors.
@@ -486,17 +470,17 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
     width = min(_BLOCK, cfg.num_paths)
     dm = np.empty((nsteps, q, width))
     dmu = np.empty((nsteps, width))
-    # One (streams, scratch) drawer per thread that draws the widest block.
-    zwidth = n + nsteps * len(step.wiener)
-    drawers = [(_PathStreams(cfg.master_seed), np.empty((min(_DRAW_CHUNK, width), zwidth)))
-               for _ in range(min(_DRAW_THREADS, -(-width // _DRAW_CHUNK)))]
+    blocks = [(lo, min(lo + _BLOCK, cfg.num_paths)) for lo in range(0, cfg.num_paths, _BLOCK)]
+    # One scratch per thread that draws, at most one per chunk a block touches.
+    chunks = max((hi - 1) // _STREAM_CHUNK - lo // _STREAM_CHUNK + 1 for lo, hi in blocks)
+    scratch = [np.empty((nsteps, len(step.wiener), _STREAM_CHUNK))
+               for _ in range(min(_DRAW_THREADS, chunks))]
     draw_s = step_s = 0.0
 
-    for lo in range(0, cfg.num_paths, _BLOCK):
-        hi = min(lo + _BLOCK, cfg.num_paths)
+    for lo, hi in blocks:
         bsize = hi - lo
         start = time.perf_counter()
-        x, accepted = _draw_block(step, drawers, lo, hi, mean0, l0, dm, dmu)
+        x, accepted = _draw_block(step, scratch, cfg.master_seed, lo, hi, mean0, l0, dm, dmu)
         jump_totals += accepted
         mid = time.perf_counter()
         draw_s += mid - start
@@ -566,7 +550,7 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
         cost_estimate=_cost_mean_half_width(all_costs), retained=tuple(retained),
         jump_mean_counts=tuple(jump_totals / n_paths),
         martingale_mean=m_final_sum / n_paths, draw_s=draw_s, step_s=step_s,
-        draw_threads=len(drawers))
+        draw_threads=len(scratch))
 
 
 def _cost_mean_half_width(costs: np.ndarray) -> tuple:

@@ -291,6 +291,21 @@ def test_certify_single_path_is_config_error(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "cost.json"))
 
 
+@pytest.mark.parametrize("command,checkpoints,message", [
+    ("certify", [0.0], "certify needs a checkpoint at t=1.0"),
+    ("certify", [0.33333, 1.0], "checkpoint 0.33333 is not on the step grid"),
+    ("simulate", [0.33333], "checkpoint 0.33333 is not on the step grid"),
+])
+def test_bad_checkpoints_rejected_before_solving(tmp_path, example_raw, capsys, command,
+                                                 checkpoints, message):
+    example_raw["options"].update({"paths": 100, "checkpoints": checkpoints})
+    out = tmp_path / "o"
+    rc = main([command, "--config", write_cfg(tmp_path, example_raw), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().out
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("grid", ["1", "0"])
 def test_construct_grid_below_two_is_config_error(tmp_path, capsys, grid):
     rc = main(["construct", "--config", example_config_path(), "--out", str(tmp_path / "o"),

@@ -178,7 +178,7 @@ def test_reproducibility_and_stream_independence():
     for a, b in zip(res1.retained, res3.retained):
         assert a.path_id == b.path_id
         assert np.array_equal(a.states, b.states)
-    # Distinct paths use distinct streams.
+    # Distinct paths draw distinct noise.
     assert not np.array_equal(res1.retained[0].states, res1.retained[1].states)
 
 
@@ -205,15 +205,15 @@ _BATCHING_CASES = {
 }
 
 
-def _jump_run(case, num_paths, block=None, chunk=None, threads=None):
+def _jump_run(case, num_paths, block=None, threads=None, chunk=4):
+    # Streams of a few paths each, so that small runs span several chunks.
     system, noise, gain, sigma0 = _BATCHING_CASES[case]
     cfg = SimulationConfig(num_paths=num_paths, sigma0=sigma0, step_size=1e-2,
                            master_seed=57, retain_paths=num_paths)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sde_sim, "_STREAM_CHUNK", chunk)
         if block is not None:
             mp.setattr(sde_sim, "_BLOCK", block)
-        if chunk is not None:
-            mp.setattr(sde_sim, "_DRAW_CHUNK", chunk)
         if threads is not None:
             mp.setattr(sde_sim, "_DRAW_THREADS", threads)
         return simulate_paths(system(), noise(), gain(), cfg)
@@ -226,16 +226,19 @@ def jump_reference():
 
 @pytest.mark.parametrize("case", list(_BATCHING_CASES))
 @settings(max_examples=8, deadline=None)
-@given(num_paths=st.integers(1, 24), block=st.integers(1, 9), chunk=st.integers(1, 5),
-       threads=st.integers(1, 4))
-def test_jump_paths_do_not_depend_on_batching(jump_reference, case, num_paths, block, chunk,
+@given(num_paths=st.integers(1, 24), block=st.integers(1, 9), threads=st.integers(1, 4))
+def test_jump_paths_do_not_depend_on_batching(jump_reference, case, num_paths, block,
                                               threads):
-    # Compound-Poisson arrivals are drawn from each path's own stream, so a
-    # path's trajectory depends on neither the path count, the batching nor
-    # the number of draw threads.
+    # Each chunk of four paths is drawn whole from its own stream, also when
+    # a block boundary or the path count cuts it, so a path's trajectory
+    # depends on neither the path count, the batching nor the number of
+    # draw threads.
     ref = jump_reference[case]
-    res = _jump_run(case, num_paths, block, chunk, threads)
-    assert res.draw_threads == min(threads, -(-min(block, num_paths) // chunk))
+    res = _jump_run(case, num_paths, block, threads)
+    # One thread per chunk of the block that touches the most, up to threads.
+    chunks = max((min(lo + block, num_paths) - 1) // 4 - lo // 4 + 1
+                 for lo in range(0, num_paths, block))
+    assert res.draw_threads == min(threads, chunks)
     assert [rp.path_id for rp in res.retained] == list(range(num_paths))
     for rp in res.retained:
         assert np.array_equal(rp.states, ref.retained[rp.path_id].states)
@@ -246,12 +249,13 @@ def test_jump_paths_do_not_depend_on_batching(jump_reference, case, num_paths, b
 @pytest.mark.parametrize("case", list(_BATCHING_CASES))
 def test_statistics_do_not_depend_on_draw_threads(case):
     # Same blocks and chunks: every statistic, not only each path, is
-    # bit-identical for any number of draw threads.  A short switch
+    # bit-identical for any number of draw threads.  The block of paths
+    # 11..21 touches chunks 2..5, so four threads draw it.  A short switch
     # interval makes the threads interleave often.
     interval = getswitchinterval()
     setswitchinterval(1e-6)
     try:
-        one, many = (_jump_run(case, 23, block=11, chunk=2, threads=t) for t in (1, 4))
+        one, many = (_jump_run(case, 23, block=11, threads=t) for t in (1, 4))
     finally:
         setswitchinterval(interval)
     assert (one.draw_threads, many.draw_threads) == (1, 4)
@@ -273,36 +277,73 @@ def test_failing_draw_thread_reaches_the_caller(monkeypatch, failing_run):
     draw_range = sde_sim._draw_range
     starts = []
 
-    def failing(step, streams, z, lo, a, *args):
-        starts.append(a)
-        if a == lo + failing_run * 2:  # runs of one chunk of two paths
-            raise _RangeFailure(a)
-        return draw_range(step, streams, z, lo, a, *args)
+    def failing(step, seed, w, lo, hi, j0, *args):
+        starts.append(j0)
+        if j0 == failing_run:  # runs of one chunk of two paths
+            raise _RangeFailure(j0)
+        return draw_range(step, seed, w, lo, hi, j0, *args)
 
     monkeypatch.setattr(sde_sim, "_draw_range", failing)
     monkeypatch.setattr(sde_sim, "_DRAW_THREADS", 4)
-    monkeypatch.setattr(sde_sim, "_DRAW_CHUNK", 2)
     before = threading.active_count()
     with pytest.raises(_RangeFailure):
-        _jump_run("example", 8)
+        _jump_run("example", 8, chunk=2)
     assert threading.active_count() == before
-    assert sorted(starts) == [0, 2, 4, 6]
+    assert sorted(starts) == [0, 1, 2, 3]
 
 
 def test_zero_rate_increments_are_positive_zero():
     # z * 0.0 is -0.0 for a negative z; a zero-rate step's increment is
     # +0.0 instead, as when components are added to a zeroed buffer.  mu has
-    # no component here and is zeroed.
+    # no component here and is zeroed.  The eight paths cut the first chunk.
     sys = make_system(2, 1, 1, np.zeros((2, 2)), [[0.0], [1.0]], [[1.0], [0.0]],
                       [[0.0]], [[0.0]], np.zeros((2, 2)), [[1.0]])
     noise = NoiseModel(
         additive=(NoiseComponent("wiener", const([[0.0]]), channel=0),), multiplicative=())
     step = sde_sim._StepData(sys, noise, zero_gain(1, 2), 1e-2)
     dm, dmu = np.full((step.nsteps, 1, 8), np.nan), np.full((step.nsteps, 8), np.nan)
-    drawer = (sde_sim._PathStreams(5), np.empty((8, 2 + step.nsteps)))
-    sde_sim._draw_block(step, [drawer], 0, 8, np.zeros(2), np.eye(2), dm, dmu)
+    scratch = np.empty((step.nsteps, 1, sde_sim._STREAM_CHUNK))
+    sde_sim._draw_block(step, [scratch], 5, 0, 8, np.zeros(2), np.eye(2), dm, dmu)
     for buf in (dm, dmu):
         assert np.all(buf == 0.0) and not np.any(np.signbit(buf))
+
+
+def test_draw_order_within_a_chunk():
+    # Each chunk's stream rebuilt in the documented order: the initial
+    # states, the step-major Wiener normals, then the jump counts, uniforms
+    # and sizes.  The block of paths 5..12 cuts both of its chunks of eight.
+    chunk, seed, lo, hi = 8, 31, 5, 13
+    step = sde_sim._StepData(n3_q2_system(), n3_q2_noise(), n3_q2_gain(), 1e-2)
+    mean0 = np.array([0.5, -1.0, 2.0])
+    l0 = np.array([[1.0, 0.0, 0.0], [0.3, 0.8, 0.0], [-0.2, 0.1, 0.6]])
+    dm, dmu = np.full((step.nsteps, 2, hi - lo), np.nan), np.full((step.nsteps, hi - lo), np.nan)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sde_sim, "_STREAM_CHUNK", chunk)
+        x0, accepted = sde_sim._draw_block(step, [np.empty((step.nsteps, 3, chunk))], seed,
+                                           lo, hi, mean0, l0, dm, dmu)
+    (_, _, s0, _), (_, _, s1, _), (_, _, s_mu, _) = step.wiener
+    (_, _, dom, jump_std), = step.compound
+    kept = 0
+    for j in (0, 1):
+        gen = np.random.Generator(np.random.Philox(key=seed << 64 | j))
+        x_chunk = mean0[:, None] + l0 @ gen.standard_normal((3, chunk))
+        w = gen.standard_normal((step.nsteps, 3, chunk))
+        counts = gen.poisson(dom.total, chunk)
+        u = gen.random(2 * counts.sum())
+        sizes = gen.standard_normal(counts.sum())
+        ends = np.cumsum(counts)
+        for i in range(max(lo, j * chunk), min(hi, (j + 1) * chunk)):
+            col, c = i - lo, i - j * chunk
+            assert np.array_equal(x0[:, col], x_chunk[:, c])
+            assert np.array_equal(dm[:, 0, col], w[:, 0, c] * s0)
+            assert np.array_equal(dmu[:, col], w[:, 2, c] * s_mu)
+            mine = slice(ends[c] - counts[c], ends[c])
+            k, keep = dom.thin(u[mine], u[counts.sum():][mine])
+            want = w[:, 1, c] * s1
+            np.add.at(want, k[keep], sizes[mine][keep] * jump_std)
+            assert np.array_equal(dm[:, 1, col], want)
+            kept += np.count_nonzero(keep)
+    assert kept > 0 and accepted.tolist() == [kept]
 
 
 def test_thinning_law_with_interior_supremum():
