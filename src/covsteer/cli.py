@@ -75,7 +75,8 @@ def _matrix_poly(node, what):
         raise ConfigError(f"bad matrix polynomial for {what}: {exc}") from exc
 
 
-def _parse_noise(node) -> NoiseModel:
+def _parse_noise(node, q: int):
+    """The noise model and the (D, nu) it implies, each component's rate checked."""
     def comp(entry, additive):
         kind = entry.get("kind")
         rate = _matrix_poly([[entry.get("rate", 0.0)]], "noise rate")
@@ -85,9 +86,10 @@ def _parse_noise(node) -> NoiseModel:
             jump_std=float(entry.get("jump_std", 0.0)))
 
     try:
-        return NoiseModel(
+        noise = NoiseModel(
             additive=tuple(comp(e, True) for e in node.get("additive", [])),
             multiplicative=tuple(comp(e, False) for e in node.get("multiplicative", [])))
+        return (noise, *derive_intensities(noise, q=q))
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad noise model: {exc}") from exc
 
@@ -103,19 +105,15 @@ class RunConfig:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"missing or malformed system block: {exc}") from exc
 
-        self.noise = _parse_noise(raw["noise"]) if "noise" in raw else None
+        self.noise, d_poly, nu_poly = (_parse_noise(raw["noise"], q) if "noise" in raw
+                                       else (None, None, None))
 
         d_node = sysnode.get("D")
         nu_node = sysnode.get("nu")
         if (d_node is None or nu_node is None) and self.noise is None:
             raise ConfigError("system needs D and nu, or a noise block to derive them")
-        if d_node is None or nu_node is None:
-            d_poly, nu_poly = derive_intensities(self.noise, q=q)
-            d_mp = d_poly if d_node is None else _matrix_poly(d_node, "D")
-            nu_mp = nu_poly if nu_node is None else _matrix_poly(nu_node, "nu")
-        else:
-            d_mp = _matrix_poly(d_node, "D")
-            nu_mp = _matrix_poly(nu_node, "nu")
+        d_mp = d_poly if d_node is None else _matrix_poly(d_node, "D")
+        nu_mp = nu_poly if nu_node is None else _matrix_poly(nu_node, "nu")
 
         channels = []
         for entry in sysnode.get("general_channels", []):

@@ -12,37 +12,39 @@ step, all increments evaluated at the left endpoint (Ito convention).
 
 Noise comes from counter-based streams, one for each fixed chunk of
 S = _STREAM_CHUNK paths: stream j is Generator(Philox(key=master_seed << 64
-| j)) and covers paths [j S, (j + 1) S).  (Monte Carlo outputs therefore
-differ from those of the earlier one-stream-per-path scheme.)  Within a
-chunk the draws come in a fixed order:
+| j)) and covers paths [j S, (j + 1) S).  Within a chunk the draws come in
+a fixed order:
 
 1. standard_normal((n, S)): the chunk's initial states, a column a path;
-2. if there are nw > 0 Wiener components, standard_normal((nsteps, nw, S)):
-   each step's increments, component by component, a column a path;
-3. for each compound component, in model order: the counts N =
+2. for each compound component, in model order: the counts N =
    poisson(sum of the dominating step masses, S), random(2 sum N) (the
    placements inverting the dominating intensity, then the accept
    variates) and standard_normal(sum N) (the jump sizes); the arrivals are
-   the chunk's paths' in path order, N[i] of them for path i.
+   the chunk's paths' in path order, N[i] of them for path i;
+3. standard_normal((nsteps, nw, S)) for nw > 0 Wiener components: each
+   step's increments, component by component, a column a path, read in
+   consecutive slices of steps, which give the values of one read.
 
-A chunk is always drawn whole and a path reads only its own columns, so its
-values depend on the seed, its index and S alone, not on the path count,
-the batching or the scheduling; keyed counter-based substreams are
-independent (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC'11).
+The jumps came after the Wiener increments in an earlier order, so models
+with a compound component draw other numbers than they did; Wiener-only
+models draw the same.  A chunk is always drawn whole and a path reads only
+its own columns, so its values depend on the seed, its index and S alone,
+not on the path count, the batching, the slicing or the threads; keyed
+counter-based substreams are independent (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11).
 
-Noise is drawn for a block of paths at a time into step-major increment
-buffers, dm of shape (steps, q, paths) and dmu of shape (steps, paths),
-that the Euler step loop then consumes.  The chunks a block touches are
-split into contiguous runs, one per usable CPU: the calling thread draws
-the first and worker threads the others, each into its own scratch and
-columns, and all are joined before the block is stepped.  Results do not
-depend on the number of threads; draw_s is the wall time of the drawing
-and draw_threads the most threads that drew one block.  The loop holds the
-block's states state-major, as an (n, paths) array, so every term of the
-update and every statistic is a pass over contiguous rows of paths.  At
-each checkpoint it also accumulates the per-path fourth moments that give
-the standard error of each covariance entry.
+Paths are stepped in blocks of _BLOCK, and a block's noise is held _SLICE
+steps at a time in step-major buffers, dm (slice, q, paths) and dmu
+(slice, paths), in two sets: while the calling thread steps one slice,
+workers (one per further usable CPU) draw the next, perhaps the next
+block's first, taking chunks from a shared iterator; the calling thread
+then draws the chunks left and joins them.  A block's first slice draws
+its chunks' initial states and jumps; each jump is added to the slice it
+falls in.  draw_s is the calling thread's wall time outside the step loop:
+drawing or waiting for noise.  A block's states are an (n, paths) array, so
+every term of the update and every statistic is a pass over contiguous
+rows of paths; at each checkpoint the loop also accumulates the per-path
+fourth moments that give the standard error of each covariance entry.
 """
 
 import math
@@ -62,9 +64,10 @@ from .errors import (
 from .matfun import MatrixPoly, SystemSpec, symmetrize
 
 _BLOCK = 4096  # fixed batching constant; results do not depend on it
+_SLICE = 200  # steps of noise held at a time; results do not depend on it
 _STREAM_CHUNK = 256  # paths per noise stream; a path's values depend on it
-# Threads that draw a block's noise, one per CPU this process may use (every
-# CPU where the platform has no affinity mask); results do not depend on it.
+# Threads that draw noise, the caller and a worker per further CPU this process
+# may use (every CPU where no affinity mask exists); results do not depend on it.
 _DRAW_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count() or 1)
 _CONSISTENCY_TOL = 1e-10
@@ -112,12 +115,18 @@ def derive_intensities(noise: NoiseModel, q: int | None = None):
 
     Wiener components add their diffusion rate to the channel diagonal of
     D; compound Poisson components add lambda(t) sigma_chi^2.  The
-    multiplicative components sum into 2 nu(t).
+    multiplicative components sum into 2 nu(t).  Each component's own rate
+    must be nonnegative on a grid of [0, 1], so the sums are too.
     """
     if q is None:
         q = 1 + max((c.channel for c in noise.additive), default=0)
+    grid = np.linspace(0.0, 1.0, 101)
+    tt = grid[:, None, None]
     d_poly, nu_poly = MatrixPoly.zeros(q, q), MatrixPoly.zeros(1, 1)
     for comp in noise.additive + noise.multiplicative:
+        bad = np.flatnonzero(comp.rate.eval(tt)[:, 0, 0] < 0.0)
+        if bad.size:
+            raise ValueError(f"{comp.kind} component rate negative at t={grid[bad[0]]:.3f}")
         # d E[increment^2]/dt: the diffusion rate, or lambda(t) E[chi^2].
         rate = comp.rate if comp.kind == "wiener" else comp.rate.scale(comp.jump_std ** 2)
         if comp.channel is None:
@@ -127,13 +136,6 @@ def derive_intensities(noise: NoiseModel, q: int | None = None):
             d_poly = d_poly + unit @ rate @ unit.T
         else:
             raise ValueError(f"channel {comp.channel} outside 0..{q - 1}")
-
-    grid = np.linspace(0.0, 1.0, 101)
-    tt = grid[:, None, None]
-    bad = np.flatnonzero((nu_poly.eval(tt)[:, 0, 0] < 0.0)
-                         | (np.min(np.diagonal(d_poly.eval(tt), axis1=1, axis2=2), axis=1) < 0.0))
-    if bad.size:
-        raise ValueError(f"derived intensities negative at t={grid[bad[0]]:.3f}")
     return d_poly, nu_poly
 
 
@@ -191,9 +193,9 @@ class SimulationResult:
     retained: tuple  # RetainedPath entries
     jump_mean_counts: tuple  # mean accepted arrivals per compound component
     martingale_mean: np.ndarray  # empirical mean of m(1) per channel
-    draw_s: float  # wall time drawing noise (perf_counter seconds)
+    draw_s: float  # wall time outside step_s: drawing or waiting for noise (perf_counter seconds)
     step_s: float  # wall time in the Euler step loop
-    draw_threads: int  # most threads that drew one block's noise
+    draw_threads: int  # threads that draw noise: the calling thread and its workers
 
 
 def _step_times(dt: float) -> np.ndarray:
@@ -287,8 +289,8 @@ class _StepData:
         self.trap_w[1:] += 0.5 * self.dts
 
         # (is_multiplicative, channel, per-step scale, zero-scale steps): the
-        # steps are given for the first component on a target, which writes
-        # it, and None for a later one, which adds to it.
+        # steps, a mask, are given for the first component on a target, which
+        # writes it, and None for a later one, which adds to it.
         self.wiener = []
         self.compound = []  # (is_multiplicative, channel, _Dominating, jump std)
         written = set()  # channels, None for mu
@@ -300,7 +302,7 @@ class _StepData:
                 first = comp.channel not in written
                 written.add(comp.channel)
                 self.wiener.append((mult, comp.channel, scale,
-                                    np.flatnonzero(scale == 0.0) if first else None))
+                                    scale == 0.0 if first else None))
             else:
                 self.compound.append((mult, comp.channel, _Dominating(comp.rate.entry(), times),
                                       comp.jump_std))
@@ -338,91 +340,94 @@ def _covariance_standard_error(mean, m2, m3, m4, cov, num_paths):
     return np.sqrt(np.clip(central - cov ** 2, 0.0, None) / num_paths)
 
 
-def _draw_range(step: _StepData, seed: int, w: np.ndarray, lo: int, hi: int,
-                j0: int, j1: int, mean0, l0, x0: np.ndarray, dm: np.ndarray,
-                dmu: np.ndarray) -> np.ndarray:
-    """Noise of chunks j0..j1-1 for the paths of the block lo..hi-1.
+def _draw_chunk(step, seed, mean0, l0, streams, j, unit, buffers, w):
+    """Chunk j's noise in unit = (lo, hi, k0, k1): steps k0..k1-1 of paths lo..hi-1.
 
-    Each chunk's stream is drawn whole into the step-major scratch w, of
-    shape (nsteps, nw, _STREAM_CHUNK), and only the block's columns of the
-    initial states x0 and of the increment buffers dm and dmu are written,
-    so disjoint runs of chunks may be drawn at once.  The first Wiener
-    component on a target writes it, later ones and the jumps add to it,
-    and a target that no Wiener component writes is zeroed first.  Returns
-    the block's accepted arrivals per compound component.
+    A block's first slice opens the chunk's stream into streams[j], with
+    the block's accepted jumps of each compound component as (steps,
+    columns, sizes) stably sorted by step.  Only the block's columns of
+    buffers = (dm from row 1, dmu, x0) are written, the Wiener normals going
+    through the scratch w, so disjoint chunks may be drawn at once.  The
+    first Wiener component on a target writes it, later ones and the jumps
+    add to it, and a target no Wiener component writes is zeroed first.
     """
-    accepted = np.zeros(len(step.compound))
-    for j in range(j0, j1):
+    (lo, hi, k0, k1), (dm, dmu, x0) = unit, buffers
+    base, t = j * _STREAM_CHUNK, k1 - k0
+    a, b = max(lo, base), min(hi, base + _STREAM_CHUNK)
+    src, cols = slice(a - base, b - base), slice(a - lo, b - lo)
+    if k0 == 0:
         gen = np.random.Generator(np.random.Philox(key=seed << 64 | j))
-        base = j * _STREAM_CHUNK
-        a, b = max(lo, base), min(hi, base + _STREAM_CHUNK)
-        src, cols = slice(a - base, b - base), slice(a - lo, b - lo)
         z = gen.standard_normal((len(mean0), _STREAM_CHUNK))
         x0[:, cols] = (mean0[:, None] + l0 @ z)[:, src]
-        for ch in step.bare_channels:
-            dm[:, ch, cols] = 0.0
-        if step.bare_mu:
-            dmu[:, cols] = 0.0
-        if step.wiener:
-            gen.standard_normal(out=w)
-        for wi, (mult, ch, scale, zero_steps) in enumerate(step.wiener):
-            dst, wc = dmu[:, cols] if mult else dm[:, ch, cols], w[:, wi, src]
-            if zero_steps is None:
-                wc *= scale[:, None]  # in the scratch: no temporary the size of a chunk
-                dst += wc
-            else:
-                np.multiply(wc, scale[:, None], out=dst)
-                dst[zero_steps] = 0.0  # +0.0 as from a zeroed buffer, not w * 0.0's -0.0
-        for ci, (mult, ch, dom, jstd) in enumerate(step.compound):
+        streams[j] = gen, []
+        for _, _, dom, jstd in step.compound:
             counts = gen.poisson(dom.total, _STREAM_CHUNK)
             u = gen.random(2 * int(counts.sum()))
             size = gen.standard_normal(len(u) // 2)
-            paths = np.repeat(np.arange(_STREAM_CHUNK), counts)
+            paths = np.repeat(np.arange(base, base + _STREAM_CHUNK), counts)
             k, keep = dom.thin(u[:len(size)], u[len(size):])
-            keep &= (paths >= src.start) & (paths < src.stop)
-            # Each path's jumps, in draw order, into the block's own columns.
-            np.add.at(dmu if mult else dm[:, ch], (k[keep], paths[keep] + base - lo),
-                      size[keep] * jstd)
-            accepted[ci] += np.count_nonzero(keep)
-    return accepted
+            keep &= (paths >= a) & (paths < b)
+            order = np.argsort(k[keep], kind="stable")
+            streams[j][1].append((k[keep][order], paths[keep][order] - lo,
+                                  (size[keep] * jstd)[order]))
+    gen, jumps = streams[j]
+    dm, dmu = dm[1:t + 1], dmu[:t]
+    for ch in step.bare_channels:
+        dm[:, ch, cols] = 0.0
+    if step.bare_mu:
+        dmu[:, cols] = 0.0
+    if step.wiener:
+        gen.standard_normal(out=w[:t])
+    for wi, (mult, ch, scale, zero) in enumerate(step.wiener):
+        dst, wc = dmu[:, cols] if mult else dm[:, ch, cols], w[:t, wi, src]
+        if zero is None:
+            wc *= scale[k0:k1, None]  # in the scratch: no temporary the size of a chunk
+            dst += wc
+        else:
+            np.multiply(wc, scale[k0:k1, None], out=dst)
+            dst[zero[k0:k1]] = 0.0  # +0.0 as from a zeroed buffer, not w * 0.0's -0.0
+    for (mult, ch, _, _), (k, col, size) in zip(step.compound, jumps):
+        i0, i1 = np.searchsorted(k, (k0, k1))
+        np.add.at(dmu if mult else dm[:, ch], (k[i0:i1] - k0, col[i0:i1]), size[i0:i1])
 
 
-def _draw_block(step: _StepData, scratch: list, seed: int, lo: int, hi: int, mean0,
-                l0, dm: np.ndarray, dmu: np.ndarray):
-    """Noise of paths lo..hi-1, from the streams of the chunks they touch.
+def _start_draw(step, seed, mean0, l0, streams, unit, buffers, scratch):
+    """Start drawing unit = (lo, hi, k0, k1) into buffers, chunk by chunk.
 
-    The chunks are split into contiguous runs, one per scratch buffer: the
-    first is drawn on this thread, the others on worker threads, all
-    joined before this returns or raises.  Returns the (n, hi - lo)
-    initial states and the accepted arrivals per compound component.
+    Workers, one per scratch after the first and at most one per chunk,
+    start at once and take chunk indices from a shared iterator.  Returns
+    finish: it draws the chunks left on the calling thread with scratch[0],
+    joins the workers and re-raises the first error.
     """
-    first, stop = lo // _STREAM_CHUNK, (hi - 1) // _STREAM_CHUNK + 1
-    runs = min(len(scratch), stop - first)
-    edges = [first + (stop - first) * i // runs for i in range(runs + 1)]
-    x0 = np.empty((len(mean0), hi - lo))
-    results = [None] * runs
+    chunks = range(unit[0] // _STREAM_CHUNK, (unit[1] - 1) // _STREAM_CHUNK + 1)
+    todo, lock, errors = iter(chunks), threading.Lock(), []
+    if unit[2] == 0:
+        streams.clear()
 
-    def draw(i):
+    def run(w):
         try:
-            results[i] = _draw_range(step, seed, scratch[i], lo, hi, edges[i], edges[i + 1],
-                                     mean0, l0, x0, dm, dmu)
-        except BaseException as exc:  # re-raised on the calling thread below
-            results[i] = exc
+            while True:
+                with lock:  # no chunk is taken twice, none after an error
+                    j = None if errors else next(todo, None)
+                if j is None:
+                    return
+                _draw_chunk(step, seed, mean0, l0, streams, j, unit, buffers, w)
+        except BaseException as exc:  # re-raised on the calling thread by finish()
+            errors.append(exc)
 
-    workers = []
-    try:
-        for i in range(1, runs):
-            worker = threading.Thread(target=draw, args=(i,))
-            worker.start()
-            workers.append(worker)
-        draw(0)
-    finally:
-        for worker in workers:
-            worker.join()
-    for res in results:
-        if isinstance(res, BaseException):
-            raise res
-    return x0, sum(results)
+    workers = [threading.Thread(target=run, args=(w,)) for w in scratch[1:1 + len(chunks)]]
+    for worker in workers:
+        worker.start()
+
+    def finish():
+        try:
+            run(scratch[0])
+        finally:
+            for worker in workers:
+                worker.join()
+        if errors:
+            raise errors[0]
+    return finish
 
 
 def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
@@ -468,61 +473,82 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
     all_costs = np.empty(cfg.num_paths)
     retained = []
     width = min(_BLOCK, cfg.num_paths)
-    dm = np.empty((nsteps, q, width))
-    dmu = np.empty((nsteps, width))
     blocks = [(lo, min(lo + _BLOCK, cfg.num_paths)) for lo in range(0, cfg.num_paths, _BLOCK)]
-    # One scratch per thread that draws, at most one per chunk a block touches.
+    units = [(lo, hi, k0, min(k0 + _SLICE, nsteps))  # each block's slices of steps
+             for lo, hi in blocks for k0 in range(0, nsteps, _SLICE)]
+    # Two buffer sets, one stepped while the other is drawn.  Row 0 of dm
+    # carries each path's sum of m over the earlier slices: it runs in step order.
+    buffers = [(np.empty((_SLICE + 1, q, width)), np.empty((_SLICE, width)), np.empty((n, width)))
+               for _ in range(2)]
+    # A scratch for the caller and for each worker, at most one per chunk of a block.
     chunks = max((hi - 1) // _STREAM_CHUNK - lo // _STREAM_CHUNK + 1 for lo, hi in blocks)
-    scratch = [np.empty((nsteps, len(step.wiener), _STREAM_CHUNK))
-               for _ in range(min(_DRAW_THREADS, chunks))]
-    draw_s = step_s = 0.0
+    scratch = [np.empty((_SLICE, len(step.wiener), _STREAM_CHUNK))
+               for _ in range(min(_DRAW_THREADS, chunks + 1))]
+    streams = {}  # chunk index -> its stream, for the block being drawn
 
-    for lo, hi in blocks:
+    def start(i):
+        return _start_draw(step, cfg.master_seed, mean0, l0, streams, units[i], buffers[i % 2],
+                           scratch)
+    clock = time.perf_counter()
+    step_s, finish = 0.0, start(0)
+    for i, (lo, hi, k0, k1) in enumerate(units):
+        finish()
         bsize = hi - lo
-        start = time.perf_counter()
-        x, accepted = _draw_block(step, scratch, cfg.master_seed, lo, hi, mean0, l0, dm, dmu)
-        jump_totals += accepted
+        dm, dmu, x0 = buffers[i % 2]
+        if k0 == 0:  # before the next block's first slice replaces the streams
+            for _, jumps in streams.values():
+                jump_totals += [len(k) for k, _, _ in jumps]
+            x = x0[:, :bsize]
+            cost = np.zeros(bsize)
+            ones = np.ones(bsize)
+            nkeep = max(0, min(cfg.retain_paths - lo, bsize))
+            kept_x = np.empty((nkeep, nsteps + 1, n))
+        finish = start(i + 1) if i + 1 < len(units) else None
         mid = time.perf_counter()
-        draw_s += mid - start
-
-        cost = np.zeros(bsize)
-        ones = np.ones(bsize)
-        nkeep = max(0, min(cfg.retain_paths - lo, bsize))
-        kept_x = np.empty((nkeep, nsteps + 1, n))
-
-        for k in range(nsteps + 1):
-            sq = x * x
-            env_sum[k] += x @ ones
-            env_sq[k] += sq @ ones
-            if k in cp_acc:
-                s2, s3, s4 = cp_acc[k]
-                s2 += x @ x.T
-                s3 += sq @ x.T
-                s4 += sq @ sq.T
-            if nkeep:
-                kept_x[:, k] = x[:, :nkeep].T
-            cost += trap_w[k] * (_dot(cost_w[k].T, x) * x).sum(axis=0)
-            if k == nsteps:
-                break
-            # x + (Acl x) dt + C dm + x dmu, added in that order, in place.
-            x_new = _dot(acl[k], x)
-            x_new *= dts[k]
-            x_new += x
-            x_new += _dot(cmat[k], dm[k, :, :bsize])
-            x_new += x * dmu[k, :bsize]
-            x = x_new
-
+        try:
+            for k in range(k0, k1 + (k1 == nsteps)):  # the last slice ends at t = 1
+                sq = x * x
+                env_sum[k] += x @ ones
+                env_sq[k] += sq @ ones
+                if k in cp_acc:
+                    s2, s3, s4 = cp_acc[k]
+                    s2 += x @ x.T
+                    s3 += sq @ x.T
+                    s4 += sq @ sq.T
+                if nkeep:
+                    kept_x[:, k] = x[:, :nkeep].T
+                cost += trap_w[k] * (_dot(cost_w[k].T, x) * x).sum(axis=0)
+                if k == nsteps:
+                    break
+                # x + (Acl x) dt + C dm + x dmu, added in that order, in place.
+                x_new = _dot(acl[k], x)
+                x_new *= dts[k]
+                x_new += x
+                x_new += _dot(cmat[k], dm[k - k0 + 1, :, :bsize])
+                x_new += x * dmu[k - k0, :bsize]
+                x = x_new
+            if k0:
+                dm[0, :, :bsize] = m_sum
+            part = dm[0 if k0 else 1:k1 - k0 + 1, :, :bsize]  # numpy sums one column pairwise
+            m_sum = np.add.accumulate(part)[-1] if q * bsize == 1 else part.sum(axis=0)
+        except BaseException:
+            if finish is not None:
+                finish()  # joins the workers
+            raise
+        step_s += time.perf_counter() - mid
+        if k1 < nsteps:
+            continue
         if nkeep:
             # u = K x with the paths as rows, one product per step; a lone
             # path is doubled so that BLAS rounds it as it rounds several.
             rows = kept_x if nkeep > 1 else np.repeat(kept_x, 2, axis=0)
             kept_u = (rows.transpose(1, 0, 2) @ kmat.transpose(0, 2, 1)).transpose(1, 0, 2)
-        step_s += time.perf_counter() - mid
-        m_final_sum += dm[:, :, :bsize].sum(axis=0) @ ones
+        m_final_sum += m_sum @ ones
         all_costs[lo:hi] = cost
         for j in range(nkeep):
             retained.append(RetainedPath(path_id=lo + j, times=step.times,
                                          states=kept_x[j], controls=kept_u[j]))
+    draw_s = time.perf_counter() - clock - step_s
 
     n_paths = cfg.num_paths
     moments = []

@@ -306,6 +306,28 @@ def test_bad_checkpoints_rejected_before_solving(tmp_path, example_raw, capsys, 
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("component,message", [
+    # Zero-size jumps would hide the rate from D, and the Monte Carlo would
+    # refuse it only after the solve.
+    ({"kind": "compound_poisson", "channel": 0, "rate": [-1.0], "jump_std": 0.0},
+     "compound_poisson component rate negative at t=0.000"),
+    # The channel's summed rate 0.25 (1 + t) stays nonnegative, and the
+    # Monte Carlo would clip this component's rate to 0.
+    ({"kind": "wiener", "channel": 0, "rate": [-0.5]},
+     "wiener component rate negative at t=0.000"),
+], ids=["compound", "wiener"])
+def test_negative_component_rate_is_config_error(tmp_path, example_raw, capsys, component,
+                                                 message):
+    example_raw["noise"]["additive"].append(component)
+    example_raw["options"]["paths"] = 100
+    out = tmp_path / "o"
+    out.mkdir()
+    rc = main(["certify", "--config", write_cfg(tmp_path, example_raw), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert f"config error: bad noise model: {message}" in capsys.readouterr().out
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("grid", ["1", "0"])
 def test_construct_grid_below_two_is_config_error(tmp_path, capsys, grid):
     rc = main(["construct", "--config", example_config_path(), "--out", str(tmp_path / "o"),
@@ -338,6 +360,7 @@ import sys
 import covsteer.cli
 assert "scipy" not in sys.modules, "import covsteer.cli loaded scipy"
 assert "concurrent.futures" not in sys.modules, "import covsteer.cli loaded concurrent.futures"
+assert "queue" not in sys.modules, "import covsteer.cli loaded queue"
 from covsteer.cli import EXIT_OK, example_config_path, main
 for command in ("solve", "construct"):
     rc = main([command, "--config", example_config_path(), "--out", sys.argv[1] + "/" + command])

@@ -205,17 +205,19 @@ _BATCHING_CASES = {
 }
 
 
-def _jump_run(case, num_paths, block=None, threads=None, chunk=4):
+def _jump_run(case, num_paths, block=None, threads=None, chunk=4, slice_=None, **cfg_args):
     # Streams of a few paths each, so that small runs span several chunks.
     system, noise, gain, sigma0 = _BATCHING_CASES[case]
-    cfg = SimulationConfig(num_paths=num_paths, sigma0=sigma0, step_size=1e-2,
-                           master_seed=57, retain_paths=num_paths)
+    cfg = SimulationConfig(**{"num_paths": num_paths, "sigma0": sigma0, "step_size": 1e-2,
+                              "master_seed": 57, "retain_paths": num_paths, **cfg_args})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sde_sim, "_STREAM_CHUNK", chunk)
         if block is not None:
             mp.setattr(sde_sim, "_BLOCK", block)
         if threads is not None:
             mp.setattr(sde_sim, "_DRAW_THREADS", threads)
+        if slice_ is not None:
+            mp.setattr(sde_sim, "_SLICE", slice_)
         return simulate_paths(system(), noise(), gain(), cfg)
 
 
@@ -226,19 +228,22 @@ def jump_reference():
 
 @pytest.mark.parametrize("case", list(_BATCHING_CASES))
 @settings(max_examples=8, deadline=None)
-@given(num_paths=st.integers(1, 24), block=st.integers(1, 9), threads=st.integers(1, 4))
+@given(num_paths=st.integers(1, 24), block=st.integers(1, 9), threads=st.integers(1, 4),
+       slice_=st.integers(1, 100))
 def test_jump_paths_do_not_depend_on_batching(jump_reference, case, num_paths, block,
-                                              threads):
+                                              threads, slice_):
     # Each chunk of four paths is drawn whole from its own stream, also when
-    # a block boundary or the path count cuts it, so a path's trajectory
-    # depends on neither the path count, the batching nor the number of
-    # draw threads.
+    # a block boundary or the path count cuts it, and its Wiener normals are
+    # read on slice by slice, so a path's trajectory depends on neither the
+    # path count, the batching, the slicing of the 100 steps nor the number
+    # of draw threads.
     ref = jump_reference[case]
-    res = _jump_run(case, num_paths, block, threads)
-    # One thread per chunk of the block that touches the most, up to threads.
+    res = _jump_run(case, num_paths, block, threads, slice_=slice_)
+    # The caller and one worker per chunk of the block that touches the
+    # most, up to threads in all.
     chunks = max((min(lo + block, num_paths) - 1) // 4 - lo // 4 + 1
                  for lo in range(0, num_paths, block))
-    assert res.draw_threads == min(threads, chunks)
+    assert res.draw_threads == min(threads, chunks + 1)
     assert [rp.path_id for rp in res.retained] == list(range(num_paths))
     for rp in res.retained:
         assert np.array_equal(rp.states, ref.retained[rp.path_id].states)
@@ -249,101 +254,181 @@ def test_jump_paths_do_not_depend_on_batching(jump_reference, case, num_paths, b
 @pytest.mark.parametrize("case", list(_BATCHING_CASES))
 def test_statistics_do_not_depend_on_draw_threads(case):
     # Same blocks and chunks: every statistic, not only each path, is
-    # bit-identical for any number of draw threads.  The block of paths
-    # 11..21 touches chunks 2..5, so four threads draw it.  A short switch
-    # interval makes the threads interleave often.
+    # bit-identical for any number of draw threads and any slice length
+    # (the sum of m continues in step order across slices).  The block of
+    # paths 11..21 touches chunks 2..5, so the caller and three workers draw
+    # it, in 15 slices of at most seven steps.  A short switch interval
+    # makes the threads interleave often.
     interval = getswitchinterval()
     setswitchinterval(1e-6)
     try:
-        one, many = (_jump_run(case, 23, block=11, threads=t) for t in (1, 4))
+        one, many = (_jump_run(case, 23, block=11, threads=t, slice_=7) for t in (1, 4))
     finally:
         setswitchinterval(interval)
+    whole = _jump_run(case, 23, block=11, threads=1, slice_=100)
     assert (one.draw_threads, many.draw_threads) == (1, 4)
-    for field in ("envelope_mean", "envelope_var", "martingale_mean"):
-        assert np.array_equal(getattr(one, field), getattr(many, field))
-    assert (one.cost_estimate, one.jump_mean_counts) == (many.cost_estimate, many.jump_mean_counts)
-    for (_, *got), (_, *want) in zip(many.checkpoint_moments, one.checkpoint_moments):
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    for other in (many, whole):
+        for field in ("envelope_mean", "envelope_var", "martingale_mean"):
+            assert np.array_equal(getattr(one, field), getattr(other, field))
+        assert ((one.cost_estimate, one.jump_mean_counts)
+                == (other.cost_estimate, other.jump_mean_counts))
+        for (_, *got), (_, *want) in zip(other.checkpoint_moments, one.checkpoint_moments):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
-class _RangeFailure(Exception):
+def test_lone_path_sum_of_m_does_not_depend_on_slicing():
+    # numpy sums one path on one channel pairwise, not row after row, so
+    # that case is summed in step order on its own.
+    cfg = SimulationConfig(num_paths=1, sigma0=np.eye(1), step_size=1e-2, master_seed=1)
+    sums = []
+    for slice_ in (7, 100):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sde_sim, "_SLICE", slice_)
+            sums.append(simulate_paths(s1(), unit_wiener_noise(), zero_gain(1, 1),
+                                       cfg).martingale_mean)
+    assert np.array_equal(*sums)
+
+
+class _ChunkFailure(Exception):
     pass
 
 
-@pytest.mark.parametrize("failing_run", [0, 2])
-def test_failing_draw_thread_reaches_the_caller(monkeypatch, failing_run):
-    # Run 0 is drawn on the calling thread and run 2 on a worker; either
-    # way the error surfaces with its type and every worker is joined.
-    draw_range = sde_sim._draw_range
-    starts = []
+@pytest.mark.parametrize("failing_slice,on_worker",
+                         [(0, False), (0, True), (21, False), (21, True)],
+                         ids=["first-caller", "first-worker", "later-caller", "later-worker"])
+def test_failing_draw_thread_reaches_the_caller(monkeypatch, failing_slice, on_worker):
+    # A chunk of the first slice, or of the slice from step 21 (drawn while
+    # the caller steps the one before), fails on a worker or on the calling
+    # thread; either way the error surfaces with its type and every worker
+    # is joined.  In that slice the other side waits until the failing side
+    # has taken a chunk, so that the failure happens where it is meant to.
+    draw_chunk = sde_sim._draw_chunk
+    failed = threading.Event()
+    failures = []
 
-    def failing(step, seed, w, lo, hi, j0, *args):
-        starts.append(j0)
-        if j0 == failing_run:  # runs of one chunk of two paths
-            raise _RangeFailure(j0)
-        return draw_range(step, seed, w, lo, hi, j0, *args)
+    def failing(step, seed, mean0, l0, streams, j, unit, buffers, w):
+        if unit[2] == failing_slice:
+            if (threading.current_thread() is not threading.main_thread()) == on_worker:
+                failures.append(j)
+                failed.set()
+                raise _ChunkFailure(j)
+            failed.wait(10.0)
+        draw_chunk(step, seed, mean0, l0, streams, j, unit, buffers, w)
 
-    monkeypatch.setattr(sde_sim, "_draw_range", failing)
-    monkeypatch.setattr(sde_sim, "_DRAW_THREADS", 4)
+    monkeypatch.setattr(sde_sim, "_draw_chunk", failing)
     before = threading.active_count()
-    with pytest.raises(_RangeFailure):
-        _jump_run("example", 8, chunk=2)
+    with pytest.raises(_ChunkFailure) as err:
+        # Four chunks of two paths: the caller and three workers.
+        _jump_run("example", 8, threads=4, chunk=2, slice_=7)
     assert threading.active_count() == before
-    assert sorted(starts) == [0, 1, 2, 3]
+    assert err.value.args[0] in failures
 
 
 def test_zero_rate_increments_are_positive_zero():
     # z * 0.0 is -0.0 for a negative z; a zero-rate step's increment is
     # +0.0 instead, as when components are added to a zeroed buffer.  mu has
-    # no component here and is zeroed.  The eight paths cut the first chunk.
+    # no component here and is zeroed.  The eight paths cut the first chunk,
+    # drawn in slices of 40 steps.
     sys = make_system(2, 1, 1, np.zeros((2, 2)), [[0.0], [1.0]], [[1.0], [0.0]],
                       [[0.0]], [[0.0]], np.zeros((2, 2)), [[1.0]])
     noise = NoiseModel(
         additive=(NoiseComponent("wiener", const([[0.0]]), channel=0),), multiplicative=())
     step = sde_sim._StepData(sys, noise, zero_gain(1, 2), 1e-2)
-    dm, dmu = np.full((step.nsteps, 1, 8), np.nan), np.full((step.nsteps, 8), np.nan)
-    scratch = np.empty((step.nsteps, 1, sde_sim._STREAM_CHUNK))
-    sde_sim._draw_block(step, [scratch], 5, 0, 8, np.zeros(2), np.eye(2), dm, dmu)
-    for buf in (dm, dmu):
-        assert np.all(buf == 0.0) and not np.any(np.signbit(buf))
+    scratch, streams = np.empty((40, 1, sde_sim._STREAM_CHUNK)), {}
+    for k0 in range(0, step.nsteps, 40):
+        k1 = min(k0 + 40, step.nsteps)
+        dm, dmu = np.full((41, 1, 8), np.nan), np.full((40, 8), np.nan)
+        sde_sim._draw_chunk(step, 5, np.zeros(2), np.eye(2), streams, 0, (0, 8, k0, k1),
+                            (dm, dmu, np.empty((2, 8))), scratch)
+        for buf in (dm[1:k1 - k0 + 1], dmu[:k1 - k0]):
+            assert np.all(buf == 0.0) and not np.any(np.signbit(buf))
 
 
-def test_draw_order_within_a_chunk():
+def test_jumps_within_a_step_keep_their_draw_order(monkeypatch):
+    # About 30 arrivals a step and path, drawn a slice of 30 steps at a time:
+    # each step's jumps are added in draw order, as in one full-horizon
+    # add, so the sort by step must be stable.
+    monkeypatch.setattr(sde_sim, "_STREAM_CHUNK", 4)
+    rate = const([[3000.0]])
+    sys = make_system(1, 1, 1, [[0.0]], [[1.0]], [[1.0]], rate, [[0.0]], [[0.0]], [[1.0]])
+    noise = NoiseModel(
+        additive=(NoiseComponent("compound_poisson", rate, channel=0, jump_std=1.0),),
+        multiplicative=())
+    step = sde_sim._StepData(sys, noise, zero_gain(1, 1), 1e-2)
+    streams, got = {}, np.empty((step.nsteps, 4))
+    for k0 in range(0, step.nsteps, 30):
+        k1 = min(k0 + 30, step.nsteps)
+        dm, dmu = np.full((31, 1, 4), np.nan), np.full((30, 4), np.nan)
+        sde_sim._draw_chunk(step, 9, np.zeros(1), np.eye(1), streams, 0, (0, 4, k0, k1),
+                            (dm, dmu, np.empty((1, 4))), np.empty((30, 0, 4)))
+        got[k0:k1] = dm[1:k1 - k0 + 1, 0]
+    gen = np.random.Generator(np.random.Philox(key=9 << 64))
+    gen.standard_normal((1, 4))
+    (_, _, dom, _), = step.compound
+    counts = gen.poisson(dom.total, 4)
+    u = gen.random(2 * counts.sum())
+    sizes = gen.standard_normal(counts.sum())
+    k, keep = dom.thin(u[:counts.sum()], u[counts.sum():])
+    assert keep.all()
+    want = np.zeros((step.nsteps, 4))
+    np.add.at(want, (k, np.repeat(np.arange(4), counts)), sizes)
+    assert np.array_equal(got, want)
+
+
+def test_draw_order_within_a_chunk(monkeypatch):
     # Each chunk's stream rebuilt in the documented order: the initial
-    # states, the step-major Wiener normals, then the jump counts, uniforms
-    # and sizes.  The block of paths 5..12 cuts both of its chunks of eight.
-    chunk, seed, lo, hi = 8, 31, 5, 13
-    step = sde_sim._StepData(n3_q2_system(), n3_q2_noise(), n3_q2_gain(), 1e-2)
+    # states, the jump counts, uniforms and sizes, then the step-major Wiener
+    # normals in one read.  The run reads them in slices of 30 of its 100
+    # steps; its blocks of six paths cut chunk 0 (paths 0..7) and the path
+    # count cuts chunk 2.  Every value the step loop reads is recorded as
+    # the pipeline writes it.
+    chunk, seed, num_paths, nsteps = 8, 31, 21, 100
     mean0 = np.array([0.5, -1.0, 2.0])
-    l0 = np.array([[1.0, 0.0, 0.0], [0.3, 0.8, 0.0], [-0.2, 0.1, 0.6]])
-    dm, dmu = np.full((step.nsteps, 2, hi - lo), np.nan), np.full((step.nsteps, hi - lo), np.nan)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sde_sim, "_STREAM_CHUNK", chunk)
-        x0, accepted = sde_sim._draw_block(step, [np.empty((step.nsteps, 3, chunk))], seed,
-                                           lo, hi, mean0, l0, dm, dmu)
+    sigma0 = np.array([[1.0, 0.3, -0.2], [0.3, 0.73, 0.02], [-0.2, 0.02, 0.41]])
+    got_x0, got_dm = np.full((3, num_paths), np.nan), np.full((nsteps, 2, num_paths), np.nan)
+    got_dmu, accepted = np.full((nsteps, num_paths), np.nan), []
+    draw_chunk = sde_sim._draw_chunk
+
+    def recording(step, seed_, mean0_, l0, streams, j, unit, buffers, w):
+        draw_chunk(step, seed_, mean0_, l0, streams, j, unit, buffers, w)
+        (lo, hi, k0, k1), (dm, dmu, x0) = unit, buffers
+        a, b = max(lo, j * chunk), min(hi, (j + 1) * chunk)
+        if k0 == 0:
+            got_x0[:, a:b] = x0[:, a - lo:b - lo]
+            accepted.append(sum(len(k) for k, _, _ in streams[j][1]))
+        got_dm[k0:k1, :, a:b] = dm[1:k1 - k0 + 1, :, a - lo:b - lo]
+        got_dmu[k0:k1, a:b] = dmu[:k1 - k0, a - lo:b - lo]
+
+    monkeypatch.setattr(sde_sim, "_draw_chunk", recording)
+    res = _jump_run("n3_q2", num_paths, block=6, chunk=chunk, slice_=30, master_seed=seed,
+                    sigma0=sigma0, initial_mean=mean0)
+    step = sde_sim._StepData(n3_q2_system(), n3_q2_noise(), n3_q2_gain(), 1e-2)
+    assert step.nsteps == nsteps
+    l0 = sde_sim._psd_sqrt(sigma0)
     (_, _, s0, _), (_, _, s1, _), (_, _, s_mu, _) = step.wiener
     (_, _, dom, jump_std), = step.compound
     kept = 0
-    for j in (0, 1):
+    for j in range(3):
         gen = np.random.Generator(np.random.Philox(key=seed << 64 | j))
         x_chunk = mean0[:, None] + l0 @ gen.standard_normal((3, chunk))
-        w = gen.standard_normal((step.nsteps, 3, chunk))
         counts = gen.poisson(dom.total, chunk)
         u = gen.random(2 * counts.sum())
         sizes = gen.standard_normal(counts.sum())
+        w = gen.standard_normal((nsteps, 3, chunk))
         ends = np.cumsum(counts)
-        for i in range(max(lo, j * chunk), min(hi, (j + 1) * chunk)):
-            col, c = i - lo, i - j * chunk
-            assert np.array_equal(x0[:, col], x_chunk[:, c])
-            assert np.array_equal(dm[:, 0, col], w[:, 0, c] * s0)
-            assert np.array_equal(dmu[:, col], w[:, 2, c] * s_mu)
+        for i in range(j * chunk, min(num_paths, (j + 1) * chunk)):
+            c = i - j * chunk
+            assert np.array_equal(got_x0[:, i], x_chunk[:, c])
+            assert np.array_equal(got_dm[:, 0, i], w[:, 0, c] * s0)
+            assert np.array_equal(got_dmu[:, i], w[:, 2, c] * s_mu)
             mine = slice(ends[c] - counts[c], ends[c])
             k, keep = dom.thin(u[mine], u[counts.sum():][mine])
             want = w[:, 1, c] * s1
             np.add.at(want, k[keep], sizes[mine][keep] * jump_std)
-            assert np.array_equal(dm[:, 1, col], want)
+            assert np.array_equal(got_dm[:, 1, i], want)
             kept += np.count_nonzero(keep)
-    assert kept > 0 and accepted.tolist() == [kept]
+    assert kept > 0 and sum(accepted) == kept
+    assert res.jump_mean_counts == (kept / num_paths,)
 
 
 def test_thinning_law_with_interior_supremum():
