@@ -47,8 +47,7 @@ def _panels(f, edges):
     return [(k, float(np.max(np.abs(k - g))), t, v) for k, g, t, v in zip(ks, gs, ts, vals)]
 
 
-def adaptive_gk(f, a, b, atol=1e-10, rtol=0.0, max_panels=2000,
-                collect_nodes=False, edges=None):
+def adaptive_gk(f, a, b, atol=1e-10, rtol=0.0, max_panels=2000, edges=None):
     """Integrate an array-valued f over [a, b] by panel bisection.
 
     f takes a 1-D array of times and returns an array whose leading axis
@@ -56,9 +55,9 @@ def adaptive_gk(f, a, b, atol=1e-10, rtol=0.0, max_panels=2000,
     (default [a, b]), are one call, and so is each bisection.  Refinement
     stops when the error estimate falls below atol + rtol * max|integral|;
     the relative guard keeps the work bounded when the integrand magnitude
-    blows up.  Returns (integral, error, saturated), saturated meaning that
-    max_panels stopped the refinement above that tolerance; collect_nodes
-    adds a fourth item: the final panels' edges, node times and f at them.
+    blows up.  Returns (integral, error, saturated, panels), saturated
+    meaning that max_panels stopped the refinement above that tolerance, and
+    panels the final panels' edges, node times and f at them.
     """
     sign = 1.0
     if b < a:
@@ -85,15 +84,13 @@ def adaptive_gk(f, a, b, atol=1e-10, rtol=0.0, max_panels=2000,
         heapq.heappush(heap, (-e2, counter + 1, mid, hi, k2, t2, v2))
         counter += 2
     integral = sign * sum(item[4] for item in heap)
-    if not collect_nodes:
-        return integral, total_err, saturated
     heap.sort(key=lambda item: item[2])
     return integral, total_err, saturated, (np.array([item[2] for item in heap] + [b]), *(
         np.concatenate([item[col] for item in heap]) for col in (5, 6)))
 
 
 def interpolant_integrals(edges, values, times):
-    """(int from edges[0] to each time, tail) from the collect_nodes output:
+    """(int from edges[0] to each time, tail) from adaptive_gk's panels:
     each panel's degree-14 Legendre interpolant through its nodes, integrated
     exactly; tail sums 2 half max(|c13|, |c14|), what they leave unresolved."""
     leg = np.polynomial.legendre

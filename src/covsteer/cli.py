@@ -11,6 +11,7 @@ channel: 0 success, 1 configuration error, 2 precondition violation,
 import argparse
 import importlib.resources
 import json
+import math
 import os
 import sys
 import tempfile
@@ -94,6 +95,26 @@ def _parse_noise(node, q: int):
         raise ConfigError(f"bad noise model: {exc}") from exc
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+def _check_option(key, value):
+    """An option's type and sign, as its default's: counts are integers, at
+    least 1 for paths and 0 otherwise, and checkpoints a list of numbers."""
+    default = _DEFAULT_OPTIONS[key]
+    if isinstance(default, list):
+        ok, what = isinstance(value, list) and all(map(_is_real, value)), "a list of numbers"
+    elif isinstance(default, int):
+        least = 1 if key == "paths" else 0
+        ok, what = _is_real(value) and value == int(value) >= least, f"an integer >= {least}"
+    else:
+        ok, what = _is_real(value), "a finite number"
+    if not ok:
+        raise ConfigError(f"option {key} must be {what}, got {value!r}")
+
+
 class RunConfig:
     """Parsed run configuration; keeps the raw document for round-trips."""
 
@@ -142,6 +163,8 @@ class RunConfig:
         unknown = sorted(set(options) - set(_DEFAULT_OPTIONS))
         if unknown:
             raise ConfigError(f"unknown option(s): {', '.join(unknown)}")
+        for key, value in options.items():
+            _check_option(key, value)
         self.options = {**_DEFAULT_OPTIONS, **options}
 
     def emit(self) -> dict:

@@ -375,10 +375,10 @@ def scalar_steering_u(prob: ScalarSteeringProblem) -> ScalarControl:
               for j in range(h_order + 1)]
     ab = np.linalg.solve(vander, np.concatenate([prob.alpha, prob.beta]))
     psi_poly = P.polypow([0.0, 1.0, -1.0], h_order + 1)  # t^{H+1} (1-t)^{H+1}
-    int_ab, _, sat_ab = adaptive_gk(lambda ts: f(ts) * P.polyval(ts, ab),
-                                    0.0, 1.0, atol=1e-12, rtol=1e-13)
-    int_psi, _, sat_psi = adaptive_gk(lambda ts: f(ts) * P.polyval(ts, psi_poly),
-                                      0.0, 1.0, atol=1e-12, rtol=1e-13)
+    int_ab, _, sat_ab, _ = adaptive_gk(lambda ts: f(ts) * P.polyval(ts, ab),
+                                       0.0, 1.0, atol=1e-12, rtol=1e-13)
+    int_psi, _, sat_psi, _ = adaptive_gk(lambda ts: f(ts) * P.polyval(ts, psi_poly),
+                                         0.0, 1.0, atol=1e-12, rtol=1e-13)
     if sat_ab or sat_psi or not np.isfinite(int_ab + int_psi):
         raise IntegrationFailureError(
             "weighted integral of the control polynomial did not converge")

@@ -59,17 +59,15 @@ def solve_closed_form(sys: SystemSpec, s: float, pi_s: np.ndarray,
                                pi_s, t)
 
 
-def closed_form_on_path(path: TransitionPath, pi_anchor: np.ndarray, t, *,
-                        _read: tuple | None = None) -> np.ndarray:
+def closed_form_on_path(path: TransitionPath, pi_anchor: np.ndarray, t) -> np.ndarray:
     """Closed-form Pi(t) on a dense path anchored at Pi_anchor's time; stacked for k times.
 
     A plain condition number misses the blow-up (PhiPi can be tiny in every
     direction), so the smallest singular value of PhiPi is measured against
     the magnitude of the terms that cancel.  On (k, n, n) stacks each matrix
-    is tested, and the first singular one raises.  _read is
-    _phi_pi(path, pi_anchor, t) when the caller has read it already.
+    is tested, and the first singular one raises.
     """
-    growth, (p11, p12, p21, p22) = _phi_pi(path, pi_anchor, t) if _read is None else _read
+    growth, (p11, p12, p21, p22) = _phi_pi(path, pi_anchor, t)
     scale = np.linalg.norm(p11, axis=(-2, -1)) + np.linalg.norm(p12 @ pi_anchor, axis=(-2, -1))
     smin = np.linalg.svd(growth, compute_uv=False)[..., -1]
     bad = np.flatnonzero(smin <= np.maximum(scale, 1.0) / 1e12)

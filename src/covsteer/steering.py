@@ -55,12 +55,14 @@ class SteeringSolution:
 class JacobianWorkspace:
     """Pieces of the boundary-map Jacobian at one admissible point.
 
-    nodes holds (s, W_s0, P_s) at the 15 nodes of each panel between edges;
-    jac is the full n^2 x n^2 Jacobian (phiPi10 x phiPi10) S and f_value the
-    map value assembled from the same nodes.  quad_error is the quadrature's
-    error estimate; saturated: the 400-panel cap stopped it above tolerance.
+    pi0 is that point; nodes holds (s, W_s0, P_s) at the 15 nodes of each
+    panel between edges; jac is the full n^2 x n^2 Jacobian (phiPi10 x
+    phiPi10) S and f_value the map value assembled from the same nodes.
+    quad_error is the quadrature's error estimate; saturated: the 400-panel
+    cap stopped it above tolerance.
     """
 
+    pi0: np.ndarray
     edges: np.ndarray
     nodes: tuple
     S: np.ndarray
@@ -99,7 +101,7 @@ def map_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
           path: TransitionPath | None = None) -> np.ndarray:
     """Terminal covariance reached from Sigma0 under the costate anchor Pi0:
     Sigma(1) of propagate_covariance, whose failures it raises."""
-    return propagate_covariance(sys, pi0, sigma0, 2, path=path)[-1][1]
+    return propagate_covariance(sys, pi0, sigma0, 2, path=path)[0][-1][1]
 
 
 def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
@@ -133,8 +135,7 @@ def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
                                jac_part.reshape(len(ss), -1)], axis=1)
 
     integral, quad_err, saturated, (edges, node_ts, node_vals) = adaptive_gk(
-        stacked, 0.0, 1.0, atol=QUAD_ATOL, rtol=QUAD_RTOL, max_panels=400,
-        collect_nodes=True)
+        stacked, 0.0, 1.0, atol=QUAD_ATOL, rtol=QUAD_RTOL, max_panels=400)
     p_int = integral[:n2].reshape(n, n)
     jac_int = integral[2 * n2:].reshape(n2, n2)
 
@@ -143,8 +144,8 @@ def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
     f_value = symmetrize(phi10 @ (sigma0 + p_int) @ phi10.T)
     nodes = tuple((float(t), raw[n2:2 * n2].reshape(n, n), raw[:n2].reshape(n, n))
                   for t, raw in zip(node_ts, node_vals))
-    return JacobianWorkspace(edges=edges, nodes=nodes, S=s_mat, jac=jac, f_value=f_value,
-                             quad_error=float(quad_err), saturated=saturated)
+    return JacobianWorkspace(pi0=pi0, edges=edges, nodes=nodes, S=s_mat, jac=jac,
+                             f_value=f_value, quad_error=float(quad_err), saturated=saturated)
 
 
 def _symmetric_basis(n: int) -> np.ndarray:
@@ -268,11 +269,9 @@ def solve_boundary(sys: SystemSpec, bd: BoundaryData,
             best_residual=rel, trace=trace)
 
     times = np.linspace(0.0, 1.0, grid_size)
-    read = _phi_pi(path, pi, times)  # Phi on the grid, read once for Pi and Sigma
-    pi_grid = tuple(zip(times.tolist(), closed_form_on_path(path, pi, times, _read=read)))
-    sigma, sigma_error = propagate_covariance(sys, pi, bd.sigma0, grid_size, path,
-                                              _accepted=ws, _growth=read[0])
-    cost, cost_error = optimal_cost(sys, pi, bd, path=path, _accepted=ws)
+    pi_grid = tuple(zip(times.tolist(), closed_form_on_path(path, pi, times)))
+    sigma, sigma_error = propagate_covariance(sys, pi, bd.sigma0, grid_size, path, workspace=ws)
+    cost, cost_error = optimal_cost(sys, pi, bd, path=path, workspace=ws)
     return SteeringSolution(
         pi0=pi, pi_grid=pi_grid, gain_grid=tuple(feedback_gain(sys, pi_grid)),
         sigma_grid=tuple(sigma), optimal_cost=cost, newton_trace=tuple(trace),
@@ -280,41 +279,43 @@ def solve_boundary(sys: SystemSpec, bd: BoundaryData,
         accepted_panels=len(ws.edges) - 1)
 
 
+def _checked_pass(sys, sigma0, pi0, path, workspace) -> JacobianWorkspace:
+    """workspace, or a fresh jacobian_f pass at Pi0; a workspace taken at
+    another Pi0 raises PreconditionError, a saturated pass IntegrationFailureError."""
+    if workspace is None:
+        workspace = jacobian_f(sys, sigma0, pi0, path=path)
+    elif not np.array_equal(workspace.pi0, symmetrize(np.asarray(pi0, dtype=float))):
+        raise PreconditionError("workspace was taken at another Pi0")
+    if workspace.saturated:
+        raise IntegrationFailureError(
+            f"boundary-map quadrature saturated at error {workspace.quad_error:.3e}")
+    return workspace
+
+
 def propagate_covariance(sys: SystemSpec, pi0: np.ndarray, sigma0: np.ndarray,
                          grid_size: int = 1001, path: TransitionPath | None = None,
-                         *, _accepted: JacobianWorkspace | None = None,
-                         _growth: np.ndarray | None = None) -> list:
-    """Covariance trajectory under the optimal gain, as (t, Sigma(t)) pairs;
-    given Newton's accepted pass as _accepted, (pairs, tail) instead.
+                         workspace: JacobianWorkspace | None = None) -> tuple:
+    """Covariance trajectory under the optimal gain: ((t, Sigma(t)) pairs, tail).
 
     Explicit solution Sigma(t) = PhiPi(t,0) [Sigma0 + int_0^t P(s) ds]
     PhiPi(t,0)', P the transported noise, integrated exactly on its Legendre
-    interpolants on the panels of an adaptive quadrature of P (the accepted
-    pass's or its own), so the accuracy does not depend on grid_size; a tail
-    above 1e-7 max(1, ||Sigma0 + int_0^1 P||) raises IntegrationFailureError.
-    _growth is PhiPi(t, 0) on the grid when the caller has read it already.
+    interpolants on the panels of the jacobian_f pass at Pi0 (workspace, or
+    a fresh one), so the accuracy does not depend on grid_size; tail is what
+    they leave unresolved, and one above 1e-7 max(1, ||Sigma0 + int_0^1 P||)
+    raises IntegrationFailureError.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     pi0 = symmetrize(np.asarray(pi0, dtype=float))
     path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
-    if _accepted is None:
-        _require_admissible(pi0, _upper_bound_10(path))
-        _, _, saturated, (edges, _, p_nodes) = adaptive_gk(
-            lambda ss: _transported_noise(sys, _phi_pi(path, pi0, ss)[0], ss),
-            0.0, 1.0, atol=QUAD_ATOL, rtol=QUAD_RTOL, collect_nodes=True)
-        if saturated:
-            raise IntegrationFailureError("boundary-map quadrature saturated")
-    else:
-        edges, p_nodes = _accepted.edges, np.stack([p for _, _, p in _accepted.nodes])
+    ws = _checked_pass(sys, sigma0, pi0, path, workspace)
     times = np.linspace(0.0, 1.0, grid_size)
-    part, tail = interpolant_integrals(edges, p_nodes, times)
+    part, tail = interpolant_integrals(ws.edges, np.stack([p for _, _, p in ws.nodes]), times)
     acc = np.asarray(sigma0, dtype=float) + part
     if not tail <= 1e-7 * max(1.0, float(np.linalg.norm(acc[-1]))):  # also refuses NaN
         raise IntegrationFailureError(f"transported noise unresolved: tail {tail:.3e}")
-    g = _phi_pi(path, pi0, times)[0] if _growth is None else _growth
-    pairs = list(zip(times.tolist(), symmetrize(g @ acc @ np.swapaxes(g, -1, -2))))
-    return pairs if _accepted is None else (pairs, tail)
+    g = _phi_pi(path, pi0, times)[0]
+    return list(zip(times.tolist(), symmetrize(g @ acc @ np.swapaxes(g, -1, -2)))), tail
 
 
 def feedback_gain(sys: SystemSpec, pi_grid) -> list:
@@ -329,26 +330,26 @@ def feedback_gain(sys: SystemSpec, pi_grid) -> list:
 
 def optimal_cost(sys: SystemSpec, pi0: np.ndarray, bd: BoundaryData,
                  path: TransitionPath | None = None,
-                 *, _accepted: JacobianWorkspace | None = None) -> float:
-    """Optimal cost under the costate anchor Pi0: int tr(Pi C D C') dt plus
-    the boundary correction; given Newton's accepted pass as _accepted,
-    (cost, error estimate) instead.
+                 workspace: JacobianWorkspace | None = None) -> tuple:
+    """(cost, error estimate) under the costate anchor Pi0: int tr(Pi C D C')
+    dt plus the boundary correction.
 
-    The quadrature starts from [0, 1], or from the accepted pass's panels;
-    one that saturates raises IntegrationFailureError.
+    The quadrature starts from the panels of the jacobian_f pass at Pi0
+    (workspace, or a fresh one); one that saturates raises
+    IntegrationFailureError.
     """
     path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
     pi0 = np.asarray(pi0, dtype=float)
+    edges = _checked_pass(sys, bd.sigma0, pi0, path, workspace).edges
 
     def integrand(ts):
         return np.einsum("kij,kji->k", closed_form_on_path(path, pi0, ts), _cdct(sys, ts))
 
-    integral, err, saturated = adaptive_gk(
-        integrand, 0.0, 1.0, atol=QUAD_ATOL, rtol=QUAD_RTOL,
-        edges=None if _accepted is None else _accepted.edges)
+    integral, err, saturated, _ = adaptive_gk(
+        integrand, 0.0, 1.0, atol=QUAD_ATOL, rtol=QUAD_RTOL, edges=edges)
     if saturated:
         raise IntegrationFailureError(f"cost quadrature saturated at error {err:.3e}")
     pi1 = closed_form_on_path(path, pi0, 1.0)
     cost = float(integral) + float(np.trace(pi0 @ bd.sigma0)) \
         - float(np.trace(pi1 @ bd.sigma1))
-    return cost if _accepted is None else (cost, float(err))
+    return cost, float(err)

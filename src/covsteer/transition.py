@@ -145,6 +145,11 @@ class TransitionPath:
             edges, phi0 = np.linspace(self.anchor, end, math.ceil(count) + 1), np.eye(self.dim)
             for a, b in zip(edges[:-1], edges[1:]):
                 deg, tail, vals, coef = _panel(m_of_t, phi0, a, b - a)
+                big = float(np.max(np.abs(vals)))
+                if not big < math.sqrt(np.finfo(float).max) / self.dim:  # also refuses NaN
+                    raise IntegrationFailureError(
+                        f"transition matrix overflows on the panel [{a:.6g}, {b:.6g}]: "
+                        f"max |Phi| = {big:.3e}, whose square overflows")
                 # Phi^-1 Phi - I = -J(Phi'J Phi - J), on Phi / max(1, ||Phi||) against overflow
                 scale = np.maximum(1.0, np.linalg.norm(vals, axis=(1, 2)))[:, None, None]
                 unit = vals / scale
@@ -330,7 +335,7 @@ def gramian_identity(sys: SystemSpec, pi_anchor: tuple, t: float) -> GramianChec
         g = phi_pi_ts @ np.linalg.inv(_phi_pi(path, pi_s, taus)[0])
         return g @ b_rinv_bt(sys, taus) @ np.swapaxes(g, -1, -2)
 
-    mbar, err, saturated = adaptive_gk(integrand, s, t, atol=QUAD_ATOL)
+    mbar, err, saturated, _ = adaptive_gk(integrand, s, t, atol=QUAD_ATOL)
     if saturated:
         raise IntegrationFailureError(f"Gramian quadrature saturated at error {err:.3e}")
     rhs = -blocks_ts[1] @ phi_pi_ts.T

@@ -140,6 +140,19 @@ def test_solve_non_convergence_exits_3(tmp_path, example_raw, capsys):
     assert "solver did not converge" in capsys.readouterr().out
 
 
+def test_overflowing_transition_path_is_named(tmp_path, example_raw, capsys):
+    # Phi grows like exp(1000 t), so its square overflows near t = 0.35.  The
+    # path names that panel, without numpy's overflow warning from the norm
+    # of Phi and before its values overflow too, near t = 0.71.
+    example_raw["system"]["A"] = [[[1000.0], [1.0]], [[0.0], [1000.0]]]
+    out = tmp_path / "o"
+    rc = main(["solve", "--config", write_cfg(tmp_path, example_raw), "--out", str(out)])
+    assert rc == EXIT_PRECONDITION
+    assert ("error: transition matrix overflows on the panel [0.350598, 0.354582]"
+            in capsys.readouterr().out)
+    assert list(out.iterdir()) == []
+
+
 def test_linalg_error_is_numerical_error_exit_2(tmp_path, monkeypatch, capsys):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -273,11 +286,20 @@ def test_certify_pass_and_mismatch(tmp_path, example_raw):
     assert rc == EXIT_MISMATCH
 
 
-@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
-def test_certify_rejects_seed_before_solving(tmp_path, example_raw, seed):
+@pytest.mark.parametrize("args,options", [
+    (["--seed", "-1"], {}),
+    (["--seed", str(2 ** 64)], {}),
+    # Read from the config, these were truncated to 1 and 10 paths, and a
+    # negative count of kept paths was accepted.
+    ([], {"seed": 1.5}),
+    ([], {"paths": 10.5}),
+    ([], {"retain_paths": -3}),
+    ([], {"seed": True}),
+], ids=["-1", str(2 ** 64), "seed-1.5", "paths-10.5", "retain_paths--3", "seed-true"])
+def test_certify_rejects_seed_before_solving(tmp_path, example_raw, args, options):
+    example_raw["options"].update(options)
     out = str(tmp_path / "o")
-    rc = main(["certify", "--config", write_cfg(tmp_path, example_raw),
-               "--out", out, "--seed", seed])
+    rc = main(["certify", "--config", write_cfg(tmp_path, example_raw), "--out", out, *args])
     assert rc == EXIT_CONFIG
     assert not os.path.exists(os.path.join(out, "cost.json"))
 
@@ -295,11 +317,16 @@ def test_certify_single_path_is_config_error(tmp_path, capsys):
     ("certify", [0.0], "certify needs a checkpoint at t=1.0"),
     ("certify", [0.33333, 1.0], "checkpoint 0.33333 is not on the step grid"),
     ("simulate", [0.33333], "checkpoint 0.33333 is not on the step grid"),
+    # These ended in numpy's and Python's own tracebacks.
+    ("certify", ["x"], "option checkpoints must be a list of numbers, got ['x']"),
+    ("certify", None, "option checkpoints must be a list of numbers, got None"),
+    ("simulate", 1.0, "option checkpoints must be a list of numbers, got 1.0"),
 ])
 def test_bad_checkpoints_rejected_before_solving(tmp_path, example_raw, capsys, command,
                                                  checkpoints, message):
     example_raw["options"].update({"paths": 100, "checkpoints": checkpoints})
     out = tmp_path / "o"
+    out.mkdir()
     rc = main([command, "--config", write_cfg(tmp_path, example_raw), "--out", str(out)])
     assert rc == EXIT_CONFIG
     assert f"config error: {message}" in capsys.readouterr().out

@@ -194,6 +194,22 @@ def n1_q2_noise():
         multiplicative=())
 
 
+def split_system():
+    mp = MatrixPoly.from_entries
+    return make_system(1, 1, 1, [[-0.5]], [[1.0]], [[1.0]], mp([[[1.0, 0.2]]]),
+                       mp([[[0.25, 0.05]]]), [[1.0]], [[1.0]])
+
+
+def split_noise():
+    """Two Wiener components on the channel and two on mu, one of each time-varying."""
+    mp = MatrixPoly.from_entries
+    return NoiseModel(
+        additive=(NoiseComponent("wiener", mp([[[0.4, 0.2]]]), channel=0),
+                  NoiseComponent("wiener", const([[0.6]]), channel=0)),
+        multiplicative=(NoiseComponent("wiener", mp([[[0.2, 0.1]]])),
+                        NoiseComponent("wiener", const([[0.3]]))))
+
+
 _BATCHING_CASES = {
     # A nonzero gain, so that products round and a BLAS kernel change shows.
     "example": (example_system, example_noise,
@@ -202,6 +218,8 @@ _BATCHING_CASES = {
     "n3_q2": (n3_q2_system, n3_q2_noise, n3_q2_gain, np.diag([1.0, 0.5, 2.0])),
     "n1_q2": (n1_q2_system, n1_q2_noise,
               lambda: [(0.0, np.array([[-0.7]])), (1.0, np.array([[0.2]]))], np.eye(1)),
+    "split": (split_system, split_noise,
+              lambda: [(0.0, np.array([[-0.6]])), (1.0, np.array([[0.4]]))], np.eye(1)),
 }
 
 
@@ -324,6 +342,40 @@ def test_failing_draw_thread_reaches_the_caller(monkeypatch, failing_slice, on_w
     assert err.value.args[0] in failures
 
 
+class _StepFailure(Exception):
+    pass
+
+
+def test_failing_step_loop_joins_the_drawing_workers(monkeypatch):
+    # The step loop fails at step 21, the first of a later slice, while
+    # three workers draw the next slice; each waits in its chunk until the
+    # failure, so it is still drawing then.  The error surfaces with its
+    # type once every worker is joined.
+    dot, draw_chunk = sde_sim._dot, sde_sim._draw_chunk
+    failed, calls, waited = threading.Event(), [], []
+
+    def failing_dot(a, x):
+        calls.append(None)
+        if len(calls) == 3 * 21 + 1:  # three products a step
+            failed.set()
+            raise _StepFailure
+        return dot(a, x)
+
+    def drawing(step, seed, mean0, l0, streams, j, unit, buffers, w):
+        if unit[2] == 28 and threading.current_thread() is not threading.main_thread():
+            waited.append(failed.wait(10.0))
+        draw_chunk(step, seed, mean0, l0, streams, j, unit, buffers, w)
+
+    monkeypatch.setattr(sde_sim, "_dot", failing_dot)
+    monkeypatch.setattr(sde_sim, "_draw_chunk", drawing)
+    before = threading.active_count()
+    with pytest.raises(_StepFailure):
+        # Four chunks of two paths: the caller and three workers.
+        _jump_run("example", 8, threads=4, chunk=2, slice_=7)
+    assert threading.active_count() == before
+    assert waited and all(waited)
+
+
 def test_zero_rate_increments_are_positive_zero():
     # z * 0.0 is -0.0 for a negative z; a zero-rate step's increment is
     # +0.0 instead, as when components are added to a zeroed buffer.  mu has
@@ -429,6 +481,36 @@ def test_draw_order_within_a_chunk(monkeypatch):
             kept += np.count_nonzero(keep)
     assert kept > 0 and sum(accepted) == kept
     assert res.jump_mean_counts == (kept / num_paths,)
+
+
+def test_second_wiener_component_adds_to_its_target(monkeypatch):
+    # The split model, rebuilt from each chunk's stream: the initial states,
+    # then the step-major normals of its four Wiener components.  On each
+    # target the first component writes w_a s_a and the second adds w_b s_b.
+    chunk, seed, num_paths, nsteps = 4, 57, 10, 100
+    got_dm, got_dmu = (np.full((nsteps, num_paths), np.nan) for _ in range(2))
+    draw_chunk = sde_sim._draw_chunk
+
+    def recording(step, seed_, mean0, l0, streams, j, unit, buffers, w):
+        draw_chunk(step, seed_, mean0, l0, streams, j, unit, buffers, w)
+        (lo, hi, k0, k1), (dm, dmu, _) = unit, buffers
+        a, b = max(lo, j * chunk), min(hi, (j + 1) * chunk)
+        got_dm[k0:k1, a:b] = dm[1:k1 - k0 + 1, 0, a - lo:b - lo]
+        got_dmu[k0:k1, a:b] = dmu[:k1 - k0, a - lo:b - lo]
+
+    monkeypatch.setattr(sde_sim, "_draw_chunk", recording)
+    _jump_run("split", num_paths, block=6, chunk=chunk, slice_=30, master_seed=seed)
+    step = sde_sim._StepData(split_system(), split_noise(), zero_gain(1, 1), 1e-2)
+    (_, _, s_a, first), (_, _, s_b, later), (_, _, s_c, _), (_, _, s_d, _) = step.wiener
+    assert first is not None and later is None
+    for j in range(3):
+        gen = np.random.Generator(np.random.Philox(key=seed << 64 | j))
+        gen.standard_normal((1, chunk))
+        w = gen.standard_normal((nsteps, 4, chunk))
+        for i in range(j * chunk, min(num_paths, (j + 1) * chunk)):
+            c = i - j * chunk
+            assert np.array_equal(got_dm[:, i], w[:, 0, c] * s_a + w[:, 1, c] * s_b)
+            assert np.array_equal(got_dmu[:, i], w[:, 2, c] * s_c + w[:, 3, c] * s_d)
 
 
 def test_thinning_law_with_interior_supremum():

@@ -133,8 +133,8 @@ def test_jacobian_reports_quadrature_saturation():
     times = [s for s, _, _ in edge.nodes]
     assert times == sorted(times) and 0.0 < times[0] and times[-1] < 1.0
     assert edge.quad_error > 1e3 * inside.quad_error
-    # map_f's quadrature, capped at 2000 panels, saturates there too; the
-    # unconverged value is refused, not returned.
+    # map_f reads the same saturated pass; the unconverged value is refused,
+    # not returned.
     with pytest.raises(IntegrationFailureError, match="saturated"):
         map_f(sys, np.eye(2), upper - 1e-8 * np.eye(2))
 
@@ -273,11 +273,24 @@ def test_special_case_rejects_mismatched_channels():
 
 
 def test_propagate_covariance_examples():
-    grid = propagate_covariance(s1(), [[0.0]], [[1.0]], grid_size=11)
+    grid, tail = propagate_covariance(s1(), [[0.0]], [[1.0]], grid_size=11)
     for t, sigma in grid:
         assert abs(sigma[0, 0] - (1.0 + t)) <= 1e-9
-    grid = propagate_covariance(s1(), [[0.6339746]], [[1.0]], grid_size=11)
+    assert 0.0 <= tail <= 1e-7
+    grid, _ = propagate_covariance(s1(), [[0.6339746]], [[1.0]], grid_size=11)
     assert abs(grid[-1][1][0, 0] - 0.5) <= 1e-7
+
+
+def test_read_outs_refuse_a_workspace_from_another_point():
+    sys, bd = s1(), BoundaryData(sigma0=[[1.0]], sigma1=[[0.5]])
+    ws = jacobian_f(sys, bd.sigma0, [[0.0]])
+    assert np.array_equal(ws.pi0, [[0.0]])
+    grid, _ = propagate_covariance(sys, [[0.0]], bd.sigma0, grid_size=11, workspace=ws)
+    assert np.array_equal(grid[-1][1], map_f(sys, bd.sigma0, [[0.0]]))
+    with pytest.raises(PreconditionError, match="another Pi0"):
+        propagate_covariance(sys, [[0.1]], bd.sigma0, grid_size=11, workspace=ws)
+    with pytest.raises(PreconditionError, match="another Pi0"):
+        optimal_cost(sys, [[0.1]], bd, workspace=ws)
 
 
 @pytest.fixture(scope="module", params=["worked_example", "random_n3"])
@@ -298,7 +311,7 @@ def oracle_case(request):
 @pytest.mark.parametrize("grid_size", [11, 101, 1001])
 def test_sigma_grid_matches_lyapunov_oracle(oracle_case, grid_size):
     sys, sigma0, pi0 = oracle_case
-    grid = propagate_covariance(sys, pi0, sigma0, grid_size=grid_size)
+    grid, _ = propagate_covariance(sys, pi0, sigma0, grid_size=grid_size)
     times = np.array([t for t, _ in grid])
     assert np.array_equal(times, np.linspace(0.0, 1.0, grid_size))
     got = np.stack([sigma for _, sigma in grid])
@@ -314,17 +327,17 @@ def contracting_case():
     sys = random_controllable_system(rng, 2)
     bd = BoundaryData(sigma0=50.0 * np.eye(2), sigma1=0.01 * np.eye(2))
     pi0 = solve_boundary(sys, bd).pi0
-    fine = propagate_covariance(sys, pi0, bd.sigma0, grid_size=1001)
+    fine, _ = propagate_covariance(sys, pi0, bd.sigma0, grid_size=1001)
     return sys, bd.sigma0, pi0, np.stack([sigma for _, sigma in fine])
 
 
 @pytest.mark.parametrize("grid_size", [2, 11, 101])
 def test_sigma_grid_does_not_depend_on_output_grid(contracting_case, grid_size):
-    # The panels come from the adaptive quadrature of P, not from the output
+    # The panels come from the jacobian_f pass at Pi0, not from the output
     # grid, so a coarse grid reads the same Sigma at the times it shares.
     sys, sigma0, pi0, fine = contracting_case
     got = np.stack([sigma for _, sigma in
-                    propagate_covariance(sys, pi0, sigma0, grid_size=grid_size)])
+                    propagate_covariance(sys, pi0, sigma0, grid_size=grid_size)[0]])
     # Shared times agree to rounding, which the cancellation in phi11 + phi12
     # Pi0 (terms near 1, sum near 1e-3 at t = 1) amplifies to about 4e-10.
     assert np.max(np.abs(got - fine[::1000 // (grid_size - 1)])) <= 1e-10 * np.max(np.abs(fine))
@@ -373,29 +386,21 @@ def test_solve_boundary_sigma_grid_matches_joint_reference(contracting_case):
 
 
 def test_sigma_tail_check_refuses_an_unresolved_noise_integral(monkeypatch):
-    # delta P_13 at each panel's Kronrod nodes is odd, so the K15 and G7 sums
-    # of every panel, and with them the boundary map and its error estimate,
-    # do not move; only the interpolants' tail sees it.
+    # Only the pass's P node values are bumped, after its quadrature, so the
+    # boundary map, its Jacobian and Newton do not move.  delta P_13 at each
+    # panel's Kronrod nodes is odd, so it adds nothing to any integral of P
+    # either; only the interpolants' tail sees it.
     odd = np.polynomial.legendre.legval(_XK, [0.0] * 13 + [1.0])
+    real_jacobian = steering.jacobian_f
 
-    def bump(count):
-        return 1e-5 * np.tile(odd, count // len(_XK))[:, None, None]
-
-    real_noise, real_jacobian = steering._transported_noise, steering.jacobian_f
-    monkeypatch.setattr(steering, "_transported_noise",
-                        lambda sys, g, s: real_noise(sys, g, s) + bump(len(s)))
-    with pytest.raises(IntegrationFailureError, match="unresolved"):
-        propagate_covariance(s1(), [[0.0]], [[1.0]], grid_size=11)
-    monkeypatch.undo()
-
-    # In solve_boundary only the accepted pass's node values are bumped, so
-    # that Newton converges as before.
     def bumped_pass(*args, **kwargs):
         ws = real_jacobian(*args, **kwargs)
-        return replace(ws, nodes=tuple((s, w, p + d) for (s, w, p), d
-                                       in zip(ws.nodes, bump(len(ws.nodes)))))
+        bump = 1e-5 * np.tile(odd, len(ws.nodes) // len(_XK))
+        return replace(ws, nodes=tuple((s, w, p + d) for (s, w, p), d in zip(ws.nodes, bump)))
 
     monkeypatch.setattr(steering, "jacobian_f", bumped_pass)
+    with pytest.raises(IntegrationFailureError, match="unresolved"):
+        propagate_covariance(s1(), [[0.0]], [[1.0]], grid_size=11)
     with pytest.raises(IntegrationFailureError, match="unresolved"):
         solve_boundary(example_system(), WORKED_TARGET, grid_size=11)
 
@@ -407,6 +412,17 @@ def _cost_integrand(sys, pi0):
                                 steering._cdct(sys, ts))
 
 
+def _unit_interval_cost(sys, pi0, bd):
+    """(cost, error estimate) of optimal_cost's formula by an adaptive
+    quadrature of its integrand from [0, 1], independent of any jacobian_f pass."""
+    integral, error, saturated, _ = adaptive_gk(_cost_integrand(sys, pi0), 0.0, 1.0,
+                                                atol=QUAD_ATOL, rtol=QUAD_RTOL)
+    assert not saturated
+    pi1 = closed_form_on_path(TransitionPath(sys, anchor=0.0, span=(0.0, 1.0)), pi0, 1.0)
+    return float(integral) + float(np.trace(pi0 @ bd.sigma0)) \
+        - float(np.trace(pi1 @ bd.sigma1)), error
+
+
 def test_cost_refines_the_accepted_panels():
     # The accepted pass's panels leave the cost integrand's own error
     # estimate above the quadrature's tolerance, atol + rtol |integral|, on
@@ -416,12 +432,12 @@ def test_cost_refines_the_accepted_panels():
     sol = solve_boundary(sys, bd)
     ws = jacobian_f(sys, bd.sigma0, sol.pi0)  # Newton's accepted pass, recomputed
     assert len(ws.edges) - 1 == sol.accepted_panels
-    integral, start_error, stopped = adaptive_gk(_cost_integrand(sys, sol.pi0), 0.0, 1.0,
-                                                 atol=QUAD_ATOL, edges=ws.edges,
-                                                 max_panels=sol.accepted_panels)
+    integral, start_error, stopped, _ = adaptive_gk(_cost_integrand(sys, sol.pi0), 0.0, 1.0,
+                                                    atol=QUAD_ATOL, edges=ws.edges,
+                                                    max_panels=sol.accepted_panels)
     tolerance = QUAD_ATOL + QUAD_RTOL * abs(integral)
     assert stopped and start_error > tolerance >= sol.cost_error
-    fresh = optimal_cost(sys, sol.pi0, bd)  # adaptive from [0, 1]
+    fresh, _ = _unit_interval_cost(sys, sol.pi0, bd)
     assert abs(sol.optimal_cost - fresh) <= 1e-12 * abs(fresh)
 
 
@@ -439,11 +455,12 @@ def test_cost_quadrature_saturation_raises(monkeypatch):
 
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 3))
-def test_solve_boundary_grids_match_the_standalone_routes(seed, n):
-    # solve_boundary reads Sigma and the cost from Newton's accepted pass;
-    # propagate_covariance and optimal_cost alone run their own quadratures.
-    # Each cost quadrature promises its own error estimate, so the two costs
-    # may differ by both estimates besides the relative rounding.
+def test_solve_boundary_grids_match_independent_references(seed, n):
+    # solve_boundary reads Sigma and the cost from Newton's accepted pass.
+    # Sigma is checked against RK45 on the Lyapunov ODE, the cost against
+    # its integrand's own quadrature from [0, 1].  Each cost quadrature
+    # promises its own error estimate, so the two costs may differ by both
+    # estimates besides the relative rounding.
     rng = np.random.default_rng(seed)
     sys = random_controllable_system(rng, n)
     sigma0 = random_spd(rng, n)
@@ -451,12 +468,9 @@ def test_solve_boundary_grids_match_the_standalone_routes(seed, n):
                       sigma1=map_f(sys, sigma0, random_admissible_pi0(rng, sys)))
     sol = solve_boundary(sys, bd, grid_size=21)
     got = np.stack([sigma for _, sigma in sol.sigma_grid])
-    want = np.stack([sigma for _, sigma in propagate_covariance(sys, sol.pi0, sigma0, 21)])
+    want = lyapunov_oracle(sys, sol.pi0, sigma0, np.linspace(0.0, 1.0, 21))
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
-    fresh = optimal_cost(sys, sol.pi0, bd)
-    # The error estimate of the quadrature that produced fresh.
-    _, fresh_error, _ = adaptive_gk(_cost_integrand(sys, sol.pi0), 0.0, 1.0,
-                                    atol=QUAD_ATOL, rtol=QUAD_RTOL)
+    fresh, fresh_error = _unit_interval_cost(sys, sol.pi0, bd)
     assert abs(sol.optimal_cost - fresh) <= sol.cost_error + fresh_error + 1e-10 * abs(fresh)
     assert 0.0 <= sol.sigma_error and 0.0 <= sol.cost_error
 
@@ -518,7 +532,8 @@ def test_scalar_map_is_monotone_decreasing():
 def test_optimal_cost_consistency_with_monte_carlo_free_case():
     sol = solve_boundary(s1(), BoundaryData(sigma0=[[1.0]], sigma1=[[2.0]]))
     bd = BoundaryData(sigma0=[[1.0]], sigma1=[[2.0]])
-    assert abs(optimal_cost(s1(), sol.pi0, bd)) <= 1e-9
+    cost, error = optimal_cost(s1(), sol.pi0, bd)
+    assert abs(cost) <= 1e-9 and 0.0 <= error <= QUAD_ATOL
 
 
 @pytest.mark.parametrize("target", [
