@@ -5,8 +5,8 @@ blindly: on the simplified (state-dependent noise) model its solution is
 evaluated in closed form from the Hamiltonian transition blocks, its
 existence from an anchor in [0, 1] is decided by an eigenvalue sandwich
 against the block bounds, and its maximal interval of existence is
-located by bisection on the critical eigenvalue crossing.  Only the
-general multiplicative-channel equation, for which no existence theory
+located by bisection on the critical eigenvalue crossing.  Only a model
+with a non-identity multiplicative channel, for which no existence theory
 is available, is forward integrated with blow-up detection.
 """
 
@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import RiccatiNonexistenceError
 from .matfun import SystemSpec, symmetrize
-from .transition import COND_LIMIT, TransitionPath, _phi_pi, _sandwich_bound, b_rinv_bt, pi_bounds
+from .transition import (COND_LIMIT, TransitionPath, _phi_pi, _pi_bounds_on_path, _sandwich_bound,
+                         b_rinv_bt, pi_bounds)
 
 BLOWUP_NORM = 1e12
 BISECTION_TOL = 1e-6
@@ -68,14 +69,24 @@ def closed_form_on_path(path: TransitionPath, pi_anchor: np.ndarray, t) -> np.nd
     is tested, and the first singular one raises.
     """
     growth, (p11, p12, p21, p22) = _phi_pi(path, pi_anchor, t)
-    scale = np.linalg.norm(p11, axis=(-2, -1)) + np.linalg.norm(p12 @ pi_anchor, axis=(-2, -1))
-    smin = np.linalg.svd(growth, compute_uv=False)[..., -1]
-    bad = np.flatnonzero(smin <= np.maximum(scale, 1.0) / 1e12)
+    regular, smin, scale = _growth_guard(growth, p11, p12, pi_anchor)
+    bad = np.flatnonzero(~regular)
     if bad.size:
         raise RiccatiNonexistenceError(
             f"phi11 + phi12 Pi_s numerically singular (sigma_min="
             f"{np.ravel(smin)[bad[0]]:.3e}, scale={np.ravel(scale)[bad[0]]:.3e})")
     return symmetrize((p21 + p22 @ pi_anchor) @ np.linalg.inv(growth))
+
+
+def _growth_guard(growth, p11, p12, pi_anchor):
+    """(regular, sigma_min, scale) of PhiPi = p11 + p12 Pi_anchor or of each in a stack.
+
+    PhiPi is regular when its smallest singular value exceeds 1e-12 of the
+    magnitude of the terms that cancel in it.
+    """
+    scale = np.linalg.norm(p11, axis=(-2, -1)) + np.linalg.norm(p12 @ pi_anchor, axis=(-2, -1))
+    smin = np.linalg.svd(growth, compute_uv=False)[..., -1]
+    return np.atleast_1d(smin > np.maximum(scale, 1.0) / 1e12), smin, scale
 
 
 @dataclass(frozen=True)
@@ -139,14 +150,14 @@ def maximal_interval(sys: SystemSpec, s: float, pi_s: np.ndarray,
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Forward-integrated solution with per-grid-time existence bounds."""
+    """Riccati solution on a grid from t = 0, with per-grid-time existence bounds."""
 
     anchor_time: float
     anchor_value: np.ndarray
     grid: tuple  # ((t, Pi(t)), ...)
     exists: bool
     escape_time: float | None
-    # Per grid time (lower, upper) PiBound pairs, None on a model with
+    # Per grid time (lower, upper) PiBound pairs, None exactly on a model with
     # non-identity channels; a side whose phi12 has cond above COND_LIMIT
     # (next to its horizon end) is None in its pair.
     bounds: tuple | None
@@ -171,16 +182,47 @@ def _general_rhs(sys: SystemSpec):
 
 def integrate_general(sys: SystemSpec, pi_0: np.ndarray,
                       grid_size: int = 101) -> RiccatiSolution:
-    """Forward integrate the general-channel Riccati equation from t = 0.
+    """The Riccati solution from Pi(0) = pi_0 on grid_size equal steps of [0, 1].
 
-    Blow-up (norm above 1e12 or solver failure) is a reported outcome:
-    exists=False with the escape time, never an exception.
+    Without non-identity channels Pi is read in closed form from one
+    transition path Phi_M(., 0), with the escape time at the first crossing
+    of the moving bound and the existence bounds from the same path.  A
+    non-identity channel is forward integrated by RK45, with no bounds.
+    Blow-up (escape, norm above BLOWUP_NORM or solver failure) is a
+    reported outcome: exists=False with the escape time, never an
+    exception, and the grid keeps only the times before it.
     """
+    pi_0 = symmetrize(np.asarray(pi_0, dtype=float))
+    times = np.linspace(0.0, 1.0, grid_size)
+    if sys.has_non_identity_channels():
+        return _integrate_rk45(sys, pi_0, times)
+
+    path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
+    escape_time, exists = _locate_crossing(path, pi_0, 1.0, "upper")
+    kept = times if exists else times[times < escape_time]
+    growth, (p11, p12, p21, p22) = _phi_pi(path, pi_0, kept)
+    regular = _growth_guard(growth, p11, p12, pi_0)[0]
+    stop = len(kept) if regular.all() else int(np.argmin(regular))
+    pis = symmetrize((p21[:stop] + p22[:stop] @ pi_0) @ np.linalg.inv(growth[:stop]))
+    big = np.flatnonzero(np.max(np.abs(pis), axis=(1, 2)) > BLOWUP_NORM)
+    stop = int(big[0]) if big.size else stop
+    if stop < len(kept):
+        # Pi blows up at a grid time next to the escape, or past a crossing
+        # that the scan missed; then that time is the escape.
+        if exists:
+            escape_time, exists = float(kept[stop]), False
+        kept, pis = kept[:stop], pis[:stop]
+    return RiccatiSolution(anchor_time=0.0, anchor_value=pi_0,
+                           grid=tuple(zip(kept.tolist(), pis)), exists=exists,
+                           escape_time=None if exists else float(escape_time),
+                           bounds=_pi_bounds_on_path(path, kept))
+
+
+def _integrate_rk45(sys: SystemSpec, pi_0: np.ndarray, times: np.ndarray) -> RiccatiSolution:
+    """integrate_general's forward integration for a model with a non-identity channel."""
     from scipy.integrate import solve_ivp
 
     n = sys.n
-    pi_0 = symmetrize(np.asarray(pi_0, dtype=float))
-    times = np.linspace(0.0, 1.0, grid_size)
 
     def blow_up(t, y):
         return float(np.max(np.abs(y))) - BLOWUP_NORM
@@ -202,10 +244,5 @@ def integrate_general(sys: SystemSpec, pi_0: np.ndarray,
 
     grid = tuple((float(t), symmetrize(sol.sol(t).reshape(n, n)))
                  for t in times if escape_time is None or t <= escape_time)
-
-    bounds = None
-    if not sys.has_non_identity_channels():
-        # Existence sandwich only applies on the simplified model.
-        bounds = pi_bounds(sys, np.array([t for t, _ in grid]))
     return RiccatiSolution(anchor_time=0.0, anchor_value=pi_0, grid=grid,
-                           exists=exists, escape_time=escape_time, bounds=bounds)
+                           exists=exists, escape_time=escape_time, bounds=None)

@@ -401,12 +401,13 @@ sys_ = SystemSpec(n=1, p=1, q=1, A=zero, B=one, C=one, D=one, nu=zero, Q=zero, R
 covsteer.symplectic_residuals(sys_, covsteer.transition_blocks(sys_, 1.0, 0.0))
 covsteer.pi_bounds(sys_, np.array([0.0, 0.5, 1.0]))
 covsteer.maximal_interval(sys_, 0.0, np.zeros((1, 1)), (-0.5, 1.5))
-assert "scipy" not in sys.modules, "the transition blocks or the existence analysis loaded scipy"
+covsteer.integrate_general(sys_, np.zeros((1, 1)), grid_size=11)
+assert "scipy" not in sys.modules, "the transition blocks or the Riccati analysis loaded scipy"
 """
 
 
 def test_import_and_solve_load_no_scipy(tmp_path):
-    # Of the library, only integrate_general needs scipy.
+    # Of the library, only integrate_general on a non-identity channel needs scipy.
     # A fresh interpreter, as an earlier test in this process may import it.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE, str(tmp_path)],

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,6 +8,7 @@ from covsteer.errors import RiccatiNonexistenceError
 from covsteer.matfun import MatrixPoly, symmetrize
 from covsteer.transition import COND_LIMIT, TransitionPath, pi_bounds
 from covsteer.riccati import (
+    BLOWUP_NORM,
     closed_form_on_path,
     existence_check,
     integrate_general,
@@ -193,14 +196,41 @@ def test_integrate_general_zero_fixed_point():
     assert all(abs(pi[0, 0]) <= 1e-12 for _, pi in sol.grid)
 
 
-def test_integrate_general_blowup_matches_maximal_interval():
-    sys = make_system(1, 1, 1, [[0.0]], [[1.0]], [[1.0]], [[1.0]],
-                      [[0.0]], [[0.0]], [[1.0]],
-                      channels=((const([[1.0]]), const([[0.0]])),))
-    sol = integrate_general(sys, [[2.0]], grid_size=101)
+def _square_riccati(e):
+    # A channel E with rate 0 leaves pi' = pi^2; E = 1 is read in closed form,
+    # E = 2 forward integrated by RK45.
+    return make_system(1, 1, 1, [[0.0]], [[1.0]], [[1.0]], [[1.0]],
+                       [[0.0]], [[0.0]], [[1.0]],
+                       channels=((const([[e]]), const([[0.0]])),))
+
+
+def _assert_grid_before_escape(sol):
     assert not sol.exists
     assert sol.escape_time is not None
+    assert all(t < sol.escape_time for t, _ in sol.grid)
+    assert all(np.max(np.abs(pi)) <= BLOWUP_NORM for _, pi in sol.grid)
+
+
+@pytest.mark.parametrize("e", [1.0, 2.0])
+def test_integrate_general_blowup_matches_maximal_interval(e):
+    sys = _square_riccati(e)
+    sol = integrate_general(sys, [[2.0]], grid_size=101)
+    assert (sol.bounds is None) == (e != 1.0)
+    _assert_grid_before_escape(sol)
     assert abs(sol.escape_time - 0.5) <= 1e-4
+    assert abs(sol.escape_time - maximal_interval(sys, 0.0, [[2.0]], (0.0, 1.0)).t1) <= 1e-4
+
+
+@pytest.mark.parametrize("e", [1.0, 2.0])
+def test_integrate_general_blowup_past_the_horizon_is_reported(e):
+    # pi(t) = p / (1 - p t) with p = 1 / (1 + 1e-13) escapes only at
+    # t = 1 + 1e-13, but |pi(1)| = 1e13 passes BLOWUP_NORM: the closed form's
+    # crossing scan finds no crossing in [0, 1], and the blow-up is reported
+    # at the grid time t = 1, as RK45 reports it at its norm event.
+    sol = integrate_general(_square_riccati(e), [[1.0 / (1.0 + 1e-13)]], grid_size=101)
+    _assert_grid_before_escape(sol)
+    assert abs(sol.escape_time - 1.0) <= 1e-9
+    assert len(sol.grid) == 100
 
 
 def test_integrate_general_vs_rk4_oracle():
@@ -233,4 +263,30 @@ def test_closed_form_vs_oracle_many_instances():
         got = solve_closed_form(sys, 0.0, pi0, 1.0)
         want = integrate_riccati_oracle(sys, 0.0, pi0, 1.0)
         worst = max(worst, float(np.max(np.abs(got - want))))
+    assert worst <= 1e-7
+
+
+def test_integrate_general_grid_vs_oracle():
+    # The closed-form grid against RK45 on the Riccati ODE, chained over the
+    # grid from the oracle's own values.  Every other instance carries its
+    # state-dependent rate as an E = I channel, which the oracle sees as nu.
+    rng = np.random.default_rng(211)
+    worst = 0.0
+    for k in range(6):
+        n = k % 3 + 1
+        sys = random_controllable_system(rng, n)
+        if k % 2:
+            rate = const([[float(rng.uniform(0.1, 0.5))]])
+            oracle_sys = replace(sys, nu=sys.nu + rate)
+            sys = replace(sys, general_channels=((const(np.eye(n)), rate),))
+        else:
+            oracle_sys = sys
+        pi0 = random_admissible_pi0(rng, oracle_sys)
+        sol = integrate_general(sys, pi0, grid_size=21)
+        assert sol.exists and sol.bounds is not None and len(sol.grid) == 21
+        prev, want = 0.0, pi0
+        for t, pi in sol.grid[1:]:
+            want = integrate_riccati_oracle(oracle_sys, prev, want, t)
+            prev = t
+            worst = max(worst, float(np.max(np.abs(pi - want))))
     assert worst <= 1e-7
