@@ -7,7 +7,8 @@ existence from an anchor in [0, 1] is decided by an eigenvalue sandwich
 against the block bounds, and its maximal interval of existence is
 located by bisection on the critical eigenvalue crossing.  Only a model
 with a non-identity multiplicative channel, for which no existence theory
-is available, is forward integrated with blow-up detection.
+is available, or an uncontrollable pair, on which the moving bound does
+not exist, is forward integrated with blow-up detection.
 """
 
 import math
@@ -184,42 +185,57 @@ def integrate_general(sys: SystemSpec, pi_0: np.ndarray,
                       grid_size: int = 101) -> RiccatiSolution:
     """The Riccati solution from Pi(0) = pi_0 on grid_size equal steps of [0, 1].
 
-    Without non-identity channels Pi is read in closed form from one
-    transition path Phi_M(., 0), with the escape time at the first crossing
-    of the moving bound and the existence bounds from the same path.  A
-    non-identity channel is forward integrated by RK45, with no bounds.
-    Blow-up (escape, norm above BLOWUP_NORM or solver failure) is a
-    reported outcome: exists=False with the escape time, never an
-    exception, and the grid keeps only the times before it.
+    Without non-identity channels, on a pair controllable on [0, 1] (phi12(1, 0)
+    regular), Pi is read in closed form from one transition path Phi_M(., 0),
+    with the escape time at the first crossing of the moving bound.  Any
+    other model is forward integrated by RK45.  The existence bounds are
+    read from that path, and are None exactly on a model with non-identity
+    channels.  Blow-up (escape, max |Pi| above BLOWUP_NORM or solver
+    failure) is a reported outcome: exists=False with the escape time, never
+    an exception, and the grid keeps only the times before it.
     """
     pi_0 = symmetrize(np.asarray(pi_0, dtype=float))
     times = np.linspace(0.0, 1.0, grid_size)
     if sys.has_non_identity_channels():
-        return _integrate_rk45(sys, pi_0, times)
+        return _integrate_rk45(sys, pi_0, times, None)
 
     path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
+    # On a pair that is not controllable on [0, 1], phi12(t, 0) is singular at
+    # every t (polynomial data), so the crossing scan reads no moving bound and
+    # a pole of Pi can fall unseen between two grid times.
+    if not np.linalg.cond(path.raw_blocks(1.0)[1]) <= COND_LIMIT:
+        return _integrate_rk45(sys, pi_0, times, path)
     escape_time, exists = _locate_crossing(path, pi_0, 1.0, "upper")
     kept = times if exists else times[times < escape_time]
     growth, (p11, p12, p21, p22) = _phi_pi(path, pi_0, kept)
     regular = _growth_guard(growth, p11, p12, pi_0)[0]
     stop = len(kept) if regular.all() else int(np.argmin(regular))
     pis = symmetrize((p21[:stop] + p22[:stop] @ pi_0) @ np.linalg.inv(growth[:stop]))
+    # Pi blows up at a grid time next to the escape, or past a crossing that
+    # the scan missed; then that time is the escape.
+    return _grid_solution(pi_0, kept[:stop], pis, None if exists else escape_time,
+                          kept[stop] if stop < len(kept) else None, path)
+
+
+def _grid_solution(pi_0, kept, pis, escape_time, failed_at, path) -> RiccatiSolution:
+    """The solution on the kept times up to the first one whose max |Pi| passes BLOWUP_NORM.
+
+    That time, else failed_at, is the escape unless escape_time is already set.
+    """
     big = np.flatnonzero(np.max(np.abs(pis), axis=(1, 2)) > BLOWUP_NORM)
-    stop = int(big[0]) if big.size else stop
-    if stop < len(kept):
-        # Pi blows up at a grid time next to the escape, or past a crossing
-        # that the scan missed; then that time is the escape.
-        if exists:
-            escape_time, exists = float(kept[stop]), False
-        kept, pis = kept[:stop], pis[:stop]
+    if big.size:
+        failed_at, kept, pis = kept[big[0]], kept[:big[0]], pis[:big[0]]
+    if escape_time is None and failed_at is not None:
+        escape_time = failed_at
     return RiccatiSolution(anchor_time=0.0, anchor_value=pi_0,
-                           grid=tuple(zip(kept.tolist(), pis)), exists=exists,
-                           escape_time=None if exists else float(escape_time),
-                           bounds=_pi_bounds_on_path(path, kept))
+                           grid=tuple(zip(kept.tolist(), pis)), exists=escape_time is None,
+                           escape_time=None if escape_time is None else float(escape_time),
+                           bounds=None if path is None else _pi_bounds_on_path(path, kept))
 
 
-def _integrate_rk45(sys: SystemSpec, pi_0: np.ndarray, times: np.ndarray) -> RiccatiSolution:
-    """integrate_general's forward integration for a model with a non-identity channel."""
+def _integrate_rk45(sys: SystemSpec, pi_0: np.ndarray, times: np.ndarray,
+                    path: TransitionPath | None) -> RiccatiSolution:
+    """integrate_general's forward integration; bounds are read from path when given."""
     from scipy.integrate import solve_ivp
 
     n = sys.n
@@ -233,16 +249,11 @@ def _integrate_rk45(sys: SystemSpec, pi_0: np.ndarray, times: np.ndarray) -> Ric
     sol = solve_ivp(_general_rhs(sys), (0.0, 1.0), pi_0.reshape(-1),
                     method="RK45", rtol=1e-10, atol=1e-12, t_eval=times,
                     events=blow_up, dense_output=True)
-    escaped = len(sol.t_events[0]) > 0
-    failed = not sol.success and not escaped
-    exists = not (escaped or failed) and sol.t[-1] >= 1.0
     escape_time = None
-    if escaped:
+    if len(sol.t_events[0]):
         escape_time = float(sol.t_events[0][0])
-    elif failed:
-        escape_time = float(sol.t[-1]) if len(sol.t) else 0.0
-
-    grid = tuple((float(t), symmetrize(sol.sol(t).reshape(n, n)))
-                 for t in times if escape_time is None or t <= escape_time)
-    return RiccatiSolution(anchor_time=0.0, anchor_value=pi_0, grid=grid,
-                           exists=exists, escape_time=escape_time, bounds=None)
+    elif not sol.success:
+        escape_time = float(sol.sol.t_max)  # the solver's last step
+    kept = times if escape_time is None else times[times < escape_time]
+    pis = np.array([symmetrize(sol.sol(t).reshape(n, n)) for t in kept]).reshape(-1, n, n)
+    return _grid_solution(pi_0, kept, pis, escape_time, None, path)

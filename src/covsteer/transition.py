@@ -159,46 +159,26 @@ class TransitionPath:
                 self._panels.append((a, b, coef))
                 phi0 = vals[-1]
         self.degree, self.tail, self.symplectic_drift = map(max, zip(*stats))
-        # Panels in time order, and the keys one bisection finds a time's panel
-        # by: each panel's lower edge, one ulp lower below the anchor, so that
-        # a time on an edge falls in the panel nearer the anchor.
-        self._span = (float(min(span)), float(max(span)))
-        self._panels.sort(key=lambda panel: min(panel[:2]))
-        lower = np.array([min(a, b) for a, b, _ in self._panels])
-        self._keys = np.where(lower < self.anchor, np.nextafter(lower, -np.inf), lower)
 
     def phi(self, t) -> np.ndarray:
-        """Phi_M(t, anchor); an array of k times gives a (k, dim, dim) stack.
-
-        Each time's panel is found by bisection, and only the panels that
-        hold a time are evaluated: O(k log P) for k times on P panels, besides
-        one Chebyshev-Vandermonde product per panel held.
-        """
+        """Phi_M(t, anchor); an array of k times gives a (k, dim, dim) stack."""
         ts = np.asarray(t, dtype=float)
         flat = np.atleast_1d(ts)
-        lo, hi = self._span
-        if not (lo <= flat.min(initial=lo) and flat.max(initial=hi) <= hi):  # NaN too
-            raise ValueError(f"t={flat[~((lo <= flat) & (flat <= hi))][0]} "
-                             "outside the integrated span")
         out = np.empty((flat.size, self.dim, self.dim))
-        at_anchor = flat == self.anchor
-        out[at_anchor] = np.eye(self.dim)
-        panel = np.searchsorted(self._keys, flat) - 1
-        panel[at_anchor] = -1
-        # A stable sort keeps each panel's times in argument order.
-        order = np.argsort(panel, kind="stable")
-        ranked = panel[order]
-        cuts = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
-        for first, stop in zip([0] + cuts, cuts + [flat.size]):
-            if first == stop or ranked[first] < 0:  # no times at all, or the anchor's
-                continue
-            sel = order[first:stop]
-            start, end, coef = self._panels[ranked[first]]
-            # Only members are divided: |t - start| <= |end - start| in rounding too,
-            # so the fraction stays in (0, 1] even on a subnormal-width panel.
+        done = flat == self.anchor
+        out[done] = np.eye(self.dim)
+        for start, end, coef in self._panels:
+            # Membership by comparison: dividing first overflows on a subnormal-width
+            # panel.  An edge reads the inner panel, and |t - start| <= |end - start|
+            # in rounding too, so the fraction stays in (0, 1].
+            sel = np.flatnonzero(((min(start, end) < flat) & (flat < max(start, end)))
+                                 | (flat == end))
             frac = (flat[sel] - start) / (end - start)
             vander = C.chebvander(2.0 * frac - 1.0, len(coef) - 1)
             out[sel] = (vander @ coef.reshape(len(coef), -1)).reshape(-1, self.dim, self.dim)
+            done[sel] = True
+        if not done.all():
+            raise ValueError(f"t={flat[~done][0]} outside the integrated span")
         return out if ts.ndim else out[0]
 
     def raw_blocks(self, t) -> tuple:

@@ -407,7 +407,8 @@ assert "scipy" not in sys.modules, "the transition blocks or the Riccati analysi
 
 
 def test_import_and_solve_load_no_scipy(tmp_path):
-    # Of the library, only integrate_general on a non-identity channel needs scipy.
+    # Of the library, only integrate_general on a non-identity channel or an
+    # uncontrollable pair needs scipy.
     # A fresh interpreter, as an earlier test in this process may import it.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE, str(tmp_path)],

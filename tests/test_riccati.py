@@ -218,7 +218,39 @@ def test_integrate_general_blowup_matches_maximal_interval(e):
     assert (sol.bounds is None) == (e != 1.0)
     _assert_grid_before_escape(sol)
     assert abs(sol.escape_time - 0.5) <= 1e-4
-    assert abs(sol.escape_time - maximal_interval(sys, 0.0, [[2.0]], (0.0, 1.0)).t1) <= 1e-4
+    if e != 1.0:
+        # The closed form reads its escape from the same crossing scan.
+        assert abs(sol.escape_time - maximal_interval(sys, 0.0, [[2.0]], (0.0, 1.0)).t1) <= 1e-4
+
+
+@pytest.mark.parametrize("inputs", [1, 2])
+def test_integrate_general_blowup_on_an_uncontrollable_pair(inputs):
+    # A = 0, B = the first `inputs` unit vectors of R^3, Q = 0: phi12(t, 0) is
+    # singular at every t, so no moving bound exists.  From Pi0 = diag(2, .., 0)
+    # the controlled diagonal entries are 2 / (1 - 2t), escaping together at
+    # 0.5 (det PhiPi changes sign there only for one input).  On 100 grid
+    # points the two times next to the pole read Pi = +198 and -198.
+    n = 3
+    b = np.eye(n)[:, :inputs]
+    sys = make_system(n, inputs, 1, np.zeros((n, n)), b, np.eye(n)[:, :1], [[1.0]],
+                      [[0.0]], np.zeros((n, n)), np.eye(inputs),
+                      channels=((const(np.eye(n)), const([[0.0]])),))
+    pi0 = np.diag([2.0] * inputs + [0.0] * (n - inputs))
+    sol = integrate_general(sys, pi0, grid_size=100)
+    _assert_grid_before_escape(sol)
+    assert abs(sol.escape_time - 0.5) <= 1e-4
+    assert sol.bounds is not None and len(sol.bounds) == len(sol.grid) == 50
+    for t, pi in sol.grid:
+        assert_allclose(pi, np.diag([2.0 / (1.0 - 2.0 * t)] * inputs + [0.0] * (n - inputs)),
+                        rtol=1e-7, atol=1e-12)
+
+
+@pytest.mark.parametrize("e", [1.0, 2.0])
+def test_integrate_general_start_past_blowup_norm(e):
+    # |Pi0| = 1e13 is past BLOWUP_NORM at t = 0, and pi' = pi^2 escapes at 1e-13.
+    sol = integrate_general(_square_riccati(e), [[1e13]], grid_size=11)
+    _assert_grid_before_escape(sol)
+    assert sol.grid == () and 0.0 <= sol.escape_time <= 1e-6
 
 
 @pytest.mark.parametrize("e", [1.0, 2.0])

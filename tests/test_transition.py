@@ -292,13 +292,8 @@ def batched_case():
     rng = np.random.default_rng(83)
     sys = random_controllable_system(rng, 3)
     pi0 = random_admissible_pi0(rng, sys)
-    # A rotating drift with w = 1e3 needs 252 panels for h ||M|| <= 4 on both sides.
-    w = 1e3
-    rotating = make_system(2, 1, 1, [[0.0, w], [-w, 0.0]], [[0.0], [1.0]], [[1.0], [0.0]],
-                           [[1.0]], [[0.0]], np.zeros((2, 2)), [[1.0]])
     return (sys, pi0, TransitionPath(sys, anchor=0.0, span=(0.0, 1.0)),
-            TransitionPath(sys, anchor=0.4, span=(0.0, 1.0)),
-            TransitionPath(rotating, anchor=0.4, span=(0.0, 1.0)))
+            TransitionPath(sys, anchor=0.4, span=(0.0, 1.0)))
 
 
 def _assert_stacks_equal(got, want):
@@ -310,11 +305,10 @@ def _assert_stacks_equal(got, want):
 @given(ts=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.4, 1.0])),
                    min_size=1, max_size=12))
 def test_batched_path_evaluation_matches_per_time(batched_case, ts):
-    sys, pi0, path, mid_path, many_panels = batched_case
-    assert len(many_panels._panels) >= 100
+    sys, pi0, path, mid_path = batched_case
     # The anchors, both endpoints and a repeated time are always present.
     times = np.array(ts + [0.0, 0.4, 1.0] + ts[:1])
-    for p in (path, mid_path, many_panels):
+    for p in (path, mid_path):
         _assert_stacks_equal(p.phi(times), np.stack([p.phi(t) for t in times]))
     pis = closed_form_on_path(path, pi0, times)
     _assert_stacks_equal(pis, np.stack([closed_form_on_path(path, pi0, t) for t in times]))
