@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RiccatiNonexistenceError
+from .errors import RiccatiNonexistenceError, SingularTransitionError
 from .matfun import SystemSpec, symmetrize
-from .transition import (COND_LIMIT, TransitionPath, _phi_pi, _pi_bounds_on_path, _sandwich_bound,
+from .transition import (COND_LIMIT, TransitionPath, _moving_bound, _phi_pi, _pi_bounds_on_path,
                          b_rinv_bt, pi_bounds)
 
 BLOWUP_NORM = 1e12
 BISECTION_TOL = 1e-6
+SCAN_POINTS = 64  # _locate_crossing's scan toward a window edge
 
 
 @dataclass(frozen=True)
@@ -82,12 +83,12 @@ def closed_form_on_path(path: TransitionPath, pi_anchor: np.ndarray, t) -> np.nd
 def _growth_guard(growth, p11, p12, pi_anchor):
     """(regular, sigma_min, scale) of PhiPi = p11 + p12 Pi_anchor or of each in a stack.
 
-    PhiPi is regular when its smallest singular value exceeds 1e-12 of the
-    magnitude of the terms that cancel in it.
+    PhiPi is regular when its smallest singular value exceeds 1 / COND_LIMIT of
+    the magnitude of the terms that cancel in it.
     """
     scale = np.linalg.norm(p11, axis=(-2, -1)) + np.linalg.norm(p12 @ pi_anchor, axis=(-2, -1))
     smin = np.linalg.svd(growth, compute_uv=False)[..., -1]
-    return np.atleast_1d(smin > np.maximum(scale, 1.0) / 1e12), smin, scale
+    return np.atleast_1d(smin > np.maximum(scale, 1.0) / COND_LIMIT), smin, scale
 
 
 @dataclass(frozen=True)
@@ -101,28 +102,33 @@ class MaximalInterval:
 
 
 def _inside_margins(path, pi_s, ts, side):
-    """Margins of the critical eigenvalue at the times ts; positive means inside."""
+    """(margins, regular): the critical eigenvalue's margins at the times ts, positive
+    inside, and which times have a regular phi12; the others read +inf, as in the
+    asymptote region next to the anchor, where the bound is unbounded."""
     p11, p12, _, _ = path.raw_blocks(ts)
-    # Asymptote region next to the anchor: the bound is unbounded there.
+    bound, regular = _moving_bound(p11, p12)
+    inside = bound - pi_s if side == "upper" else pi_s - bound  # upper: t > s
     margins = np.full(len(ts), math.inf)
-    ok = np.linalg.cond(p12) <= COND_LIMIT  # False for NaN as well
-    if ok.any():
-        bound = _sandwich_bound(p11[ok], p12[ok])
-        inside = bound - pi_s if side == "upper" else pi_s - bound  # upper: t > s
-        margins[ok] = np.linalg.eigvalsh(inside)[:, 0]
-    return margins
+    margins[regular] = np.linalg.eigvalsh(inside[regular])[:, 0]
+    return margins, regular
 
 
-def _locate_crossing(path, pi_s, limit, side, scan_points=64):
-    """Scan toward the window edge, then bisect the first sign change."""
-    ts = np.linspace(path.anchor, limit, scan_points + 1)
-    crossed = np.flatnonzero(_inside_margins(path, pi_s, ts[1:], side) <= 0.0)
+def _locate_crossing(path, pi_s, limit, side):
+    """(time, window exceeded): scan toward the window edge, then bisect the first
+    sign change.  A side of positive length with no regular scan time has no moving
+    bound to cross, and raises SingularTransitionError."""
+    ts = np.linspace(path.anchor, limit, SCAN_POINTS + 1)
+    margins, regular = _inside_margins(path, pi_s, ts[1:], side)
+    if limit != path.anchor and not regular.any():
+        raise SingularTransitionError(
+            f"phi12(t,{path.anchor:g}) numerically singular at every scan time up to {limit:g}")
+    crossed = np.flatnonzero(margins <= 0.0)
     if not crossed.size:
         return limit, True
     lo, hi = ts[crossed[0]], ts[crossed[0] + 1]
     while abs(hi - lo) > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        if _inside_margins(path, pi_s, np.array([mid]), side)[0] > 0.0:
+        if _inside_margins(path, pi_s, np.array([mid]), side)[0][0] > 0.0:
             lo = mid
         else:
             hi = mid
@@ -136,7 +142,9 @@ def maximal_interval(sys: SystemSpec, s: float, pi_s: np.ndarray,
     The interval endpoints are where the moving bound -phi12(t,s)^-1
     phi11(t,s) crosses Pi_s in the critical eigenvalue; ends outside the
     search window are clamped and flagged, never extrapolated.  All probes
-    read one transition path anchored at s over the window.
+    read one transition path anchored at s over the window.  A side of
+    positive length on which phi12(t,s) is regular at no scan time (an
+    uncontrollable pair) raises SingularTransitionError.
     """
     pi_s = symmetrize(np.asarray(pi_s, dtype=float))
     tmin, tmax = search_window
@@ -185,14 +193,15 @@ def integrate_general(sys: SystemSpec, pi_0: np.ndarray,
                       grid_size: int = 101) -> RiccatiSolution:
     """The Riccati solution from Pi(0) = pi_0 on grid_size equal steps of [0, 1].
 
-    Without non-identity channels, on a pair controllable on [0, 1] (phi12(1, 0)
-    regular), Pi is read in closed form from one transition path Phi_M(., 0),
-    with the escape time at the first crossing of the moving bound.  Any
-    other model is forward integrated by RK45.  The existence bounds are
-    read from that path, and are None exactly on a model with non-identity
-    channels.  Blow-up (escape, max |Pi| above BLOWUP_NORM or solver
-    failure) is a reported outcome: exists=False with the escape time, never
-    an exception, and the grid keeps only the times before it.
+    Without non-identity channels, Pi is read in closed form from one
+    transition path Phi_M(., 0), with the escape time at the first crossing
+    of the moving bound.  A non-identity channel, or a pair whose phi12(t, 0)
+    is regular at no scan time (uncontrollable), is forward integrated by
+    RK45.  The existence bounds are read from that path, and are None
+    exactly on a model with non-identity channels.  Blow-up (escape, max |Pi|
+    above BLOWUP_NORM or solver failure) is a reported outcome: exists=False
+    with the escape time, never an exception, and the grid keeps only the
+    times before it.
     """
     pi_0 = symmetrize(np.asarray(pi_0, dtype=float))
     times = np.linspace(0.0, 1.0, grid_size)
@@ -200,12 +209,10 @@ def integrate_general(sys: SystemSpec, pi_0: np.ndarray,
         return _integrate_rk45(sys, pi_0, times, None)
 
     path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
-    # On a pair that is not controllable on [0, 1], phi12(t, 0) is singular at
-    # every t (polynomial data), so the crossing scan reads no moving bound and
-    # a pole of Pi can fall unseen between two grid times.
-    if not np.linalg.cond(path.raw_blocks(1.0)[1]) <= COND_LIMIT:
+    try:
+        escape_time, exists = _locate_crossing(path, pi_0, 1.0, "upper")
+    except SingularTransitionError:  # no moving bound: a pole could fall between grid times
         return _integrate_rk45(sys, pi_0, times, path)
-    escape_time, exists = _locate_crossing(path, pi_0, 1.0, "upper")
     kept = times if exists else times[times < escape_time]
     growth, (p11, p12, p21, p22) = _phi_pi(path, pi_0, kept)
     regular = _growth_guard(growth, p11, p12, pi_0)[0]

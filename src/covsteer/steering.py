@@ -25,7 +25,7 @@ from .errors import (
 )
 from .matfun import BoundaryData, SystemSpec, spd_sqrt, symmetrize, unvec, vec
 from .riccati import closed_form_on_path
-from .transition import TransitionPath, _phi_pi, _sandwich_bound, b_rinv_bt, solve_with_cond_check
+from .transition import TransitionPath, _moving_bound, _phi_pi, b_rinv_bt
 
 QUAD_ATOL = 1e-10
 QUAD_RTOL = 1e-9  # bounds the work when near-boundary integrands blow up
@@ -81,7 +81,7 @@ def _cdct(sys: SystemSpec, s) -> np.ndarray:
 
 def _upper_bound_10(path: TransitionPath) -> np.ndarray:
     p11, p12, _, _ = path.raw_blocks(1.0)
-    return _sandwich_bound(p11, p12, what="phi12(1,0)")
+    return _moving_bound(p11, p12, what="phi12(1,0)")[0]
 
 
 def _require_admissible(pi0: np.ndarray, u10: np.ndarray):
@@ -174,13 +174,13 @@ def special_case_pi0(sys: SystemSpec, bd: BoundaryData,
                 f"C D C' != B R^-1 B' at t={grid[bad[0]]:.3f}; closed form does not apply")
     path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
     p11, p12, _, _ = path.raw_blocks(1.0)
-    phi12_inv = solve_with_cond_check(p12, what="phi12(1,0)")
+    u10 = _moving_bound(p11, p12, what="phi12(1,0)")[0]
+    phi12_inv = np.linalg.solve(p12, np.eye(sys.n))
     s0_isqrt = spd_sqrt(bd.sigma0, inverse=True)
     s0_sqrt = spd_sqrt(bd.sigma0)
     inner = 0.25 * np.eye(sys.n) + s0_sqrt @ phi12_inv @ bd.sigma1 @ phi12_inv.T @ s0_sqrt
     root = spd_sqrt(symmetrize(inner))
-    pi0 = _sandwich_bound(p11, p12) + 0.5 * np.linalg.inv(bd.sigma0) \
-        - s0_isqrt @ root @ s0_isqrt
+    pi0 = u10 + 0.5 * np.linalg.inv(bd.sigma0) - s0_isqrt @ root @ s0_isqrt
     return symmetrize(pi0)
 
 

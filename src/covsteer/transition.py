@@ -66,20 +66,6 @@ def hamiltonian(sys: SystemSpec):
     return m_of_t
 
 
-def solve_with_cond_check(mat, rhs=None, what="matrix"):
-    """Solve mat @ x = rhs (or invert) refusing condition estimates > 1e12.
-
-    mat may be a (k, n, n) stack; the largest estimate is reported.
-    """
-    cond = np.linalg.cond(mat)
-    if not np.all(cond <= COND_LIMIT):  # also refuses NaN
-        raise SingularTransitionError(
-            f"{what} numerically singular (cond ~ {np.max(cond):.3e})")
-    if rhs is None:
-        rhs = np.eye(mat.shape[-1])
-    return np.linalg.solve(mat, rhs)
-
-
 @dataclass(frozen=True)
 class TransitionBlocks:
     """The four n x n blocks of Phi_M(t, s)."""
@@ -233,12 +219,20 @@ class PiBound:
         return self.kind == "finite"
 
 
-def _sandwich_bound(p11, p12, what="phi12"):
-    """-p12^-1 p11, symmetrized, for one pair of blocks or (k, n, n) stacks.
+def _moving_bound(p11, p12, what=None):
+    """(bound, regular) for one pair of blocks or (k, n, n) stacks.
 
-    Raises SingularTransitionError when any cond(p12) exceeds COND_LIMIT.
+    bound is -p12^-1 p11, symmetrized, where p12 is regular: cond(p12) at most
+    COND_LIMIT, NaN counting as singular.  Elsewhere bound is NaN, unless
+    what names the blocks: then a singular p12 raises SingularTransitionError.
     """
-    return symmetrize(-solve_with_cond_check(p12, p11, what=what))
+    cond = np.linalg.cond(p12)
+    regular = cond <= COND_LIMIT
+    if what is not None and not np.all(regular):
+        raise SingularTransitionError(f"{what} numerically singular (cond ~ {np.max(cond):.3e})")
+    bound = np.full(np.shape(p11), np.nan)
+    bound[regular] = symmetrize(-np.linalg.solve(p12[regular], p11[regular]))
+    return bound, regular
 
 
 def _phi_pi(path: TransitionPath, pi_anchor: np.ndarray, t) -> tuple:
@@ -291,15 +285,10 @@ def _pi_bounds_on_path(path: TransitionPath, t):
     upper = [PiBound("pos_inf")] * flat.size
     for out, mask, phi, what in ((lower, flat > 0.0, phi_0t, "phi12(0,t)"),
                                  (upper, flat < 1.0, phi_1t, "phi12(1,t)")):
-        if ts.ndim:
-            singular = mask & ~(np.linalg.cond(phi[:, :n, n:]) <= COND_LIMIT)
-            for k in np.flatnonzero(singular):
-                out[k] = None
-            mask &= ~singular
-        if mask.any():
-            mats = _sandwich_bound(phi[mask, :n, :n], phi[mask, :n, n:], what=what)
-            for k, mat in zip(np.flatnonzero(mask), mats):
-                out[k] = PiBound("finite", mat)
+        bound, regular = _moving_bound(phi[mask, :n, :n], phi[mask, :n, n:],
+                                       what=None if ts.ndim else what)
+        for k, mat, ok in zip(np.flatnonzero(mask), bound, regular):
+            out[k] = PiBound("finite", mat) if ok else None
     pairs = tuple(zip(lower, upper))
     return pairs if ts.ndim else pairs[0]
 

@@ -33,6 +33,14 @@ def s1():
                        [[0.0]], [[0.0]], [[1.0]])
 
 
+def uncontrollable_pair():
+    """A = 0, B = C = e1 of R^2, D = R = 1, Q = 0: phi12(t, 0) = diag(-t, 0) is
+    singular at every t, and C D C' = B R^-1 B'."""
+    e1 = [[1.0], [0.0]]
+    return make_system(2, 1, 1, np.zeros((2, 2)), e1, e1, [[1.0]],
+                       [[0.0]], np.zeros((2, 2)), [[1.0]])
+
+
 def s1_with_q():
     """Scalar A=0, B=1, R=1 with unit state cost."""
     return make_system(1, 1, 1, [[0.0]], [[1.0]], [[1.0]], [[1.0]],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from covsteer.errors import RiccatiNonexistenceError
+from covsteer.errors import RiccatiNonexistenceError, SingularTransitionError
 from covsteer.matfun import MatrixPoly, symmetrize
 from covsteer.transition import COND_LIMIT, TransitionPath, pi_bounds
 from covsteer.riccati import (
@@ -27,6 +27,7 @@ from helpers import (
     rk4_fixed,
     s1,
     s1_with_q,
+    uncontrollable_pair,
 )
 
 
@@ -136,6 +137,19 @@ def test_maximal_interval_global_zero():
 def test_maximal_interval_window_must_contain_the_anchor(window):
     with pytest.raises(ValueError, match="must contain the anchor"):
         maximal_interval(s1(), 0.0, [[0.0]], window)
+
+
+@pytest.mark.parametrize("window", [(-0.5, 1.5), (0.0, 1.0)])
+def test_maximal_interval_refuses_an_uncontrollable_pair(window):
+    # From Pi0 = diag(2, 0), Pi11 = 2 / (1 - 2t) escapes at 0.5, but phi12(t, 0)
+    # is singular at every t: no moving bound locates the escape, and
+    # existence_check refuses the same input.  The zero-length lower side of
+    # (0, 1) is not what raises.
+    sys, pi0 = uncontrollable_pair(), np.diag([2.0, 0.0])
+    with pytest.raises(SingularTransitionError, match="singular at every scan time up to"):
+        maximal_interval(sys, 0.0, pi0, window)
+    with pytest.raises(SingularTransitionError, match=r"phi12\(1,t\) numerically singular"):
+        existence_check(sys, 0.0, pi0)
 
 
 def test_maximal_interval_tanh_case():

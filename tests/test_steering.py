@@ -14,6 +14,7 @@ from covsteer.errors import (
     NoConvergenceError,
     PreconditionError,
     RiccatiNonexistenceError,
+    SingularTransitionError,
 )
 from covsteer.matfun import BoundaryData, symmetrize, unvec, vec
 from covsteer.steering import (
@@ -41,6 +42,7 @@ from helpers import (
     riccati_rhs,
     s1,
     example_system,
+    uncontrollable_pair,
 )
 
 P_STAR = (3.0 - np.sqrt(3.0)) / 2.0  # root of (1-p)^2 + (1-p) = 1/2
@@ -264,6 +266,18 @@ def test_special_case_matches_newton_on_matched_channels():
     assert np.linalg.norm(map_f(sys, bd.sigma0, pi0) - bd.sigma1) <= 1e-7
     sol = solve_boundary(sys, bd)
     assert np.max(np.abs(sol.pi0 - pi0)) <= 1e-7
+
+
+@pytest.mark.parametrize("reader", [
+    lambda sys, bd: special_case_pi0(sys, bd),
+    lambda sys, bd: jacobian_f(sys, bd.sigma0, np.diag([-1.0, -1.0])),
+    lambda sys, bd: solve_boundary(sys, bd),
+], ids=["special_case_pi0", "jacobian_f", "solve_boundary"])
+def test_boundary_solve_refuses_a_singular_phi12_10(reader):
+    # phi12(1, 0) = diag(-1, 0) on the uncontrollable pair: U10 does not exist.
+    bd = BoundaryData(sigma0=np.eye(2), sigma1=np.diag([0.5, 0.5]))
+    with pytest.raises(SingularTransitionError, match=r"phi12\(1,0\) numerically singular"):
+        reader(uncontrollable_pair(), bd)
 
 
 def test_special_case_rejects_mismatched_channels():
