@@ -59,10 +59,13 @@ class JacobianWorkspace:
     panel between edges; jac is the full n^2 x n^2 Jacobian (phiPi10 x
     phiPi10) S and f_value the map value assembled from the same nodes.
     quad_error is the quadrature's error estimate; saturated: the 400-panel
-    cap stopped it above tolerance.
+    cap stopped it above tolerance.  path is the transition path the pass
+    read and upper_bound the admissibility bound U10 on it.
     """
 
     pi0: np.ndarray
+    path: TransitionPath
+    upper_bound: np.ndarray
     edges: np.ndarray
     nodes: tuple
     S: np.ndarray
@@ -105,18 +108,28 @@ def map_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
 
 
 def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
-               path: TransitionPath | None = None) -> JacobianWorkspace:
+               path: TransitionPath | None = None,
+               start: JacobianWorkspace | None = None) -> JacobianWorkspace:
     """Kronecker-product Jacobian of the boundary map at Pi0.
 
     The map value and the Jacobian integral are assembled from one adaptive
     quadrature pass, so a Newton step sees a Jacobian consistent with its
-    residual.
+    residual.  start, an earlier pass on the same path, lends its upper
+    bound and, unless it saturated, its panels as the starting mesh; a
+    start from another path raises PreconditionError.
     """
     n = sys.n
     pi0 = symmetrize(np.asarray(pi0, dtype=float))
     sigma0 = np.asarray(sigma0, dtype=float)
-    path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
-    _require_admissible(pi0, _upper_bound_10(path))
+    if start is None:
+        path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
+        u10, edges = _upper_bound_10(path), None
+    elif path is not None and path is not start.path:
+        raise PreconditionError("start pass was taken on another path")
+    else:
+        path, u10 = start.path, start.upper_bound
+        edges = None if start.saturated else start.edges
+    _require_admissible(pi0, u10)
 
     phi10, (_, p12_10, _, _) = _phi_pi(path, pi0, 1.0)
     # W_10 = ((phi12)^-1 phi11 + Pi0)^-1 in the stable factored form.
@@ -135,7 +148,7 @@ def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
                                jac_part.reshape(len(ss), -1)], axis=1)
 
     integral, quad_err, saturated, (edges, node_ts, node_vals) = adaptive_gk(
-        stacked, 0.0, 1.0, atol=QUAD_ATOL, rtol=QUAD_RTOL, max_panels=400)
+        stacked, 0.0, 1.0, atol=QUAD_ATOL, rtol=QUAD_RTOL, max_panels=400, edges=edges)
     p_int = integral[:n2].reshape(n, n)
     jac_int = integral[2 * n2:].reshape(n2, n2)
 
@@ -144,8 +157,9 @@ def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
     f_value = symmetrize(phi10 @ (sigma0 + p_int) @ phi10.T)
     nodes = tuple((float(t), raw[n2:2 * n2].reshape(n, n), raw[:n2].reshape(n, n))
                   for t, raw in zip(node_ts, node_vals))
-    return JacobianWorkspace(pi0=pi0, edges=edges, nodes=nodes, S=s_mat, jac=jac,
-                             f_value=f_value, quad_error=float(quad_err), saturated=saturated)
+    return JacobianWorkspace(pi0=pi0, path=path, upper_bound=u10, edges=edges, nodes=nodes,
+                             S=s_mat, jac=jac, f_value=f_value, quad_error=float(quad_err),
+                             saturated=saturated)
 
 
 def _symmetric_basis(n: int) -> np.ndarray:
@@ -197,14 +211,14 @@ def _boundary_step_cap(pi, delta, u10, fraction=0.9):
 def _newton(sys, path, sigma0, target, pi_init, tol, basis):
     """Damped Newton on the symmetric subspace; returns (pi, residual, trace, ws).
 
-    Every point tried gets one jacobian_f pass.  The step is first capped at
-    a fixed fraction of the distance to the admissibility boundary along the
-    Newton direction, then halved until the candidate's pass succeeds with a
-    smaller residual; the accepted pass is the next iteration's workspace.
+    Every point tried gets one jacobian_f pass, started from the current
+    point's pass.  The step is first capped at a fixed fraction of the
+    distance to the admissibility boundary along the Newton direction, then
+    halved until the candidate's pass succeeds with a smaller residual; the
+    accepted pass is the next iteration's workspace.
     ws is the converged pass, None once MAX_PASSES passes, accepted or not,
     are spent; a converged pass that saturated raises IntegrationFailureError.
     """
-    u10 = _upper_bound_10(path)
     target_norm = np.linalg.norm(target)
     pi = pi_init.copy()
     ws = jacobian_f(sys, sigma0, pi, path=path)
@@ -223,7 +237,7 @@ def _newton(sys, path, sigma0, target, pi_init, tol, basis):
         jac_red = basis.T @ ws.jac @ basis
         step_red = np.linalg.solve(jac_red, -(basis.T @ vec(resid_mat)))
         delta = symmetrize(unvec(basis @ step_red))
-        alpha = min(1.0, _boundary_step_cap(pi, delta, u10))
+        alpha = min(1.0, _boundary_step_cap(pi, delta, ws.upper_bound))
         while True:
             if passes == MAX_PASSES:
                 trace.append((it, rel, alpha))
@@ -231,7 +245,7 @@ def _newton(sys, path, sigma0, target, pi_init, tol, basis):
             passes += 1
             cand = symmetrize(pi + alpha * delta)
             try:
-                cand_ws = jacobian_f(sys, sigma0, cand, path=path)
+                cand_ws = jacobian_f(sys, sigma0, cand, path=path, start=ws)
             except (RiccatiNonexistenceError, np.linalg.LinAlgError):
                 pass  # rejected like a candidate whose residual does not fall
             else:

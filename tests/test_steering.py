@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from covsteer import steering
-from covsteer._quad import _XK, adaptive_gk
+from covsteer import _quad, steering
+from covsteer._quad import _WK, _XK, adaptive_gk
 from covsteer.errors import (
     ChannelMismatchError,
     IntegrationFailureError,
@@ -31,7 +31,7 @@ from covsteer.steering import (
     special_case_pi0,
 )
 from covsteer.riccati import closed_form_on_path
-from covsteer.transition import TransitionPath, transition_blocks
+from covsteer.transition import TransitionPath, _phi_pi, transition_blocks
 
 from helpers import (
     const,
@@ -54,11 +54,11 @@ def _count_jacobian_passes(monkeypatch, fail_at=None, error=None):
     points = []
     real = steering.jacobian_f
 
-    def counted(sys, sigma0, pi0, path=None):
+    def counted(sys, sigma0, pi0, **kwargs):
         points.append(np.array(pi0, dtype=float))
         if len(points) == fail_at:
             raise error
-        return real(sys, sigma0, pi0, path=path)
+        return real(sys, sigma0, pi0, **kwargs)
 
     monkeypatch.setattr(steering, "jacobian_f", counted)
     return points
@@ -148,6 +148,89 @@ def test_newton_refuses_a_converged_saturated_pass(monkeypatch):
         real(*args, **kwargs), saturated=True))
     with pytest.raises(IntegrationFailureError, match="saturated quadrature"):
         solve_boundary(example_system(), WORKED_TARGET)
+
+
+def _p_integral(ws):
+    """The pass's Kronrod sum of the transported noise P over its panels."""
+    half = 0.5 * np.diff(ws.edges)
+    p = np.stack([p for _, _, p in ws.nodes]).reshape(len(half), len(_WK), -1)
+    return np.einsum("k,j,kjd->d", half, _WK, p)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 3))
+def test_warm_started_pass_agrees_with_a_cold_pass(seed, n):
+    # A pass started from the panels of a pass at a nearby Pi0' is a
+    # quadrature of the same integrals on a finer mesh: P's integral, the
+    # map value and the Jacobian agree with a pass from [0, 1] within the
+    # two passes' error estimates (f and jac carry them through the
+    # PhiPi(1,0) factors on both sides).  Pi0' sits 0.02 below the bound,
+    # where P needs more panels near t = 1 than at Pi0, so the two meshes
+    # often differ.
+    rng = np.random.default_rng(seed)
+    sys = random_controllable_system(rng, n)
+    sigma0 = random_spd(rng, n)
+    near = random_admissible_pi0(rng, sys, margin=0.02)
+    step = symmetrize(rng.standard_normal((n, n)))
+    pi0 = near - 0.1 * np.eye(n) + 0.05 * step / np.linalg.norm(step, 2)
+    start = jacobian_f(sys, sigma0, near)
+    warm = jacobian_f(sys, sigma0, pi0, path=start.path, start=start)
+    cold = jacobian_f(sys, sigma0, pi0, path=start.path)
+    assert not (start.saturated or warm.saturated or cold.saturated)
+    assert set(start.edges) <= set(warm.edges)
+    assert np.array_equal(warm.upper_bound, cold.upper_bound)
+    errors = warm.quad_error + cold.quad_error
+    gain = np.linalg.norm(_phi_pi(start.path, pi0, 1.0)[0], np.inf) ** 2
+    assert np.max(np.abs(_p_integral(warm) - _p_integral(cold))) <= errors
+    assert np.max(np.abs(warm.f_value - cold.f_value)) <= errors * gain
+    assert np.max(np.abs(warm.jac - cold.jac)) <= errors * gain
+
+
+def test_a_start_pass_lends_its_bound_and_unsaturated_panels():
+    rng = np.random.default_rng(73)
+    sys = random_controllable_system(rng, 2)
+    path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
+    upper = steering._upper_bound_10(path)
+    inside = jacobian_f(sys, np.eye(2), upper - 1e-2 * np.eye(2), path=path)
+    assert np.array_equal(inside.upper_bound, upper)
+    # A saturated start seeds no panels: the pass is the one from [0, 1].
+    edge = jacobian_f(sys, np.eye(2), upper - 1e-8 * np.eye(2), path=path)
+    assert edge.saturated and np.array_equal(edge.upper_bound, upper)
+    seeded = jacobian_f(sys, np.eye(2), inside.pi0, path=path, start=edge)
+    for field in ("edges", "S", "jac", "f_value", "quad_error", "saturated", "upper_bound"):
+        assert np.array_equal(getattr(seeded, field), getattr(inside, field)), field
+    assert all(a[0] == b[0] and np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
+               for a, b in zip(seeded.nodes, inside.nodes, strict=True))
+    # A start read on another path, even an equal one, is refused.
+    other = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
+    with pytest.raises(PreconditionError, match="another path"):
+        jacobian_f(sys, np.eye(2), inside.pi0, path=other, start=inside)
+
+
+def test_newton_passes_start_from_the_accepted_panels(monkeypatch):
+    # Newton's points lie close together, so a pass started from the
+    # accepted pass's panels needs one batched integrand call (measured: 1
+    # on every pass here); a pass from [0, 1] bisects one panel per call
+    # and makes 3 or 4 on this target.
+    calls = []
+    real_panels, real_jacobian = _quad._panels, steering.jacobian_f
+
+    def counted_panels(*args):
+        calls[-1] += 1
+        return real_panels(*args)
+
+    def counted_pass(*args, **kwargs):
+        calls.append(0)
+        monkeypatch.setattr(_quad, "_panels", counted_panels)
+        try:
+            return real_jacobian(*args, **kwargs)
+        finally:
+            monkeypatch.setattr(_quad, "_panels", real_panels)
+
+    monkeypatch.setattr(steering, "jacobian_f", counted_pass)
+    sol = solve_boundary(example_system(), WORKED_TARGET)
+    assert sol.residual <= NEWTON_TOL and len(calls) > 2
+    assert calls[0] > 2 and max(calls[1:]) <= 2
 
 
 def test_jacobian_commutes_with_transpose_swap():
@@ -437,14 +520,23 @@ def _unit_interval_cost(sys, pi0, bd):
         - float(np.trace(pi1 @ bd.sigma1)), error
 
 
-def test_cost_refines_the_accepted_panels():
+def test_cost_refines_the_accepted_panels(monkeypatch):
     # The accepted pass's panels leave the cost integrand's own error
     # estimate above the quadrature's tolerance, atol + rtol |integral|, on
     # this target; refinement brings it under.
     sys = example_system()
     bd = BoundaryData(sigma0=np.eye(2), sigma1=np.diag([50.0, 1e-4]))
+    passes = []
+    real = steering.jacobian_f
+
+    def recorded(*args, **kwargs):
+        passes.append(real(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(steering, "jacobian_f", recorded)
     sol = solve_boundary(sys, bd)
-    ws = jacobian_f(sys, bd.sigma0, sol.pi0)  # Newton's accepted pass, recomputed
+    ws = passes[-1]  # Newton's accepted pass: the last one it made
+    assert np.array_equal(ws.pi0, sol.pi0)
     assert len(ws.edges) - 1 == sol.accepted_panels
     integral, start_error, stopped, _ = adaptive_gk(_cost_integrand(sys, sol.pi0), 0.0, 1.0,
                                                     atol=QUAD_ATOL, edges=ws.edges,

@@ -6,7 +6,11 @@ from scipy.linalg import expm
 
 from covsteer import transition
 from covsteer._quad import adaptive_gk
-from covsteer.errors import IntegrationFailureError, SingularTransitionError
+from covsteer.errors import (
+    IntegrationFailureError,
+    RiccatiNonexistenceError,
+    SingularTransitionError,
+)
 from covsteer.matfun import symmetrize
 from covsteer.riccati import closed_form_on_path
 from covsteer.steering import feedback_gain
@@ -196,6 +200,9 @@ def test_gramian_identity_trivial_and_s1():
     # The existence check it rests on refuses anchors outside [0, 1].
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         gramian_identity(sys, (1.5, [[-3.0]]), 1.0)
+    # From Pi(0) = 2 the solution 1 / (0.5 - t) escapes at t = 0.5.
+    with pytest.raises(RiccatiNonexistenceError, match="does not exist"):
+        gramian_identity(sys, (0.0, [[2.0]]), 1.0)
 
 
 def test_gramian_identity_random_system():
