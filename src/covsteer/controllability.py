@@ -90,6 +90,11 @@ def classify(sys: SystemSpec, grid_size: int = 101,
     subinterval, a numerical surrogate for the existential definition; the
     probe density is recorded in the report.
     """
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
+    if probes_per_subinterval < 1:
+        raise ValueError(
+            f"probes_per_subinterval must be at least 1, got {probes_per_subinterval}")
     n = sys.n
     times = np.linspace(0.0, 1.0, grid_size)
     ranks = np.stack([_rank(th) for th in theta_matrices(sys, times, n + 1)], axis=1)

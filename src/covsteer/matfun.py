@@ -324,6 +324,8 @@ def validate_system(sys: SystemSpec, grid_size: int = VALIDATION_GRID_SIZE) -> V
     positive semidefinite, nu(t) and every nu_i(t) nonnegative.  Shape
     mismatches raise DimensionError at SystemSpec construction already.
     """
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     grid = np.linspace(0.0, 1.0, grid_size)
     checks = [
         _definite_check("R", sys.R, grid, PD_EIG_MIN),

@@ -31,13 +31,15 @@ QUAD_ATOL = 1e-10
 QUAD_RTOL = 1e-9  # bounds the work when near-boundary integrands blow up
 NEWTON_TOL = 1e-8
 MAX_PASSES = 30  # jacobian_f passes per solve, accepted or not
+STEP_FRACTION = 0.9  # of the distance to the admissibility boundary a step may cover
 W_ZERO_TIME = 1e-8  # below this s the node weight W_s0 is the zero matrix
 
 
 @dataclass(frozen=True)
 class SteeringSolution:
-    """Optimal steering data: costate anchor, schedules, cost, error estimates
-    of sigma_grid and optimal_cost, and the panels of Newton's accepted pass."""
+    """Optimal steering data read from Newton's accepted pass: its costate
+    anchor, the schedules, the cost, error estimates of sigma_grid and
+    optimal_cost, and the pass's panel count."""
 
     pi0: np.ndarray
     pi_grid: tuple
@@ -53,16 +55,18 @@ class SteeringSolution:
 
 @dataclass(frozen=True)
 class JacobianWorkspace:
-    """Pieces of the boundary-map Jacobian at one admissible point.
+    """One jacobian_f pass, the only input of the read-outs.
 
-    pi0 is that point; nodes holds (s, W_s0, P_s) at the 15 nodes of each
-    panel between edges; jac is the full n^2 x n^2 Jacobian (phiPi10 x
-    phiPi10) S and f_value the map value assembled from the same nodes.
-    quad_error is the quadrature's error estimate; saturated: the 400-panel
-    cap stopped it above tolerance.  path is the transition path the pass
-    read and upper_bound the admissibility bound U10 on it.
+    sys, sigma0 and pi0 (symmetrized) are the point; nodes holds (s, W_s0,
+    P_s) at the 15 nodes of each panel between edges; jac is the full n^2 x
+    n^2 Jacobian (phiPi10 x phiPi10) S and f_value the map value assembled
+    from the same nodes.  quad_error is the quadrature's error estimate;
+    saturated: the 400-panel cap stopped it above tolerance.  path is the
+    transition path the pass read and upper_bound the bound U10 on it.
     """
 
+    sys: SystemSpec
+    sigma0: np.ndarray
     pi0: np.ndarray
     path: TransitionPath
     upper_bound: np.ndarray
@@ -100,11 +104,11 @@ def _transported_noise(sys: SystemSpec, g: np.ndarray, s: np.ndarray) -> np.ndar
     return ginv @ _cdct(sys, s) @ np.swapaxes(ginv, -1, -2)
 
 
-def map_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
-          path: TransitionPath | None = None) -> np.ndarray:
+def map_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray) -> np.ndarray:
     """Terminal covariance reached from Sigma0 under the costate anchor Pi0:
-    Sigma(1) of propagate_covariance, whose failures it raises."""
-    return propagate_covariance(sys, pi0, sigma0, 2, path=path)[0][-1][1]
+    Sigma(1) of propagate_covariance on the jacobian_f pass at Pi0, whose
+    failures it raises."""
+    return propagate_covariance(jacobian_f(sys, sigma0, pi0), 2)[0][-1][1]
 
 
 def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
@@ -157,9 +161,9 @@ def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
     f_value = symmetrize(phi10 @ (sigma0 + p_int) @ phi10.T)
     nodes = tuple((float(t), raw[n2:2 * n2].reshape(n, n), raw[:n2].reshape(n, n))
                   for t, raw in zip(node_ts, node_vals))
-    return JacobianWorkspace(pi0=pi0, path=path, upper_bound=u10, edges=edges, nodes=nodes,
-                             S=s_mat, jac=jac, f_value=f_value, quad_error=float(quad_err),
-                             saturated=saturated)
+    return JacobianWorkspace(sys=sys, sigma0=sigma0, pi0=pi0, path=path, upper_bound=u10,
+                             edges=edges, nodes=nodes, S=s_mat, jac=jac, f_value=f_value,
+                             quad_error=float(quad_err), saturated=saturated)
 
 
 def _symmetric_basis(n: int) -> np.ndarray:
@@ -171,79 +175,73 @@ def _symmetric_basis(n: int) -> np.ndarray:
     return basis
 
 
-def special_case_pi0(sys: SystemSpec, bd: BoundaryData,
-                     path: TransitionPath | None = None,
-                     check_channels: bool = True) -> np.ndarray:
-    """Closed-form Pi0 for the coincident-channel case C D C' = B R^-1 B'.
+def special_case_pi0(sys: SystemSpec, bd: BoundaryData) -> np.ndarray:
+    """Closed-form Pi0 for the coincident-channel case C D C' = B R^-1 B'."""
+    grid = np.linspace(0.0, 1.0, 101)
+    gap = np.max(np.abs(_cdct(sys, grid) - b_rinv_bt(sys, grid)), axis=(1, 2))
+    bad = np.flatnonzero(gap > 1e-10)
+    if bad.size:
+        raise ChannelMismatchError(
+            f"C D C' != B R^-1 B' at t={grid[bad[0]]:.3f}; closed form does not apply")
+    return _closed_form_pi0(TransitionPath(sys, anchor=0.0, span=(0.0, 1.0)), bd)
 
-    With check_channels=False the same expression serves as a warm start
-    for systems whose channels differ.
-    """
-    if check_channels:
-        grid = np.linspace(0.0, 1.0, 101)
-        gap = np.max(np.abs(_cdct(sys, grid) - b_rinv_bt(sys, grid)), axis=(1, 2))
-        bad = np.flatnonzero(gap > 1e-10)
-        if bad.size:
-            raise ChannelMismatchError(
-                f"C D C' != B R^-1 B' at t={grid[bad[0]]:.3f}; closed form does not apply")
-    path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
+
+def _closed_form_pi0(path: TransitionPath, bd: BoundaryData) -> np.ndarray:
+    """special_case_pi0's expression on path, channels unchecked: Newton's
+    warm start whatever the channels."""
+    n = len(bd.sigma0)
     p11, p12, _, _ = path.raw_blocks(1.0)
     u10 = _moving_bound(p11, p12, what="phi12(1,0)")[0]
-    phi12_inv = np.linalg.solve(p12, np.eye(sys.n))
+    phi12_inv = np.linalg.solve(p12, np.eye(n))
     s0_isqrt = spd_sqrt(bd.sigma0, inverse=True)
     s0_sqrt = spd_sqrt(bd.sigma0)
-    inner = 0.25 * np.eye(sys.n) + s0_sqrt @ phi12_inv @ bd.sigma1 @ phi12_inv.T @ s0_sqrt
+    inner = 0.25 * np.eye(n) + s0_sqrt @ phi12_inv @ bd.sigma1 @ phi12_inv.T @ s0_sqrt
     root = spd_sqrt(symmetrize(inner))
     pi0 = u10 + 0.5 * np.linalg.inv(bd.sigma0) - s0_isqrt @ root @ s0_isqrt
     return symmetrize(pi0)
 
 
-def _boundary_step_cap(pi, delta, u10, fraction=0.9):
+def _boundary_step_cap(pi, delta, u10):
     """Largest step fraction keeping Pi + alpha Delta inside the admissible cone."""
     gap = symmetrize(u10 - pi)
     w, v = np.linalg.eigh(gap)
     w = np.clip(w, 1e-14, None)
     isqrt = (v / np.sqrt(w)) @ v.T
     lam = float(np.max(np.linalg.eigvalsh(isqrt @ delta @ isqrt)))
-    return fraction / lam if lam > 0.0 else 1.0
+    return STEP_FRACTION / lam if lam > 0.0 else 1.0
 
 
 def _newton(sys, path, sigma0, target, pi_init, tol, basis):
-    """Damped Newton on the symmetric subspace; returns (pi, residual, trace, ws).
+    """Damped Newton on the symmetric subspace; returns (ws, residual, trace).
 
     Every point tried gets one jacobian_f pass, started from the current
-    point's pass.  The step is first capped at a fixed fraction of the
-    distance to the admissibility boundary along the Newton direction, then
-    halved until the candidate's pass succeeds with a smaller residual; the
+    point's pass.  The step is first capped at STEP_FRACTION of the distance
+    to the admissibility boundary along the Newton direction, then halved
+    until the candidate's pass succeeds with a smaller residual; the
     accepted pass is the next iteration's workspace.
-    ws is the converged pass, None once MAX_PASSES passes, accepted or not,
-    are spent; a converged pass that saturated raises IntegrationFailureError.
+    ws is the converged pass, whose pi0 is the solution, or None once
+    MAX_PASSES passes, accepted or not, are spent.
     """
     target_norm = np.linalg.norm(target)
-    pi = pi_init.copy()
-    ws = jacobian_f(sys, sigma0, pi, path=path)
+    ws = jacobian_f(sys, sigma0, pi_init, path=path)
     passes = 1
     trace = []
     for it in itertools.count():
         resid_mat = ws.f_value - target
         rel = float(np.linalg.norm(resid_mat) / target_norm)
         if rel <= tol:
-            if ws.saturated:
-                raise IntegrationFailureError(
-                    f"converged boundary map is from a saturated quadrature "
-                    f"(error estimate {ws.quad_error:.3e})")
             trace.append((it, rel, 0.0))
-            return pi, rel, trace, ws
+            return ws, rel, trace
         jac_red = basis.T @ ws.jac @ basis
         step_red = np.linalg.solve(jac_red, -(basis.T @ vec(resid_mat)))
         delta = symmetrize(unvec(basis @ step_red))
-        alpha = min(1.0, _boundary_step_cap(pi, delta, ws.upper_bound))
+        alpha = min(1.0, _boundary_step_cap(ws.pi0, delta, ws.upper_bound))
         while True:
             if passes == MAX_PASSES:
                 trace.append((it, rel, alpha))
-                return pi, rel, trace, None
+                return None, rel, trace
             passes += 1
-            cand = symmetrize(pi + alpha * delta)
+            cand = symmetrize(ws.pi0 + alpha * delta)
             try:
                 cand_ws = jacobian_f(sys, sigma0, cand, path=path, start=ws)
             except (RiccatiNonexistenceError, np.linalg.LinAlgError):
@@ -253,7 +251,7 @@ def _newton(sys, path, sigma0, target, pi_init, tol, basis):
                     break
             alpha *= 0.5
         trace.append((it, rel, alpha))
-        pi, ws = cand, cand_ws
+        ws = cand_ws
 
 
 def solve_boundary(sys: SystemSpec, bd: BoundaryData,
@@ -263,7 +261,7 @@ def solve_boundary(sys: SystemSpec, bd: BoundaryData,
     Newton iterates in the symmetric coordinate space from the closed-form
     warm start, with backtracking constrained to the admissible set.  The
     solution carries the costate grid, the feedback gains, the covariance
-    trajectory and the optimal cost.
+    trajectory and the optimal cost, all read from Newton's accepted pass.
     """
     if sys.has_non_identity_channels():
         raise PreconditionError(
@@ -273,62 +271,49 @@ def solve_boundary(sys: SystemSpec, bd: BoundaryData,
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
-    basis = _symmetric_basis(sys.n)
-    pi_init = special_case_pi0(sys, bd, path=path, check_channels=False)
-
-    pi, rel, trace, ws = _newton(sys, path, bd.sigma0, bd.sigma1, pi_init, tol, basis)
+    ws, rel, trace = _newton(sys, path, bd.sigma0, bd.sigma1, _closed_form_pi0(path, bd), tol,
+                             _symmetric_basis(sys.n))
     if ws is None:
         raise NoConvergenceError(
             f"Newton failed to reach relative residual {tol:.1e} (best {rel:.3e})",
             best_residual=rel, trace=trace)
 
     times = np.linspace(0.0, 1.0, grid_size)
-    pi_grid = tuple(zip(times.tolist(), closed_form_on_path(path, pi, times)))
-    sigma, sigma_error = propagate_covariance(sys, pi, bd.sigma0, grid_size, path, workspace=ws)
-    cost, cost_error = optimal_cost(sys, pi, bd, path=path, workspace=ws)
+    pi_grid = tuple(zip(times.tolist(), closed_form_on_path(path, ws.pi0, times)))
+    sigma, sigma_error = propagate_covariance(ws, grid_size)
+    cost, cost_error = optimal_cost(ws, bd.sigma1)
     return SteeringSolution(
-        pi0=pi, pi_grid=pi_grid, gain_grid=tuple(feedback_gain(sys, pi_grid)),
+        pi0=ws.pi0, pi_grid=pi_grid, gain_grid=tuple(feedback_gain(sys, pi_grid)),
         sigma_grid=tuple(sigma), optimal_cost=cost, newton_trace=tuple(trace),
         residual=rel, sigma_error=sigma_error, cost_error=cost_error,
         accepted_panels=len(ws.edges) - 1)
 
 
-def _checked_pass(sys, sigma0, pi0, path, workspace) -> JacobianWorkspace:
-    """workspace, or a fresh jacobian_f pass at Pi0; a workspace taken at
-    another Pi0 raises PreconditionError, a saturated pass IntegrationFailureError."""
-    if workspace is None:
-        workspace = jacobian_f(sys, sigma0, pi0, path=path)
-    elif not np.array_equal(workspace.pi0, symmetrize(np.asarray(pi0, dtype=float))):
-        raise PreconditionError("workspace was taken at another Pi0")
-    if workspace.saturated:
+def _require_resolved(ws: JacobianWorkspace):
+    if ws.saturated:
         raise IntegrationFailureError(
-            f"boundary-map quadrature saturated at error {workspace.quad_error:.3e}")
-    return workspace
+            f"boundary map read from a saturated quadrature (error estimate {ws.quad_error:.3e})")
 
 
-def propagate_covariance(sys: SystemSpec, pi0: np.ndarray, sigma0: np.ndarray,
-                         grid_size: int = 1001, path: TransitionPath | None = None,
-                         workspace: JacobianWorkspace | None = None) -> tuple:
+def propagate_covariance(ws: JacobianWorkspace, grid_size: int = 1001) -> tuple:
     """Covariance trajectory under the optimal gain: ((t, Sigma(t)) pairs, tail).
 
     Explicit solution Sigma(t) = PhiPi(t,0) [Sigma0 + int_0^t P(s) ds]
     PhiPi(t,0)', P the transported noise, integrated exactly on its Legendre
-    interpolants on the panels of the jacobian_f pass at Pi0 (workspace, or
-    a fresh one), so the accuracy does not depend on grid_size; tail is what
+    interpolants on the panels of the pass ws, which supplies Pi0, Sigma0
+    and the path, so the accuracy does not depend on grid_size; tail is what
     they leave unresolved, and one above 1e-7 max(1, ||Sigma0 + int_0^1 P||)
-    raises IntegrationFailureError.
+    raises IntegrationFailureError, as does a saturated pass.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
-    pi0 = symmetrize(np.asarray(pi0, dtype=float))
-    path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
-    ws = _checked_pass(sys, sigma0, pi0, path, workspace)
+    _require_resolved(ws)
     times = np.linspace(0.0, 1.0, grid_size)
     part, tail = interpolant_integrals(ws.edges, np.stack([p for _, _, p in ws.nodes]), times)
-    acc = np.asarray(sigma0, dtype=float) + part
+    acc = ws.sigma0 + part
     if not tail <= 1e-7 * max(1.0, float(np.linalg.norm(acc[-1]))):  # also refuses NaN
         raise IntegrationFailureError(f"transported noise unresolved: tail {tail:.3e}")
-    g = _phi_pi(path, pi0, times)[0]
+    g = _phi_pi(ws.path, ws.pi0, times)[0]
     return list(zip(times.tolist(), symmetrize(g @ acc @ np.swapaxes(g, -1, -2)))), tail
 
 
@@ -342,28 +327,24 @@ def feedback_gain(sys: SystemSpec, pi_grid) -> list:
     return list(zip(ts, gains))
 
 
-def optimal_cost(sys: SystemSpec, pi0: np.ndarray, bd: BoundaryData,
-                 path: TransitionPath | None = None,
-                 workspace: JacobianWorkspace | None = None) -> tuple:
-    """(cost, error estimate) under the costate anchor Pi0: int tr(Pi C D C')
-    dt plus the boundary correction.
+def optimal_cost(ws: JacobianWorkspace, sigma1: np.ndarray) -> tuple:
+    """(cost, error estimate) under the pass's costate anchor Pi0 for the
+    target sigma1: int tr(Pi C D C') dt plus the boundary correction.
 
-    The quadrature starts from the panels of the jacobian_f pass at Pi0
-    (workspace, or a fresh one); one that saturates raises
-    IntegrationFailureError.
+    The quadrature starts from the panels of the pass ws; a saturated pass,
+    or a cost quadrature that saturates, raises IntegrationFailureError.
     """
-    path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
-    pi0 = np.asarray(pi0, dtype=float)
-    edges = _checked_pass(sys, bd.sigma0, pi0, path, workspace).edges
+    _require_resolved(ws)
+    sys, path, pi0 = ws.sys, ws.path, ws.pi0
 
     def integrand(ts):
         return np.einsum("kij,kji->k", closed_form_on_path(path, pi0, ts), _cdct(sys, ts))
 
     integral, err, saturated, _ = adaptive_gk(
-        integrand, 0.0, 1.0, atol=QUAD_ATOL, rtol=QUAD_RTOL, edges=edges)
+        integrand, 0.0, 1.0, atol=QUAD_ATOL, rtol=QUAD_RTOL, edges=ws.edges)
     if saturated:
         raise IntegrationFailureError(f"cost quadrature saturated at error {err:.3e}")
     pi1 = closed_form_on_path(path, pi0, 1.0)
-    cost = float(integral) + float(np.trace(pi0 @ bd.sigma0)) \
-        - float(np.trace(pi1 @ bd.sigma1))
+    cost = float(integral) + float(np.trace(pi0 @ ws.sigma0)) \
+        - float(np.trace(pi1 @ np.asarray(sigma1, dtype=float)))
     return cost, float(err)

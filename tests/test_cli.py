@@ -163,12 +163,28 @@ def test_linalg_error_is_numerical_error_exit_2(tmp_path, monkeypatch, capsys):
     assert "numerical error: Singular matrix" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("grid", ["1", "0"])
-def test_solve_grid_below_two_is_config_error(tmp_path, capsys, grid):
-    rc = main(["solve", "--config", example_config_path(), "--out", str(tmp_path / "o"),
-               "--grid", grid])
+@pytest.mark.parametrize("args,options,message", [
+    pytest.param(["--grid", "1"], {}, "grid_size must be at least 2, got 1", id="1"),
+    pytest.param(["--grid", "0"], {}, "grid_size must be at least 2, got 0", id="0"),
+    pytest.param([], {"validation_grid": 1}, "grid_size must be at least 2, got 1",
+                 id="validation_grid-1"),
+    pytest.param([], {"validation_grid": 0}, "grid_size must be at least 2, got 0",
+                 id="validation_grid-0"),
+    pytest.param([], {"classify_grid": 1}, "grid_size must be at least 2, got 1",
+                 id="classify_grid-1"),
+    pytest.param([], {"classify_grid": 0}, "grid_size must be at least 2, got 0",
+                 id="classify_grid-0"),
+    pytest.param([], {"classify_probes": 0}, "probes_per_subinterval must be at least 1, got 0",
+                 id="classify_probes-0"),
+])
+def test_solve_grid_below_two_is_config_error(tmp_path, capsys, example_raw, args, options,
+                                              message):
+    example_raw["options"].update(options)
+    out = tmp_path / "o"
+    rc = main(["solve", "--config", write_cfg(tmp_path, example_raw), "--out", str(out), *args])
     assert rc == EXIT_CONFIG
-    assert f"config error: grid_size must be at least 2, got {grid}" in capsys.readouterr().out
+    assert f"config error: {message}" in capsys.readouterr().out
+    assert not out.exists() or not os.listdir(out)
 
 
 def test_classify_report(tmp_path):

@@ -25,7 +25,7 @@ from covsteer.errors import (
 )
 from covsteer.matfun import BoundaryData, MatrixPoly
 
-from helpers import const, make_system, random_spd, s1, example_system
+from helpers import const, make_system, random_spd, s1, example_system, uncontrollable_pair
 
 
 def zero_input_system(n=2):
@@ -70,6 +70,18 @@ def test_classify_zero_input():
     assert not rep.uniformly_controllable
     assert not rep.totally_controllable
     assert all(r == (0, 0, 0) for r in rep.theta_ranks)
+
+
+def test_classify_refuses_grids_it_cannot_probe():
+    # With one grid point no subinterval is probed, and np.all of no probes
+    # would certify the uncontrollable pair as totally controllable.
+    sys = uncontrollable_pair()
+    assert not classify(sys).totally_controllable
+    for grid_size in (1, 0):
+        with pytest.raises(ValueError, match="grid_size must be at least 2"):
+            classify(sys, grid_size=grid_size)
+    with pytest.raises(ValueError, match="probes_per_subinterval must be at least 1"):
+        classify(sys, probes_per_subinterval=0)
 
 
 def test_classify_time_varying_input_uniform():

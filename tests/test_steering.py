@@ -292,15 +292,15 @@ def test_solve_boundary_reports_non_convergence(monkeypatch):
 def test_newton_reads_each_point_from_one_jacobian_pass(monkeypatch):
     sys = example_system()
     path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
-    pi_init = special_case_pi0(sys, WORKED_TARGET, path=path, check_channels=False)
+    pi_init = steering._closed_form_pi0(path, WORKED_TARGET)
     points = _count_jacobian_passes(monkeypatch)
     map_calls = []
     monkeypatch.setattr(steering, "map_f", lambda *args, **kwargs: map_calls.append(args))
-    pi, rel, trace, ok = steering._newton(sys, path, np.eye(2), WORKED_TARGET.sigma1, pi_init,
-                                          NEWTON_TOL, steering._symmetric_basis(2))
-    assert ok and rel <= NEWTON_TOL and not map_calls
+    ws, rel, trace = steering._newton(sys, path, np.eye(2), WORKED_TARGET.sigma1, pi_init,
+                                      NEWTON_TOL, steering._symmetric_basis(2))
+    assert ws is not None and rel <= NEWTON_TOL and not map_calls
     # The start, then every candidate once: accepted ones are the iterates.
-    assert np.array_equal(points[0], pi_init) and np.array_equal(points[-1], pi)
+    assert np.array_equal(points[0], pi_init) and np.array_equal(points[-1], ws.pi0)
     assert len({p.tobytes() for p in points}) == len(points)
     assert len(trace) <= len(points) <= MAX_PASSES
 
@@ -370,11 +370,11 @@ def test_special_case_rejects_mismatched_channels():
 
 
 def test_propagate_covariance_examples():
-    grid, tail = propagate_covariance(s1(), [[0.0]], [[1.0]], grid_size=11)
+    grid, tail = propagate_covariance(jacobian_f(s1(), [[1.0]], [[0.0]]), grid_size=11)
     for t, sigma in grid:
         assert abs(sigma[0, 0] - (1.0 + t)) <= 1e-9
     assert 0.0 <= tail <= 1e-7
-    grid, _ = propagate_covariance(s1(), [[0.6339746]], [[1.0]], grid_size=11)
+    grid, _ = propagate_covariance(jacobian_f(s1(), [[1.0]], [[0.6339746]]), grid_size=11)
     assert abs(grid[-1][1][0, 0] - 0.5) <= 1e-7
 
 
@@ -382,12 +382,24 @@ def test_read_outs_refuse_a_workspace_from_another_point():
     sys, bd = s1(), BoundaryData(sigma0=[[1.0]], sigma1=[[0.5]])
     ws = jacobian_f(sys, bd.sigma0, [[0.0]])
     assert np.array_equal(ws.pi0, [[0.0]])
-    grid, _ = propagate_covariance(sys, [[0.0]], bd.sigma0, grid_size=11, workspace=ws)
+    grid, _ = propagate_covariance(ws, grid_size=11)
     assert np.array_equal(grid[-1][1], map_f(sys, bd.sigma0, [[0.0]]))
-    with pytest.raises(PreconditionError, match="another Pi0"):
-        propagate_covariance(sys, [[0.1]], bd.sigma0, grid_size=11, workspace=ws)
-    with pytest.raises(PreconditionError, match="another Pi0"):
-        optimal_cost(sys, [[0.1]], bd, workspace=ws)
+
+
+def test_read_outs_see_only_the_passs_symmetrized_pi0():
+    # jacobian_f drops a skew part of its argument, and the read-outs take
+    # Pi0 from the pass alone, so the cost and the Sigma grid at Pi0 + K
+    # match those at Pi0 up to the rounding of the symmetrization.
+    sys, bd = example_system(), WORKED_TARGET
+    pi0 = solve_boundary(sys, bd).pi0
+    skew = np.array([[0.0, 1e-3], [-1e-3, 0.0]])
+    plain = jacobian_f(sys, bd.sigma0, pi0)
+    skewed = jacobian_f(sys, bd.sigma0, pi0 + skew)
+    cost = optimal_cost(plain, bd.sigma1)[0]
+    assert abs(optimal_cost(skewed, bd.sigma1)[0] - cost) <= 1e-12 * abs(cost)
+    want = np.stack([sigma for _, sigma in propagate_covariance(plain)[0]])
+    got = np.stack([sigma for _, sigma in propagate_covariance(skewed)[0]])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.fixture(scope="module", params=["worked_example", "random_n3"])
@@ -408,7 +420,7 @@ def oracle_case(request):
 @pytest.mark.parametrize("grid_size", [11, 101, 1001])
 def test_sigma_grid_matches_lyapunov_oracle(oracle_case, grid_size):
     sys, sigma0, pi0 = oracle_case
-    grid, _ = propagate_covariance(sys, pi0, sigma0, grid_size=grid_size)
+    grid, _ = propagate_covariance(jacobian_f(sys, sigma0, pi0), grid_size=grid_size)
     times = np.array([t for t, _ in grid])
     assert np.array_equal(times, np.linspace(0.0, 1.0, grid_size))
     got = np.stack([sigma for _, sigma in grid])
@@ -424,7 +436,7 @@ def contracting_case():
     sys = random_controllable_system(rng, 2)
     bd = BoundaryData(sigma0=50.0 * np.eye(2), sigma1=0.01 * np.eye(2))
     pi0 = solve_boundary(sys, bd).pi0
-    fine, _ = propagate_covariance(sys, pi0, bd.sigma0, grid_size=1001)
+    fine, _ = propagate_covariance(jacobian_f(sys, bd.sigma0, pi0), grid_size=1001)
     return sys, bd.sigma0, pi0, np.stack([sigma for _, sigma in fine])
 
 
@@ -434,7 +446,7 @@ def test_sigma_grid_does_not_depend_on_output_grid(contracting_case, grid_size):
     # grid, so a coarse grid reads the same Sigma at the times it shares.
     sys, sigma0, pi0, fine = contracting_case
     got = np.stack([sigma for _, sigma in
-                    propagate_covariance(sys, pi0, sigma0, grid_size=grid_size)[0]])
+                    propagate_covariance(jacobian_f(sys, sigma0, pi0), grid_size=grid_size)[0]])
     # Shared times agree to rounding, which the cancellation in phi11 + phi12
     # Pi0 (terms near 1, sum near 1e-3 at t = 1) amplifies to about 4e-10.
     assert np.max(np.abs(got - fine[::1000 // (grid_size - 1)])) <= 1e-10 * np.max(np.abs(fine))
@@ -497,7 +509,7 @@ def test_sigma_tail_check_refuses_an_unresolved_noise_integral(monkeypatch):
 
     monkeypatch.setattr(steering, "jacobian_f", bumped_pass)
     with pytest.raises(IntegrationFailureError, match="unresolved"):
-        propagate_covariance(s1(), [[0.0]], [[1.0]], grid_size=11)
+        propagate_covariance(steering.jacobian_f(s1(), [[1.0]], [[0.0]]), grid_size=11)
     with pytest.raises(IntegrationFailureError, match="unresolved"):
         solve_boundary(example_system(), WORKED_TARGET, grid_size=11)
 
@@ -556,7 +568,7 @@ def test_cost_quadrature_saturation_raises(monkeypatch):
     monkeypatch.setattr(steering, "closed_form_on_path", lambda path, pi0, t: real(path, pi0, t)
                         + np.sin(1e8 * np.asarray(t))[..., None, None])
     with pytest.raises(IntegrationFailureError, match="cost quadrature saturated"):
-        optimal_cost(sys, sol.pi0, bd)
+        optimal_cost(jacobian_f(sys, bd.sigma0, sol.pi0), bd.sigma1)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -583,9 +595,10 @@ def test_solve_boundary_grids_match_independent_references(seed, n):
 
 def test_grid_below_two_points_is_rejected(contracting_case):
     sys, sigma0, pi0, _ = contracting_case
+    ws = jacobian_f(sys, sigma0, pi0)
     for grid_size in (1, 0):
         with pytest.raises(ValueError, match="grid_size"):
-            propagate_covariance(sys, pi0, sigma0, grid_size=grid_size)
+            propagate_covariance(ws, grid_size=grid_size)
         with pytest.raises(ValueError, match="grid_size"):
             solve_boundary(sys, BoundaryData(sigma0=sigma0, sigma1=sigma0), grid_size=grid_size)
 
@@ -638,7 +651,7 @@ def test_scalar_map_is_monotone_decreasing():
 def test_optimal_cost_consistency_with_monte_carlo_free_case():
     sol = solve_boundary(s1(), BoundaryData(sigma0=[[1.0]], sigma1=[[2.0]]))
     bd = BoundaryData(sigma0=[[1.0]], sigma1=[[2.0]])
-    cost, error = optimal_cost(s1(), sol.pi0, bd)
+    cost, error = optimal_cost(jacobian_f(s1(), bd.sigma0, sol.pi0), bd.sigma1)
     assert abs(cost) <= 1e-9 and 0.0 <= error <= QUAD_ATOL
 
 

@@ -3,7 +3,9 @@
 Tracer.install() rebinds the public functions and methods it wraps, so a
 refactor that drops or moves one of them, or changes what the tracer reads
 off a result (the Jacobian workspace's nodes), breaks every traced
-benchmark run.
+benchmark run.  A solve that stopped calling a traced read-out through its
+module global would zero that read-out's per-layer time on solve-sweep, so
+the solve's child spans are checked too.
 The check runs in a fresh interpreter because the rebinding lasts for the
 rest of the process.
 """
@@ -49,6 +51,13 @@ want = {"riccati.existence", "transition.path_build", "riccati.closed_form",
         "matfun.validate", "controllability.classify", "controllability.construct",
         "riccati.maxint", "riccati.integrate_general"}
 assert want <= names, sorted(names)
+# solve_boundary itself calls each read-out through its module global, so
+# the solve's own spans carry them, not only the standalone calls above.
+spans = tracer.spans
+in_solve = {s[0] for s in spans if s[3] >= 0 and spans[s[3]][0] == "steering.solve"}
+for name in ("steering.jacobian", "steering.propagate", "steering.cost",
+             "steering.gain_grid", "riccati.closed_form"):
+    assert name in in_solve, (name, sorted(in_solve))
 # The solve's own path builds and reads are counted, not only the earlier calls.
 for name in ("transition.rhs_evals", "transition.phi_evals"):
     assert counts[name] > before[name], (name, before, counts)
