@@ -1,12 +1,10 @@
 """Adaptive Gauss-Kronrod quadrature for array-valued integrands.
 
 A 15-point Kronrod rule with embedded 7-point Gauss error estimate,
-refined by interval bisection.  Unlike library quadratures, the evaluated
-nodes are returned to the caller, which lets the boundary-map residual and
-its Jacobian be assembled from one shared node set.
+refined by rounds of interval bisection.  Unlike library quadratures, the
+evaluated nodes are returned to the caller, which lets the boundary-map
+residual and its Jacobian be assembled from one shared node set.
 """
-
-import heapq
 
 import numpy as np
 
@@ -35,58 +33,58 @@ _WG = np.array([
 ])
 
 
-def _panels(f, edges):
-    """(integral, error, nodes, values) of each panel between consecutive edges."""
-    edges = np.asarray(edges, dtype=float)
-    half = 0.5 * np.diff(edges)
-    ts = 0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * _XK
+def _panels(f, ends):
+    """Rows (ends, Kronrod sum, error estimate, node times, f values) of the
+    panels whose ends are the rows of the (m, 2) array ends, from one call of f."""
+    half = 0.5 * (ends[:, 1] - ends[:, 0])
+    ts = 0.5 * ends.sum(axis=1)[:, None] + half[:, None] * _XK
     vals = np.asarray(f(ts.ravel()), dtype=float)
     vals = vals.reshape(ts.shape + vals.shape[1:])
-    ks = [h * np.tensordot(_WK, v, axes=(0, 0)) for h, v in zip(half, vals)]
-    gs = [h * np.tensordot(_WG, v[1::2], axes=(0, 0)) for h, v in zip(half, vals)]
-    return [(k, float(np.max(np.abs(k - g))), t, v) for k, g, t, v in zip(ks, gs, ts, vals)]
+    kron = np.einsum("pj,pj...->p...", half[:, None] * _WK, vals)
+    gauss = np.einsum("pj,pj...->p...", half[:, None] * _WG, vals[:, 1::2])
+    return ends, kron, np.max(np.abs(kron - gauss).reshape(len(half), -1), axis=1), ts, vals
 
 
 def adaptive_gk(f, a, b, atol=1e-10, rtol=0.0, max_panels=2000, edges=None):
-    """Integrate an array-valued f over [a, b] by panel bisection.
+    """Integrate an array-valued f over [a, b] by rounds of panel bisection.
 
     f takes a 1-D array of times and returns an array whose leading axis
     runs over those times; the starting panels, between edges from a to b
-    (default [a, b]), are one call, and so is each bisection.  Refinement
-    stops when the error estimate falls below atol + rtol * max|integral|;
-    the relative guard keeps the work bounded when the integrand magnitude
-    blows up.  Returns (integral, error, saturated, panels), saturated
-    meaning that max_panels stopped the refinement above that tolerance, and
-    panels the final panels' edges, node times and f at them.
+    (default [a, b]), are one call, and so is each round.  With tol = atol +
+    rtol * max|integral| (the relative guard keeps the work bounded when the
+    integrand magnitude blows up), a round stops the refinement once the
+    summed error estimate is at most tol or max_panels panels are reached,
+    and otherwise bisects every panel whose estimate is above its share
+    tol / count, worst first, up to max_panels.  Returns (integral, error,
+    saturated, panels), saturated meaning that max_panels stopped the
+    refinement above tol, and panels the final panels' edges, node times
+    and f at them.
     """
     sign = 1.0
     if b < a:
-        a, b = b, a
-        sign = -1.0
-
-    edges = (a, b) if edges is None else edges
-    heap = sorted((-err, i, lo, hi, k, ts, vals) for i, (lo, hi, (k, err, ts, vals))
-                  in enumerate(zip(edges[:-1], edges[1:], _panels(f, edges))))  # a heap
-    counter = len(heap)
-    total_err = sum(-item[0] for item in heap)
-    running = np.sum([item[4] for item in heap], axis=0)
-    saturated = False
-    while not total_err <= atol + rtol * float(np.max(np.abs(running))):  # NaN never meets it
-        if len(heap) >= max_panels:
-            saturated = True
+        a, b, sign = b, a, -1.0
+    edges = np.asarray((a, b) if edges is None else edges, dtype=float)
+    rows = _panels(f, np.stack([edges[:-1], edges[1:]], axis=1))  # sorted by left edge
+    while True:
+        ends, kron, err = rows[:3]
+        integral, total = kron.sum(axis=0), float(err.sum())
+        tol = atol + rtol * float(np.max(np.abs(integral)))
+        saturated = not total <= tol  # NaN never meets it
+        if not saturated or len(err) >= max_panels:
             break
-        neg_err, _, lo, hi, whole, _ts, _vals = heapq.heappop(heap)
+        above = np.count_nonzero(~(err <= tol / len(err)))  # NaN counts as above
+        # At least one: rounding can leave the sum above tol with no panel above its share.
+        split = max(1, min(above, max_panels - len(err)))
+        worst = np.argsort(np.nan_to_num(-err, nan=-np.inf))[:split]
+        lo, hi = ends[worst].T
         mid = 0.5 * (lo + hi)
-        (k1, e1, t1, v1), (k2, e2, t2, v2) = _panels(f, (lo, mid, hi))
-        total_err += e1 + e2 - (-neg_err)
-        running += k1 + k2 - whole
-        heapq.heappush(heap, (-e1, counter, lo, mid, k1, t1, v1))
-        heapq.heappush(heap, (-e2, counter + 1, mid, hi, k2, t2, v2))
-        counter += 2
-    integral = sign * sum(item[4] for item in heap)
-    heap.sort(key=lambda item: item[2])
-    return integral, total_err, saturated, (np.array([item[2] for item in heap] + [b]), *(
-        np.concatenate([item[col] for item in heap]) for col in (5, 6)))
+        halves = _panels(f, np.stack([lo, mid, mid, hi], axis=1).reshape(-1, 2))
+        keep = np.delete(np.arange(len(err)), worst)
+        order = np.argsort(np.concatenate([ends[keep, 0], halves[0][:, 0]]))
+        rows = tuple(np.concatenate([old[keep], new])[order] for old, new in zip(rows, halves))
+    ts, vals = rows[3:]
+    return sign * integral, total, saturated, (np.append(ends[:, 0], ends[-1, 1]), ts.ravel(),
+                                               vals.reshape((-1,) + vals.shape[2:]))
 
 
 def interpolant_integrals(edges, values, times):

@@ -23,13 +23,10 @@ SYMMETRY_TOL = 1e-10
 
 
 def _normalize_entry(entry):
-    """Coerce a scalar or coefficient sequence into a nonempty tuple."""
+    """Coerce a scalar or coefficient sequence into a tuple."""
     if np.isscalar(entry):
         return (float(entry),)
-    coeffs = tuple(float(c) for c in entry)
-    if not coeffs:
-        raise ValueError("polynomial entry needs at least one coefficient")
-    return coeffs
+    return tuple(float(c) for c in entry)
 
 
 class MatrixPoly:
@@ -131,16 +128,11 @@ class MatrixPoly:
     def __sub__(self, other):
         return self._sum(other, -1.0)
 
-    def __neg__(self):
-        return self.scale(-1.0)
-
     def scale(self, factor):
         return MatrixPoly._of(self.coef * float(factor))
 
     def __matmul__(self, other):
         """Exact polynomial matrix product."""
-        if isinstance(other, np.ndarray):
-            other = MatrixPoly.constant(other)
         if self.cols != other.rows:
             raise DimensionError("inner dimensions differ")
         a, b = self.coef, other.coef

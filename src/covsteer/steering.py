@@ -57,8 +57,9 @@ class SteeringSolution:
 class JacobianWorkspace:
     """One jacobian_f pass, the only input of the read-outs.
 
-    sys, sigma0 and pi0 (symmetrized) are the point; nodes holds (s, W_s0,
-    P_s) at the 15 nodes of each panel between edges; jac is the full n^2 x
+    sys, sigma0 and pi0 (symmetrized) are the point; nodes holds the times
+    of the 15 nodes of each panel between edges, in order, and p_nodes the
+    transported noise P there as a (k, n, n) stack; jac is the full n^2 x
     n^2 Jacobian (phiPi10 x phiPi10) S and f_value the map value assembled
     from the same nodes.  quad_error is the quadrature's error estimate;
     saturated: the 400-panel cap stopped it above tolerance.  path is the
@@ -71,7 +72,8 @@ class JacobianWorkspace:
     path: TransitionPath
     upper_bound: np.ndarray
     edges: np.ndarray
-    nodes: tuple
+    nodes: np.ndarray
+    p_nodes: np.ndarray
     S: np.ndarray
     jac: np.ndarray
     f_value: np.ndarray
@@ -118,9 +120,9 @@ def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
 
     The map value and the Jacobian integral are assembled from one adaptive
     quadrature pass, so a Newton step sees a Jacobian consistent with its
-    residual.  start, an earlier pass on the same path, lends its upper
-    bound and, unless it saturated, its panels as the starting mesh; a
-    start from another path raises PreconditionError.
+    residual.  start, an earlier pass on the same system and path, lends
+    its upper bound and, unless it saturated, its panels as the starting
+    mesh; a start from another system or path raises PreconditionError.
     """
     n = sys.n
     pi0 = symmetrize(np.asarray(pi0, dtype=float))
@@ -128,6 +130,8 @@ def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
     if start is None:
         path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
         u10, edges = _upper_bound_10(path), None
+    elif start.sys is not sys:
+        raise PreconditionError("start pass was taken on another system")
     elif path is not None and path is not start.path:
         raise PreconditionError("start pass was taken on another path")
     else:
@@ -148,6 +152,9 @@ def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
         dw = w10 - w_s
         # Batched Kronecker products: kron(x, y)[i n + a, j n + b] = x[i, j] y[a, b].
         jac_part = np.einsum("kij,kab->kiajb", p, dw) + np.einsum("kij,kab->kiajb", dw, p)
+        # No read-out uses W's integral, but its columns take part in the
+        # error estimate and tolerance that set the mesh the Sigma read-out
+        # interpolates P on.
         return np.concatenate([p.reshape(len(ss), -1), w_s.reshape(len(ss), -1),
                                jac_part.reshape(len(ss), -1)], axis=1)
 
@@ -159,11 +166,10 @@ def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
     s_mat = np.kron(sigma0, w10) + np.kron(w10, sigma0) + jac_int
     jac = np.kron(phi10, phi10) @ s_mat
     f_value = symmetrize(phi10 @ (sigma0 + p_int) @ phi10.T)
-    nodes = tuple((float(t), raw[n2:2 * n2].reshape(n, n), raw[:n2].reshape(n, n))
-                  for t, raw in zip(node_ts, node_vals))
     return JacobianWorkspace(sys=sys, sigma0=sigma0, pi0=pi0, path=path, upper_bound=u10,
-                             edges=edges, nodes=nodes, S=s_mat, jac=jac, f_value=f_value,
-                             quad_error=float(quad_err), saturated=saturated)
+                             edges=edges, nodes=node_ts,
+                             p_nodes=node_vals[:, :n2].reshape(-1, n, n), S=s_mat, jac=jac,
+                             f_value=f_value, quad_error=float(quad_err), saturated=saturated)
 
 
 def _symmetric_basis(n: int) -> np.ndarray:
@@ -309,7 +315,7 @@ def propagate_covariance(ws: JacobianWorkspace, grid_size: int = 1001) -> tuple:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     _require_resolved(ws)
     times = np.linspace(0.0, 1.0, grid_size)
-    part, tail = interpolant_integrals(ws.edges, np.stack([p for _, _, p in ws.nodes]), times)
+    part, tail = interpolant_integrals(ws.edges, ws.p_nodes, times)
     acc = ws.sigma0 + part
     if not tail <= 1e-7 * max(1.0, float(np.linalg.norm(acc[-1]))):  # also refuses NaN
         raise IntegrationFailureError(f"transported noise unresolved: tail {tail:.3e}")

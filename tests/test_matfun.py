@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,6 +9,7 @@ from covsteer.errors import DimensionError
 from covsteer.matfun import (
     BoundaryData,
     MatrixPoly,
+    spd_sqrt,
     unvec,
     validate_system,
     vec,
@@ -89,6 +92,44 @@ def test_matrix_poly_product_is_exact():
 def test_matrix_poly_requires_nonempty_coeffs():
     with pytest.raises(ValueError):
         MatrixPoly(1, 1, (((),),))
+
+
+def _with_channel(e, nu):
+    """The example system with one general channel (E, nu)."""
+    return replace(example_system(), general_channels=((const(e), const(nu)),))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: MatrixPoly(0, 1, ()), ValueError, "dimensions must be positive"),
+    (lambda: MatrixPoly(2, 1, (((1.0,),),)), DimensionError, "coefficient table is not 2x1"),
+    (lambda: MatrixPoly.from_entries([[[]]]), ValueError, "at least one coefficient"),
+    (lambda: const([[np.inf]]), ValueError, "coefficients must be finite"),
+    (lambda: const([[1.0]]).eval(0.0, order=-1), ValueError, "order must be nonnegative"),
+    (lambda: const(np.eye(2)) + const(np.eye(3)), DimensionError, "matrix shapes differ"),
+    (lambda: const(np.ones((2, 3))) @ const(np.eye(2)), DimensionError,
+     "inner dimensions differ"),
+    (lambda: vec(np.ones((2, 3))), DimensionError, "vec expects a square matrix"),
+    (lambda: unvec(np.ones(3)), DimensionError, "perfect square"),
+    (lambda: spd_sqrt(-np.eye(2)), ValueError, r"not positive definite \(lambda_min=-1"),
+    (lambda: _with_channel(np.eye(3), [[1.0]]), DimensionError, "E_1 must be 2x2"),
+    (lambda: _with_channel(np.eye(2), np.eye(2)), DimensionError, "nu_1 must be scalar"),
+    (lambda: BoundaryData(sigma0=np.ones(2), sigma1=np.eye(2)), DimensionError,
+     "sigma0 must be square"),
+    (lambda: BoundaryData(sigma0=np.eye(2), sigma1=[[1.0, 0.5], [0.0, 1.0]]), ValueError,
+     "sigma1 is not symmetric"),
+], ids=["dimensions", "table", "empty_entry", "finite", "order", "sum", "product", "vec",
+        "unvec", "spd_sqrt", "channel_e", "channel_nu", "square", "symmetric"])
+def test_malformed_input_is_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_validation_names_an_asymmetric_weight():
+    sys = make_system(2, 1, 1, [[-2.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[1.0], [0.0]],
+                      [[1.0]], [[0.5]], [[1.0, 1.0], [0.0, 1.0]], [[1.0]])
+    assert [(c.name, c.time, c.detail) for c in validate_system(sys).failures()] \
+        == [("Q", 0.0, "Q not symmetric at t=0.000")]
+    assert not MatrixPoly.from_entries([[[0.0, 1.0]]]).matches_constant([[0.0]])
 
 
 _COEF = st.floats(-10.0, 10.0)

@@ -109,10 +109,10 @@ def test_jacobian_workspace_invariants():
     ws = jacobian_f(sys, sigma0, pi0)
     assert not ws.saturated
     assert 0.0 <= ws.quad_error < np.inf
-    for s, w_s, p_s in ws.nodes:
-        if s > 1e-8:
-            assert np.max(np.linalg.eigvalsh(w_s)) < 0.0
-        assert np.min(np.linalg.eigvalsh(symmetrize(p_s))) > -1e-10
+    g, (_, p12, _, _) = _phi_pi(ws.path, ws.pi0, ws.nodes)
+    w_s = symmetrize(np.linalg.solve(g, p12))
+    assert np.all(np.max(np.linalg.eigvalsh(w_s[ws.nodes > 1e-8]), axis=1) < 0.0)
+    assert np.min(np.linalg.eigvalsh(symmetrize(ws.p_nodes))) > -1e-10
     # S is negative definite on the symmetric subspace.
     for _ in range(100):
         x = symmetrize(rng.standard_normal((2, 2)))
@@ -121,19 +121,26 @@ def test_jacobian_workspace_invariants():
         assert vec(x) @ ws.S @ vec(x) < 0.0
 
 
-def test_jacobian_reports_quadrature_saturation():
+def test_jacobian_reports_quadrature_saturation(monkeypatch):
     # Next to the admissibility boundary the transported noise spikes near
-    # t = 1 and 400 panels no longer reach the quadrature tolerance.
+    # t = 1 and 400 panels no longer reach the quadrature tolerance.  Each
+    # integrand call bisects every panel above its share of the tolerance,
+    # so the pass reaches the cap in a few dozen calls, not one per panel.
     rng = np.random.default_rng(73)
     sys = random_controllable_system(rng, 2)
     b = transition_blocks(sys, 1.0, 0.0)
     upper = symmetrize(-np.linalg.solve(b.phi12, b.phi11))
     inside = jacobian_f(sys, np.eye(2), upper - 1e-2 * np.eye(2))
+    calls = []
+    real_panels = _quad._panels
+    monkeypatch.setattr(_quad, "_panels", lambda *args: calls.append(1) or real_panels(*args))
     edge = jacobian_f(sys, np.eye(2), upper - 1e-8 * np.eye(2))
+    monkeypatch.setattr(_quad, "_panels", real_panels)
     assert not inside.saturated
-    assert edge.saturated and len(edge.nodes) == 15 * 400
-    times = [s for s, _, _ in edge.nodes]
-    assert times == sorted(times) and 0.0 < times[0] and times[-1] < 1.0
+    assert edge.saturated and len(edge.edges) - 1 == 400 and len(edge.nodes) == 15 * 400
+    assert len(calls) <= 32
+    times = edge.nodes
+    assert np.all(np.diff(times) > 0.0) and 0.0 < times[0] and times[-1] < 1.0
     assert edge.quad_error > 1e3 * inside.quad_error
     # map_f reads the same saturated pass; the unconverged value is refused,
     # not returned.
@@ -153,7 +160,7 @@ def test_newton_refuses_a_converged_saturated_pass(monkeypatch):
 def _p_integral(ws):
     """The pass's Kronrod sum of the transported noise P over its panels."""
     half = 0.5 * np.diff(ws.edges)
-    p = np.stack([p for _, _, p in ws.nodes]).reshape(len(half), len(_WK), -1)
+    p = ws.p_nodes.reshape(len(half), len(_WK), -1)
     return np.einsum("k,j,kjd->d", half, _WK, p)
 
 
@@ -197,21 +204,32 @@ def test_a_start_pass_lends_its_bound_and_unsaturated_panels():
     edge = jacobian_f(sys, np.eye(2), upper - 1e-8 * np.eye(2), path=path)
     assert edge.saturated and np.array_equal(edge.upper_bound, upper)
     seeded = jacobian_f(sys, np.eye(2), inside.pi0, path=path, start=edge)
-    for field in ("edges", "S", "jac", "f_value", "quad_error", "saturated", "upper_bound"):
+    for field in ("edges", "nodes", "p_nodes", "S", "jac", "f_value", "quad_error",
+                  "saturated", "upper_bound"):
         assert np.array_equal(getattr(seeded, field), getattr(inside, field)), field
-    assert all(a[0] == b[0] and np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
-               for a, b in zip(seeded.nodes, inside.nodes, strict=True))
     # A start read on another path, even an equal one, is refused.
     other = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
     with pytest.raises(PreconditionError, match="another path"):
         jacobian_f(sys, np.eye(2), inside.pi0, path=other, start=inside)
 
 
+def test_a_start_pass_from_another_system_is_refused():
+    # Its path carries the other system's PhiPi: the pass would mix it with
+    # this system's C D C' (f = [[1.175, 2.668], [2.668, 8.605]] against
+    # the true [[18.681, -9.460], [-9.460, 7.758]]).
+    sys = random_controllable_system(np.random.default_rng(5), 2)
+    start = jacobian_f(example_system(), np.eye(2), -np.eye(2))
+    assert_allclose(jacobian_f(sys, np.eye(2), -np.eye(2)).f_value,
+                    [[18.681, -9.460], [-9.460, 7.758]], atol=1e-3)
+    with pytest.raises(PreconditionError, match="another system"):
+        jacobian_f(sys, np.eye(2), -np.eye(2), start=start)
+
+
 def test_newton_passes_start_from_the_accepted_panels(monkeypatch):
     # Newton's points lie close together, so a pass started from the
     # accepted pass's panels needs one batched integrand call (measured: 1
-    # on every pass here); a pass from [0, 1] bisects one panel per call
-    # and makes 3 or 4 on this target.
+    # on every pass here); a pass from [0, 1] needs a few rounds of
+    # bisection on this target (measured: 4).
     calls = []
     real_panels, real_jacobian = _quad._panels, steering.jacobian_f
 
@@ -505,7 +523,7 @@ def test_sigma_tail_check_refuses_an_unresolved_noise_integral(monkeypatch):
     def bumped_pass(*args, **kwargs):
         ws = real_jacobian(*args, **kwargs)
         bump = 1e-5 * np.tile(odd, len(ws.nodes) // len(_XK))
-        return replace(ws, nodes=tuple((s, w, p + d) for (s, w, p), d in zip(ws.nodes, bump)))
+        return replace(ws, p_nodes=ws.p_nodes + bump[:, None, None])
 
     monkeypatch.setattr(steering, "jacobian_f", bumped_pass)
     with pytest.raises(IntegrationFailureError, match="unresolved"):
@@ -533,9 +551,10 @@ def _unit_interval_cost(sys, pi0, bd):
 
 
 def test_cost_refines_the_accepted_panels(monkeypatch):
-    # The accepted pass's panels leave the cost integrand's own error
-    # estimate above the quadrature's tolerance, atol + rtol |integral|, on
-    # this target; refinement brings it under.
+    # The accepted pass's panels already resolve the cost on this target,
+    # so the cost starts from every other edge of them: a mesh that leaves
+    # the cost integrand's own error estimate above the quadrature's
+    # tolerance, atol + rtol |integral|; refinement brings it under.
     sys = example_system()
     bd = BoundaryData(sigma0=np.eye(2), sigma1=np.diag([50.0, 1e-4]))
     passes = []
@@ -550,13 +569,15 @@ def test_cost_refines_the_accepted_panels(monkeypatch):
     ws = passes[-1]  # Newton's accepted pass: the last one it made
     assert np.array_equal(ws.pi0, sol.pi0)
     assert len(ws.edges) - 1 == sol.accepted_panels
+    coarse = np.union1d(ws.edges[::2], ws.edges[-1])
     integral, start_error, stopped, _ = adaptive_gk(_cost_integrand(sys, sol.pi0), 0.0, 1.0,
-                                                    atol=QUAD_ATOL, edges=ws.edges,
-                                                    max_panels=sol.accepted_panels)
+                                                    atol=QUAD_ATOL, edges=coarse,
+                                                    max_panels=len(coarse) - 1)
+    cost, cost_error = optimal_cost(replace(ws, edges=coarse), bd.sigma1)
     tolerance = QUAD_ATOL + QUAD_RTOL * abs(integral)
-    assert stopped and start_error > tolerance >= sol.cost_error
+    assert stopped and start_error > tolerance >= cost_error
     fresh, _ = _unit_interval_cost(sys, sol.pi0, bd)
-    assert abs(sol.optimal_cost - fresh) <= 1e-12 * abs(fresh)
+    assert abs(cost - fresh) <= 1e-12 * abs(fresh)
 
 
 def test_cost_quadrature_saturation_raises(monkeypatch):

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from covsteer import transition
-from covsteer._quad import adaptive_gk
+from covsteer._quad import _WG, _WK, _XK, _panels, adaptive_gk
 from covsteer.errors import (
     IntegrationFailureError,
     RiccatiNonexistenceError,
@@ -57,11 +57,35 @@ def test_adaptive_gk_reports_saturation():
     # The panel limit ends a refinement that has not met its tolerance.
     _, err, saturated, _ = adaptive_gk(lambda ts: 1.0 / np.sqrt(ts), 0.0, 1.0, max_panels=5)
     assert saturated and err > 1e-10
+    # A round bisects only up to the limit: after two rounds all 4 panels of
+    # cos(60 t) are above their share, and the third bisects one of them.
+    _, err, saturated, (edges, _, _) = adaptive_gk(lambda ts: np.cos(60.0 * ts), 0.0, 1.0,
+                                                   max_panels=5)
+    assert saturated and err > 1e-10 and len(edges) - 1 == 5
     # At the panel limit with the tolerance met the result is not saturated.
     _, err, saturated, _ = adaptive_gk(lambda ts: ts ** 3, 0.0, 1.0, max_panels=1)
     assert not saturated and err <= 1e-10
     # A NaN estimate never meets the tolerance either.
     assert adaptive_gk(lambda ts: np.full(ts.shape, np.nan), 0.0, 1.0, max_panels=3)[2]
+
+
+def test_panel_sums_match_a_per_panel_reference():
+    # All panels are contracted at once; each panel's Kronrod and Gauss sums
+    # taken on their own agree to rounding.
+    def f(ts):
+        return np.stack([np.exp(ts), ts * np.cos(7.0 * ts)], axis=-1)[:, :, None]
+
+    ends = np.array([[0.0, 0.3], [0.3, 0.35], [0.35, 1.0]])
+    got_ends, kron, err, ts, vals = _panels(f, ends)
+    assert got_ends is ends and kron.shape == (3, 2, 1) and vals.shape == (3, 15, 2, 1)
+    for (a, b), k, e, t, v in zip(ends, kron, err, ts, vals):
+        half = 0.5 * (b - a)
+        assert_allclose(t, 0.5 * (a + b) + half * _XK, rtol=1e-15, atol=0.0)
+        assert np.array_equal(v, f(t))
+        want = half * np.tensordot(_WK, v, axes=(0, 0))
+        gauss = half * np.tensordot(_WG, v[1::2], axes=(0, 0))
+        assert_allclose(k, want, rtol=1e-14, atol=0.0)
+        assert abs(e - np.max(np.abs(want - gauss))) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_blocks_at_equal_times_are_identity():
