@@ -139,8 +139,7 @@ def test_jacobian_reports_quadrature_saturation(monkeypatch):
     assert not inside.saturated
     assert edge.saturated and len(edge.edges) - 1 == 400 and len(edge.nodes) == 15 * 400
     assert len(calls) <= 32
-    times = edge.nodes
-    assert np.all(np.diff(times) > 0.0) and 0.0 < times[0] and times[-1] < 1.0
+    assert np.all(np.diff(edge.nodes) > 0.0) and 0.0 < edge.nodes[0] and edge.nodes[-1] < 1.0
     assert edge.quad_error > 1e3 * inside.quad_error
     # map_f reads the same saturated pass; the unconverged value is refused,
     # not returned.
