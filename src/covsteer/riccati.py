@@ -56,8 +56,6 @@ def solve_closed_form(sys: SystemSpec, s: float, pi_s: np.ndarray,
                       t: float) -> np.ndarray:
     """Pi(t) = (phi21 + phi22 Pi_s)(phi11 + phi12 Pi_s)^-1, symmetrized."""
     pi_s = symmetrize(np.asarray(pi_s, dtype=float))
-    if t == s:
-        return pi_s.copy()
     return closed_form_on_path(TransitionPath(sys, anchor=s, span=(min(s, t), max(s, t))),
                                pi_s, t)
 
@@ -203,6 +201,8 @@ def integrate_general(sys: SystemSpec, pi_0: np.ndarray,
     with the escape time, never an exception, and the grid keeps only the
     times before it.
     """
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     pi_0 = symmetrize(np.asarray(pi_0, dtype=float))
     times = np.linspace(0.0, 1.0, grid_size)
     if sys.has_non_identity_channels():

@@ -32,7 +32,6 @@ QUAD_RTOL = 1e-9  # bounds the work when near-boundary integrands blow up
 NEWTON_TOL = 1e-8
 MAX_PASSES = 30  # jacobian_f passes per solve, accepted or not
 STEP_FRACTION = 0.9  # of the distance to the admissibility boundary a step may cover
-W_ZERO_TIME = 1e-8  # below this s the node weight W_s0 is the zero matrix
 
 
 @dataclass(frozen=True)
@@ -100,12 +99,6 @@ def _require_admissible(pi0: np.ndarray, u10: np.ndarray):
             f"Pi0 is not admissible: lambda_max(Pi0 - upper bound) = {margin:.3e}")
 
 
-def _transported_noise(sys: SystemSpec, g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """P(s) = PhiPi(s,0)^-1 C D C'(s) PhiPi(s,0)^-T for a stack g of PhiPi(s,0)."""
-    ginv = np.linalg.solve(g, np.eye(sys.n))
-    return ginv @ _cdct(sys, s) @ np.swapaxes(ginv, -1, -2)
-
-
 def map_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray) -> np.ndarray:
     """Terminal covariance reached from Sigma0 under the costate anchor Pi0:
     Sigma(1) of propagate_covariance on the jacobian_f pass at Pi0, whose
@@ -145,23 +138,22 @@ def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
     n2 = n * n
 
     def stacked(ss):
+        # One LU of PhiPi(s,0) per node gives PhiPi^-1 and W_s = sym(PhiPi^-1 phi12).
         g, (_, p12, _, _) = _phi_pi(path, pi0, ss)
-        w_s = symmetrize(np.linalg.solve(g, p12))
-        w_s[ss < W_ZERO_TIME] = 0.0
-        p = _transported_noise(sys, g, ss)
-        dw = w10 - w_s
-        # Batched Kronecker products: kron(x, y)[i n + a, j n + b] = x[i, j] y[a, b].
-        jac_part = np.einsum("kij,kab->kiajb", p, dw) + np.einsum("kij,kab->kiajb", dw, p)
-        # No read-out uses W's integral, but its columns take part in the
-        # error estimate and tolerance that set the mesh the Sigma read-out
-        # interpolates P on.
-        return np.concatenate([p.reshape(len(ss), -1), w_s.reshape(len(ss), -1),
-                               jac_part.reshape(len(ss), -1)], axis=1)
+        sol = np.linalg.solve(g, np.concatenate([np.broadcast_to(np.eye(n), g.shape), p12],
+                                                axis=-1))
+        ginv, dw = sol[..., :n], w10 - symmetrize(sol[..., n:])
+        p = ginv @ _cdct(sys, ss) @ np.swapaxes(ginv, -1, -2)
+        # Batched Kronecker products: kron(x, y)[i n + a, j n + b] = x[i, j] y[a, b],
+        # so kron(dw, p) is kron(p, dw) with both index pairs swapped.
+        half = np.einsum("kij,kab->kiajb", p, dw)
+        jac_part = half + half.transpose(0, 2, 1, 4, 3)
+        return np.concatenate([p.reshape(len(ss), -1), jac_part.reshape(len(ss), -1)], axis=1)
 
     integral, quad_err, saturated, (edges, node_ts, node_vals) = adaptive_gk(
         stacked, 0.0, 1.0, atol=QUAD_ATOL, rtol=QUAD_RTOL, max_panels=400, edges=edges)
     p_int = integral[:n2].reshape(n, n)
-    jac_int = integral[2 * n2:].reshape(n2, n2)
+    jac_int = integral[n2:].reshape(n2, n2)
 
     s_mat = np.kron(sigma0, w10) + np.kron(w10, sigma0) + jac_int
     jac = np.kron(phi10, phi10) @ s_mat
@@ -196,9 +188,8 @@ def _closed_form_pi0(path: TransitionPath, bd: BoundaryData) -> np.ndarray:
     """special_case_pi0's expression on path, channels unchecked: Newton's
     warm start whatever the channels."""
     n = len(bd.sigma0)
-    p11, p12, _, _ = path.raw_blocks(1.0)
-    u10 = _moving_bound(p11, p12, what="phi12(1,0)")[0]
-    phi12_inv = np.linalg.solve(p12, np.eye(n))
+    u10 = _upper_bound_10(path)  # first: it refuses a singular phi12(1,0) by name
+    phi12_inv = np.linalg.solve(path.raw_blocks(1.0)[1], np.eye(n))
     s0_isqrt = spd_sqrt(bd.sigma0, inverse=True)
     s0_sqrt = spd_sqrt(bd.sigma0)
     inner = 0.25 * np.eye(n) + s0_sqrt @ phi12_inv @ bd.sigma1 @ phi12_inv.T @ s0_sqrt
@@ -217,19 +208,20 @@ def _boundary_step_cap(pi, delta, u10):
     return STEP_FRACTION / lam if lam > 0.0 else 1.0
 
 
-def _newton(sys, path, sigma0, target, pi_init, tol, basis):
-    """Damped Newton on the symmetric subspace; returns (ws, residual, trace).
+def _newton(ws, target, tol):
+    """Damped Newton on the symmetric subspace from the pass ws; returns
+    (ws, residual, trace).
 
-    Every point tried gets one jacobian_f pass, started from the current
-    point's pass.  The step is first capped at STEP_FRACTION of the distance
-    to the admissibility boundary along the Newton direction, then halved
-    until the candidate's pass succeeds with a smaller residual; the
-    accepted pass is the next iteration's workspace.
-    ws is the converged pass, whose pi0 is the solution, or None once
-    MAX_PASSES passes, accepted or not, are spent.
+    Every point tried gets one jacobian_f pass on ws's system, Sigma0 and
+    path, started from the current point's pass.  The step is first capped
+    at STEP_FRACTION of the distance to the admissibility boundary along the
+    Newton direction, then halved until the candidate's pass succeeds with a
+    smaller residual; the accepted pass is the next iteration's workspace.
+    The returned ws is the converged pass, whose pi0 is the solution, or
+    None once MAX_PASSES passes, accepted or not, ws included, are spent.
     """
+    basis = _symmetric_basis(ws.sys.n)
     target_norm = np.linalg.norm(target)
-    ws = jacobian_f(sys, sigma0, pi_init, path=path)
     passes = 1
     trace = []
     for it in itertools.count():
@@ -249,7 +241,7 @@ def _newton(sys, path, sigma0, target, pi_init, tol, basis):
             passes += 1
             cand = symmetrize(ws.pi0 + alpha * delta)
             try:
-                cand_ws = jacobian_f(sys, sigma0, cand, path=path, start=ws)
+                cand_ws = jacobian_f(ws.sys, ws.sigma0, cand, start=ws)
             except (RiccatiNonexistenceError, np.linalg.LinAlgError):
                 pass  # rejected like a candidate whose residual does not fall
             else:
@@ -277,8 +269,8 @@ def solve_boundary(sys: SystemSpec, bd: BoundaryData,
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
-    ws, rel, trace = _newton(sys, path, bd.sigma0, bd.sigma1, _closed_form_pi0(path, bd), tol,
-                             _symmetric_basis(sys.n))
+    start = jacobian_f(sys, bd.sigma0, _closed_form_pi0(path, bd), path=path)
+    ws, rel, trace = _newton(start, bd.sigma1, tol)
     if ws is None:
         raise NoConvergenceError(
             f"Newton failed to reach relative residual {tol:.1e} (best {rel:.3e})",

@@ -371,6 +371,69 @@ def test_negative_component_rate_is_config_error(tmp_path, example_raw, capsys, 
     assert list(out.iterdir()) == []
 
 
+def _mutated(raw, changes):
+    """raw with each (key path: value) of changes set, or deleted for None."""
+    for keys, value in changes.items():
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        if value is None:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+    return raw
+
+
+@pytest.mark.parametrize("command,changes,code,message", [
+    ("solve", {("system", "A", 0, 0): ["x"]}, EXIT_CONFIG,
+     "config error: bad matrix polynomial for A: could not convert string to float: 'x'"),
+    ("solve", {("system",): None}, EXIT_CONFIG,
+     "config error: missing or malformed system block: 'system'"),
+    ("solve", {("noise",): None}, EXIT_CONFIG,
+     "config error: system needs D and nu, or a noise block to derive them"),
+    ("solve", {("system", "Q"): None}, EXIT_CONFIG, "config error: bad system block: 'Q'"),
+    ("solve", {("system", "A"): [[[1.0]]]}, EXIT_CONFIG,
+     "config error: bad system block: A declared 2x2 but given 1x1"),
+    ("solve", {("boundary",): None}, EXIT_CONFIG,
+     "config error: this command needs a boundary block"),
+    ("construct", {("boundary",): None}, EXIT_CONFIG,
+     "config error: construct needs a boundary block"),
+    ("simulate", {("noise",): None, ("system", "D"): [[[1.0]]], ("system", "nu"): [[[0.5]]]},
+     EXIT_CONFIG, "config error: simulate needs a noise block"),
+    ("simulate", {("boundary",): None}, EXIT_CONFIG,
+     "config error: this command needs a boundary block"),
+    ("solve", {("noise", "multiplicative", 0, "kind"): "levy"}, EXIT_CONFIG,
+     "config error: bad noise model: unknown noise kind 'levy'"),
+    ("solve", {("noise", "additive", 0, "jump_std"): -0.5}, EXIT_CONFIG,
+     "config error: bad noise model: jump standard deviation must be nonnegative"),
+    ("solve", {("noise", "additive", 0, "channel"): None}, EXIT_CONFIG,
+     "config error: bad noise model: additive components need a channel index"),
+    ("solve", {("noise", "additive", 0, "channel"): 3}, EXIT_CONFIG,
+     "config error: bad noise model: channel 3 outside 0..0"),
+    ("solve", {("system", "R"): [[[-1.0]]]}, EXIT_PRECONDITION,
+     "precondition violation: R not positive definite at t=0.000"),
+    ("construct", {("system", "A", 0, 0): [-2.0, 1.0]}, EXIT_PRECONDITION,
+     "precondition violation: construct requires a constant (A, B) pair"),
+], ids=["A-entry", "no-system", "no-intensities", "no-Q", "A-shape", "solve-no-boundary",
+        "construct-no-boundary", "simulate-no-noise", "simulate-no-boundary", "levy",
+        "jump-std", "no-channel", "channel-3", "R-negative", "construct-time-varying-A"])
+def test_cli_failures_exit_with_their_code_and_write_nothing(tmp_path, example_raw, capsys,
+                                                             command, changes, code, message):
+    example_raw["options"]["paths"] = 100
+    out = tmp_path / "o"
+    rc = main([command, "--config", write_cfg(tmp_path, _mutated(example_raw, changes)),
+               "--out", str(out)])
+    assert rc == code
+    assert capsys.readouterr().out.startswith(message)
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_unknown_command_is_config_error(tmp_path):
+    # main's argument parser refuses it first; run refuses it on its own.
+    with pytest.raises(ConfigError, match="unknown command 'bogus'"):
+        cli.run("bogus", parse_config(example_config_path()), str(tmp_path / "o"))
+
+
 @pytest.mark.parametrize("grid", ["1", "0"])
 def test_construct_grid_below_two_is_config_error(tmp_path, capsys, grid):
     rc = main(["construct", "--config", example_config_path(), "--out", str(tmp_path / "o"),

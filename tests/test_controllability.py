@@ -24,6 +24,7 @@ from covsteer.errors import (
     PreconditionError,
 )
 from covsteer.matfun import BoundaryData, MatrixPoly
+from covsteer.sde_sim import NoiseComponent, NoiseModel, SimulationConfig
 
 from helpers import const, make_system, random_spd, s1, example_system, uncontrollable_pair
 
@@ -133,6 +134,42 @@ def test_canonical_transform_scalar():
 def test_canonical_transform_rejects_uncontrollable():
     with pytest.raises(NotControllableError):
         canonical_transform(np.eye(2), np.zeros((2, 1)))
+
+
+def test_canonical_transform_takes_a_single_input_column():
+    a = np.array([[-2.0, 1.0], [0.0, 0.0]])
+    b = np.array([[0.0], [1.0]])
+    for got, want in zip(canonical_transform(a, b[:, 0]), canonical_transform(a, b)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: theta_matrices(example_system(), 0.0, max_index=4), ValueError,
+     r"max_index must lie in 1\.\.n\+1"),
+    (lambda: ScalarSteeringProblem(f=lambda t: 1.0, gamma=1.0, alpha=(0.0, 0.0), beta=(1.0,),
+                                   rho=lambda t: -1.0), ValueError,
+     "alpha and beta must list the same orders"),
+    (lambda: construct_feasible_steering(
+        np.eye(4, k=1), np.eye(4)[:, -1:], BoundaryData(sigma0=np.eye(4), sigma1=np.eye(4)),
+        const(np.eye(4)), const([[0.0]])), PreconditionError, "limited to n <= 3"),
+    (lambda: construct_feasible_steering(
+        *canonical_chain_pair(2), BoundaryData(sigma0=np.eye(3), sigma1=np.eye(3)),
+        const(np.eye(2)), const([[0.0]])), PreconditionError, "boundary data dimension"),
+    (lambda: construct_feasible_steering(
+        *canonical_chain_pair(2), BoundaryData(sigma0=np.eye(2), sigma1=np.eye(2)),
+        const(np.eye(3)), const([[0.0]])), PreconditionError, "M must be n x n"),
+    (lambda: NoiseComponent(kind="wiener", rate=const(np.eye(2))), ValueError,
+     "component rate must be a scalar polynomial"),
+    (lambda: NoiseModel(additive=(), multiplicative=(
+        NoiseComponent(kind="wiener", rate=const([[1.0]]), channel=0),)), ValueError,
+     "multiplicative components carry no channel"),
+    (lambda: SimulationConfig(num_paths=0, sigma0=np.eye(2)), ValueError,
+     "num_paths must be at least 1"),
+], ids=["theta-max-index", "alpha-beta-lengths", "construct-n4", "construct-boundary",
+        "construct-M", "component-rate-shape", "multiplicative-channel", "no-paths"])
+def test_library_inputs_are_refused_with_their_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_canonical_image_is_uniformly_controllable():

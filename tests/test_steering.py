@@ -30,7 +30,7 @@ from covsteer.steering import (
     solve_boundary,
     special_case_pi0,
 )
-from covsteer.riccati import closed_form_on_path
+from covsteer.riccati import closed_form_on_path, integrate_general
 from covsteer.transition import TransitionPath, _phi_pi, transition_blocks
 
 from helpers import (
@@ -250,6 +250,28 @@ def test_newton_passes_start_from_the_accepted_panels(monkeypatch):
     assert calls[0] > 2 and max(calls[1:]) <= 2
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_pass_integrates_only_p_and_the_jacobian_part(monkeypatch, n):
+    # n^2 columns of P and n^4 of the Kronecker part: every column takes part
+    # in the error estimate that sets the mesh, so none goes unread.
+    widths = []
+    real = steering.adaptive_gk
+
+    def recorded(f, *args, **kwargs):
+        def integrand(ts):
+            values = f(ts)
+            widths.append(values.shape[1:])
+            return values
+
+        return real(integrand, *args, **kwargs)
+
+    monkeypatch.setattr(steering, "adaptive_gk", recorded)
+    rng = np.random.default_rng(n)
+    sys = random_controllable_system(rng, n)
+    jacobian_f(sys, random_spd(rng, n), random_admissible_pi0(rng, sys))
+    assert widths and set(widths) == {(n * n + n ** 4,)}
+
+
 def test_jacobian_commutes_with_transpose_swap():
     rng = np.random.default_rng(61)
     sys = random_controllable_system(rng, 2)
@@ -313,8 +335,8 @@ def test_newton_reads_each_point_from_one_jacobian_pass(monkeypatch):
     points = _count_jacobian_passes(monkeypatch)
     map_calls = []
     monkeypatch.setattr(steering, "map_f", lambda *args, **kwargs: map_calls.append(args))
-    ws, rel, trace = steering._newton(sys, path, np.eye(2), WORKED_TARGET.sigma1, pi_init,
-                                      NEWTON_TOL, steering._symmetric_basis(2))
+    ws, rel, trace = steering._newton(steering.jacobian_f(sys, np.eye(2), pi_init, path=path),
+                                      WORKED_TARGET.sigma1, NEWTON_TOL)
     assert ws is not None and rel <= NEWTON_TOL and not map_calls
     # The start, then every candidate once: accepted ones are the iterates.
     assert np.array_equal(points[0], pi_init) and np.array_equal(points[-1], ws.pi0)
@@ -621,6 +643,9 @@ def test_grid_below_two_points_is_rejected(contracting_case):
             propagate_covariance(ws, grid_size=grid_size)
         with pytest.raises(ValueError, match="grid_size"):
             solve_boundary(sys, BoundaryData(sigma0=sigma0, sigma1=sigma0), grid_size=grid_size)
+        # integrate_general answered exists=True on an empty or one-point grid.
+        with pytest.raises(ValueError, match="grid_size must be at least 2"):
+            integrate_general(example_system(), -np.eye(2), grid_size=grid_size)
 
 
 def test_feedback_gain_schedule():
