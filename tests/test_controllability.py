@@ -5,6 +5,7 @@ from numpy.polynomial import polynomial as P
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
+from covsteer import controllability
 from covsteer.controllability import (
     ExpIntegralWeight,
     ScalarSteeringProblem,
@@ -298,6 +299,32 @@ def test_scalar_steering_large_integral_converges(gamma, weight):
     assert u.verification["integral_residual"] <= 1e-9 * gamma
     assert abs(u.value(0.0) - gamma) <= 1e-12 * gamma
     assert abs(u.value(1.0) - gamma) <= 1e-12 * gamma
+
+
+def test_scalar_steering_checks_its_running_integral(monkeypatch):
+    # Both weighted integrals read 1e-6 high, so c0 = (1 - 1e-6) / (1/6 + 1e-6)
+    # and the running integral ends at (1 - 1e-6) / (1 + 6e-6), 7e-6 short.
+    gk = controllability.adaptive_gk
+
+    def high(*args, **kwargs):
+        integral, *rest = gk(*args, **kwargs)
+        return (integral + 1e-6, *rest)
+
+    monkeypatch.setattr(controllability, "adaptive_gk", high)
+    with pytest.raises(IntegrationFailureError,
+                       match=r"running integral misses its target by 7\.000e-06"):
+        scalar_steering_u(ScalarSteeringProblem(
+            f=lambda t: 1.0, gamma=1.0, alpha=(0.0,), beta=(0.0,), rho=lambda t: -1.0))
+
+
+def test_construct_checks_its_endpoints(monkeypatch):
+    canonical = controllability._canonical
+    monkeypatch.setattr(controllability, "_canonical", lambda *args: canonical(*args) + 1e-3)
+    bd = BoundaryData(sigma0=[[1.0]], sigma1=[[1.0]])
+    with pytest.raises(IntegrationFailureError, match=r"constructed trajectory misses the "
+                       r"endpoints \(1\.000e-03, 1\.000e-03\)"):
+        construct_feasible_steering(np.array([[0.0]]), np.array([[1.0]]), bd,
+                                    const([[1.0]]), const([[0.0]]))
 
 
 def test_scalar_steering_hypothesis_check():

@@ -20,14 +20,14 @@ from helpers import const, make_system, example_system
 
 def test_evaluate_constant():
     f = const([[1.0]])
-    assert_allclose(f.eval(0.7, 0), [[1.0]])
+    assert_allclose(f.derivative(0).eval(0.7), [[1.0]])
 
 
 def test_evaluate_affine_derivative():
     f = MatrixPoly.from_entries([[[3.0, 1.0]]])  # 3 + t
-    assert_allclose(f.eval(0.5, 1), [[1.0]])
-    assert_allclose(f.eval(0.2, 0), [[3.2]])
-    assert_allclose(f.eval(0.9, 2), [[0.0]])
+    assert_allclose(f.derivative(1).eval(0.5), [[1.0]])
+    assert_allclose(f.derivative(0).eval(0.2), [[3.2]])
+    assert_allclose(f.derivative(2).eval(0.9), [[0.0]])
 
 
 def test_evaluate_matches_finite_differences():
@@ -38,7 +38,7 @@ def test_evaluate_matches_finite_differences():
         f = MatrixPoly.from_entries([[coeffs]])
         t = rng.uniform(0.1, 0.9)
         fd = (f.eval(t + h)[0, 0] - f.eval(t - h)[0, 0]) / (2.0 * h)
-        exact = f.eval(t, 1)[0, 0]
+        exact = f.derivative(1).eval(t)[0, 0]
         assert abs(fd - exact) <= 1e-8 * max(1.0, abs(exact))
 
 
@@ -104,7 +104,6 @@ def _with_channel(e, nu):
     (lambda: MatrixPoly(2, 1, (((1.0,),),)), DimensionError, "coefficient table is not 2x1"),
     (lambda: MatrixPoly.from_entries([[[]]]), ValueError, "at least one coefficient"),
     (lambda: const([[np.inf]]), ValueError, "coefficients must be finite"),
-    (lambda: const([[1.0]]).eval(0.0, order=-1), ValueError, "order must be nonnegative"),
     (lambda: const(np.eye(2)) + const(np.eye(3)), DimensionError, "matrix shapes differ"),
     (lambda: const(np.ones((2, 3))) @ const(np.eye(2)), DimensionError,
      "inner dimensions differ"),
@@ -117,7 +116,7 @@ def _with_channel(e, nu):
      "sigma0 must be square"),
     (lambda: BoundaryData(sigma0=np.eye(2), sigma1=[[1.0, 0.5], [0.0, 1.0]]), ValueError,
      "sigma1 is not symmetric"),
-], ids=["dimensions", "table", "empty_entry", "finite", "order", "sum", "product", "vec",
+], ids=["dimensions", "table", "empty_entry", "finite", "sum", "product", "vec",
         "unvec", "spd_sqrt", "channel_e", "channel_nu", "square", "symmetric"])
 def test_malformed_input_is_refused(call, error, message):
     with pytest.raises(error, match=message):
@@ -160,10 +159,11 @@ def _abs_poly(table):
 def test_matrix_poly_stacked_eval_is_per_time_eval(tables, ts, order):
     f = MatrixPoly.from_entries(tables[0])
     assert not f.coef.flags.writeable
-    stack = f.eval(np.array(ts)[:, None, None], order)
+    d = f.derivative(order)
+    stack = d.eval(np.array(ts)[:, None, None])
     assert stack.shape == (len(ts), f.rows, f.cols)
     for k, t in enumerate(ts):
-        assert stack[k].tobytes() == f.eval(t, order).tobytes()
+        assert stack[k].tobytes() == d.eval(t).tobytes()
 
 
 def _underflow(products, t, deg):

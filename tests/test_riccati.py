@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from covsteer.errors import RiccatiNonexistenceError, SingularTransitionError
+from covsteer import riccati
 from covsteer.matfun import MatrixPoly, symmetrize
 from covsteer.transition import COND_LIMIT, TransitionPath, pi_bounds
 from covsteer.riccati import (
@@ -164,13 +165,8 @@ def test_bound_sandwich_on_solution_grid():
     pi0 = random_admissible_pi0(rng, sys)
     sol = integrate_general(sys, pi0, grid_size=21)
     assert sol.exists
-    assert sol.bounds is not None
     want = pi_bounds(sys, np.array([t for t, _ in sol.grid]))
-    for got_pair, want_pair in zip(sol.bounds, want, strict=True):
-        for got, bound in zip(got_pair, want_pair):
-            assert got.kind == bound.kind
-            assert not got.is_finite or np.array_equal(got.matrix, bound.matrix)
-    for (t, pi), (lower, upper) in zip(sol.grid, sol.bounds):
+    for (t, pi), (lower, upper) in zip(sol.grid, want, strict=True):
         assert np.max(np.abs(pi - pi.T)) <= 1e-10
         if upper.is_finite:
             assert np.min(np.linalg.eigvalsh(upper.matrix - pi)) > -1e-9
@@ -185,10 +181,11 @@ def test_integrate_general_keeps_well_conditioned_bounds():
     # COND_LIMIT are None.
     sys = chain_system()
     sol = integrate_general(sys, np.zeros((3, 3)), grid_size=1001)
-    assert sol.exists and sol.bounds is not None
+    assert sol.exists
     times = np.array([t for t, _ in sol.grid])
-    lower_none = [t for t, (lower, _) in zip(times, sol.bounds) if lower is None]
-    upper_none = [t for t, (_, upper) in zip(times, sol.bounds) if upper is None]
+    bounds = pi_bounds(sys, times)
+    lower_none = [t for t, (lower, _) in zip(times, bounds) if lower is None]
+    upper_none = [t for t, (_, upper) in zip(times, bounds) if upper is None]
     for got, end in ((lower_none, 0.0), (upper_none, 1.0)):
         want = [t for t in times if t != end
                 and np.linalg.cond(expm_blocks(sys, end, t)[1]) > COND_LIMIT]
@@ -196,7 +193,7 @@ def test_integrate_general_keeps_well_conditioned_bounds():
     kept = [k for k, t in enumerate(times) if 0.01 <= t <= 0.9]
     want = pi_bounds(sys, times[kept])
     for k, want_pair in zip(kept, want, strict=True):
-        for got, bound in zip(sol.bounds[k], want_pair):
+        for got, bound in zip(bounds[k], want_pair):
             assert np.array_equal(got.matrix, bound.matrix)
 
 
@@ -218,6 +215,18 @@ def _square_riccati(e):
                        channels=((const([[e]]), const([[0.0]])),))
 
 
+def _rk45_calls(monkeypatch):
+    """The list that records each call integrate_general makes to its RK45 route."""
+    calls, rk45 = [], riccati._integrate_rk45
+
+    def recorded(*args):
+        calls.append(args)
+        return rk45(*args)
+
+    monkeypatch.setattr(riccati, "_integrate_rk45", recorded)
+    return calls
+
+
 def _assert_grid_before_escape(sol):
     assert not sol.exists
     assert sol.escape_time is not None
@@ -226,10 +235,11 @@ def _assert_grid_before_escape(sol):
 
 
 @pytest.mark.parametrize("e", [1.0, 2.0])
-def test_integrate_general_blowup_matches_maximal_interval(e):
+def test_integrate_general_blowup_matches_maximal_interval(e, monkeypatch):
     sys = _square_riccati(e)
+    calls = _rk45_calls(monkeypatch)
     sol = integrate_general(sys, [[2.0]], grid_size=101)
-    assert (sol.bounds is None) == (e != 1.0)
+    assert len(calls) == (e != 1.0)
     _assert_grid_before_escape(sol)
     assert abs(sol.escape_time - 0.5) <= 1e-4
     if e != 1.0:
@@ -238,7 +248,7 @@ def test_integrate_general_blowup_matches_maximal_interval(e):
 
 
 @pytest.mark.parametrize("inputs", [1, 2])
-def test_integrate_general_blowup_on_an_uncontrollable_pair(inputs):
+def test_integrate_general_blowup_on_an_uncontrollable_pair(inputs, monkeypatch):
     # A = 0, B = the first `inputs` unit vectors of R^3, Q = 0: phi12(t, 0) is
     # singular at every t, so no moving bound exists.  From Pi0 = diag(2, .., 0)
     # the controlled diagonal entries are 2 / (1 - 2t), escaping together at
@@ -250,10 +260,12 @@ def test_integrate_general_blowup_on_an_uncontrollable_pair(inputs):
                       [[0.0]], np.zeros((n, n)), np.eye(inputs),
                       channels=((const(np.eye(n)), const([[0.0]])),))
     pi0 = np.diag([2.0] * inputs + [0.0] * (n - inputs))
+    calls = _rk45_calls(monkeypatch)
     sol = integrate_general(sys, pi0, grid_size=100)
+    assert len(calls) == 1
     _assert_grid_before_escape(sol)
     assert abs(sol.escape_time - 0.5) <= 1e-4
-    assert sol.bounds is not None and len(sol.bounds) == len(sol.grid) == 50
+    assert len(sol.grid) == 50
     for t, pi in sol.grid:
         assert_allclose(pi, np.diag([2.0 / (1.0 - 2.0 * t)] * inputs + [0.0] * (n - inputs)),
                         rtol=1e-7, atol=1e-12)
@@ -312,11 +324,12 @@ def test_closed_form_vs_oracle_many_instances():
     assert worst <= 1e-7
 
 
-def test_integrate_general_grid_vs_oracle():
+def test_integrate_general_grid_vs_oracle(monkeypatch):
     # The closed-form grid against RK45 on the Riccati ODE, chained over the
     # grid from the oracle's own values.  Every other instance carries its
     # state-dependent rate as an E = I channel, which the oracle sees as nu.
     rng = np.random.default_rng(211)
+    calls = _rk45_calls(monkeypatch)
     worst = 0.0
     for k in range(6):
         n = k % 3 + 1
@@ -329,10 +342,11 @@ def test_integrate_general_grid_vs_oracle():
             oracle_sys = sys
         pi0 = random_admissible_pi0(rng, oracle_sys)
         sol = integrate_general(sys, pi0, grid_size=21)
-        assert sol.exists and sol.bounds is not None and len(sol.grid) == 21
+        assert sol.exists and len(sol.grid) == 21
         prev, want = 0.0, pi0
         for t, pi in sol.grid[1:]:
             want = integrate_riccati_oracle(oracle_sys, prev, want, t)
             prev = t
             worst = max(worst, float(np.max(np.abs(pi - want))))
     assert worst <= 1e-7
+    assert calls == []

@@ -70,6 +70,27 @@ def test_derive_intensities_multiplicative_wiener():
     assert_allclose(nu.eval(0.7), [[0.5]])
 
 
+@pytest.mark.parametrize("kind", ["compound_poisson", "wiener"])
+def test_component_rate_negative_between_grid_times_is_refused(kind):
+    # (t - 0.005)(t - 0.0095) is negative only on (0.005, 0.0095), between
+    # the grid times 0 and 0.01; (t - 0.5)^2 only touches zero.
+    def model(coeffs):
+        return NoiseModel(additive=(NoiseComponent(
+            kind, MatrixPoly.from_entries([[coeffs]]), channel=0, jump_std=0.1),),
+            multiplicative=())
+
+    with pytest.raises(ValueError, match=rf"^{kind} component rate negative at t=0\.007$"):
+        derive_intensities(model([4.75e-5, -0.0145, 1.0]))
+    d, _ = derive_intensities(model([0.25, -1.0, 1.0]))
+    assert d.eval(0.5)[0, 0] == 0.0
+
+
+def test_dominating_intensity_refuses_a_negative_rate():
+    # derive_intensities refuses such a rate first; _Dominating keeps its own check.
+    with pytest.raises(ValueError, match="arrival rate is negative on the step grid"):
+        sde_sim._Dominating(np.array([-1.0]), np.linspace(0.0, 1.0, 11))
+
+
 def test_noiseless_reduction_matches_matrix_exponential():
     # First-order drift stepping: the terminal defect is ~ |A|^2 dt / 2,
     # within 1e-6 at dt = 1e-4 for this mild system.
