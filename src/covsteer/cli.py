@@ -183,10 +183,6 @@ def parse_config(path: str) -> RunConfig:
 # File emission
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _atomic_write(path: str, text: str):
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
@@ -205,9 +201,9 @@ def write_json(path: str, payload: dict):
 
 
 def write_csv(path: str, header: list, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    fmt = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)] + [fmt % tuple(row.tolist())
+                                  for row in np.asarray(rows, dtype=float)]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -88,7 +88,9 @@ def classify(sys: SystemSpec, grid_size: int = 101,
 
     Total controllability is certified by refined probing of each grid
     subinterval, a numerical surrogate for the existential definition; the
-    probe density is recorded in the report.
+    probe density is recorded in the report.  A subinterval is certified by
+    its first probe, in time order, at which Theta_n has rank n, so later
+    probes are evaluated only on the subintervals not yet certified.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
@@ -102,12 +104,16 @@ def classify(sys: SystemSpec, grid_size: int = 101,
     index_invariant = bool(np.all(ranks == ranks[0]) and ranks[0, n - 1] == ranks[0, n])
 
     probes = np.linspace(times[:-1], times[1:], probes_per_subinterval + 2, axis=1)[:, 1:-1]
-    probe_ranks = _rank(theta_matrices(sys, probes, n)[-1])
-    total = bool(np.all(np.any(probe_ranks == n, axis=1)))
+    pending = np.arange(grid_size - 1)  # subintervals without a full-rank probe yet
+    for column in probes.T:
+        certified = _rank(theta_matrices(sys, column[pending], n)[-1]) == n
+        pending = pending[~certified]
+        if not pending.size:
+            break
 
     return ControllabilityReport(
         grid_times=tuple(times.tolist()), theta_ranks=tuple(map(tuple, ranks.tolist())),
-        totally_controllable=total, uniformly_controllable=bool(np.all(full)),
+        totally_controllable=not pending.size, uniformly_controllable=bool(np.all(full)),
         index_invariant=index_invariant, witnesses=tuple(times[full].tolist()),
         probes_per_subinterval=probes_per_subinterval)
 

@@ -277,11 +277,13 @@ def solve_boundary(sys: SystemSpec, bd: BoundaryData,
             best_residual=rel, trace=trace)
 
     times = np.linspace(0.0, 1.0, grid_size)
-    pi_grid = tuple(zip(times.tolist(), closed_form_on_path(path, ws.pi0, times)))
+    pis = closed_form_on_path(path, ws.pi0, times)
     sigma, sigma_error = propagate_covariance(ws, grid_size)
     cost, cost_error = optimal_cost(ws, bd.sigma1)
+    ts = times.tolist()
     return SteeringSolution(
-        pi0=ws.pi0, pi_grid=pi_grid, gain_grid=tuple(feedback_gain(sys, pi_grid)),
+        pi0=ws.pi0, pi_grid=tuple(zip(ts, pis)),
+        gain_grid=tuple(zip(ts, feedback_gain(sys, times, pis))),
         sigma_grid=tuple(sigma), optimal_cost=cost, newton_trace=tuple(trace),
         residual=rel, sigma_error=sigma_error, cost_error=cost_error,
         accepted_panels=len(ws.edges) - 1)
@@ -315,14 +317,11 @@ def propagate_covariance(ws: JacobianWorkspace, grid_size: int = 1001) -> tuple:
     return list(zip(times.tolist(), symmetrize(g @ acc @ np.swapaxes(g, -1, -2)))), tail
 
 
-def feedback_gain(sys: SystemSpec, pi_grid) -> list:
-    """Gain schedule K(t) = -R(t)^-1 B(t)' Pi(t) along a costate grid."""
-    ts = [t for t, _ in pi_grid]
-    tt = np.asarray(ts, dtype=float)[:, None, None]
-    b = sys.B.eval(tt)
-    gains = -np.linalg.solve(sys.R.eval(tt),
-                             np.swapaxes(b, -1, -2) @ np.stack([pi for _, pi in pi_grid]))
-    return list(zip(ts, gains))
+def feedback_gain(sys: SystemSpec, times, pi) -> np.ndarray:
+    """Gain schedule K(t) = -R(t)^-1 B(t)' Pi(t): the (k, p, n) stack of K at
+    k times from the (k, n, n) stack of Pi there."""
+    tt = np.asarray(times, dtype=float)[:, None, None]
+    return -np.linalg.solve(sys.R.eval(tt), np.swapaxes(sys.B.eval(tt), -1, -2) @ pi)
 
 
 def optimal_cost(ws: JacobianWorkspace, sigma1: np.ndarray) -> tuple:

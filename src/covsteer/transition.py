@@ -117,7 +117,13 @@ class TransitionPath:
     spectral solve, chained by Phi(t, anchor) = Phi(t, t_k) Phi(t_k, anchor).
     degree and tail are the largest accepted degree and tail ratio, and
     symplectic_drift the largest ||Phi'J Phi - J||_F / max(1, ||Phi||_F^2) at
-    the nodes.  Immutable after construction, so safe to share across threads.
+    the nodes.  The series is fixed at construction.  Reads are memoised,
+    bit for bit: a single time at a span end is evaluated on its first read
+    and kept, and the last array of times read is kept with its stack, so a
+    repeated read of the same array is not evaluated again.  Each memo entry
+    is set in one assignment and every read returns a fresh copy, so no
+    caller can change a later read, and a path is safe to share across
+    threads.
     """
 
     def __init__(self, sys: SystemSpec, anchor: float = 0.0, span: tuple = (0.0, 1.0)):
@@ -145,11 +151,26 @@ class TransitionPath:
                 self._panels.append((a, b, coef))
                 phi0 = vals[-1]
         self.degree, self.tail, self.symplectic_drift = map(max, zip(*stats))
+        self._ends = dict.fromkeys(float(e) for e in span)  # span end -> Phi there, once read
+        self._last = None  # (times, stack) of the last array read
 
     def phi(self, t) -> np.ndarray:
         """Phi_M(t, anchor); an array of k times gives a (k, dim, dim) stack."""
         ts = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(ts)
+        if ts.ndim == 0:
+            key = float(ts)
+            if key not in self._ends:
+                return self._eval(ts[None])[0]
+            if self._ends[key] is None:
+                self._ends[key] = self._eval(ts[None])[0]
+            return self._ends[key].copy()
+        last = self._last
+        if last is None or not np.array_equal(last[0], ts):
+            last = self._last = ts.copy(), self._eval(ts)
+        return last[1].copy()
+
+    def _eval(self, flat) -> np.ndarray:
+        """The (k, dim, dim) stack of Phi_M(t, anchor) at a 1-D array of times."""
         out = np.empty((flat.size, self.dim, self.dim))
         done = flat == self.anchor
         out[done] = np.eye(self.dim)
@@ -165,7 +186,7 @@ class TransitionPath:
             done[sel] = True
         if not done.all():
             raise ValueError(f"t={flat[~done][0]} outside the integrated span")
-        return out if ts.ndim else out[0]
+        return out
 
     def raw_blocks(self, t) -> tuple:
         """(phi11, phi12, phi21, phi22) as a tuple; stacks for an array of times."""

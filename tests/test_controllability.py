@@ -11,6 +11,7 @@ from covsteer.controllability import (
     ScalarSteeringProblem,
     _At,
     _layer_entries,
+    _rank,
     canonical_chain_pair,
     canonical_transform,
     classify,
@@ -27,7 +28,15 @@ from covsteer.errors import (
 from covsteer.matfun import BoundaryData, MatrixPoly
 from covsteer.sde_sim import NoiseComponent, NoiseModel, SimulationConfig
 
-from helpers import const, make_system, random_spd, s1, example_system, uncontrollable_pair
+from helpers import (
+    const,
+    example_system,
+    make_system,
+    random_controllable_system,
+    random_spd,
+    s1,
+    uncontrollable_pair,
+)
 
 
 def zero_input_system(n=2):
@@ -91,6 +100,68 @@ def test_classify_time_varying_input_uniform():
                       MatrixPoly.from_entries([[[0.0, 1.0]], [[1.0]]]),
                       [[1.0], [0.0]], [[1.0]], [[0.0]], np.zeros((2, 2)), [[1.0]])
     assert classify(sys).uniformly_controllable
+
+
+PROBE_GRIDS = [(101, 10), (11, 3), (3, 2)]
+
+
+def _probe_times(grid_size, probes):
+    times = np.linspace(0.0, 1.0, grid_size)
+    return np.linspace(times[:-1], times[1:], probes + 2, axis=1)[:, 1:-1]
+
+
+def _check_lazy_probing(sys, grid_size, probes):
+    """classify's verdict against every probe rank, evaluated here; returns it.
+
+    The report must equal exhaustive probing, and classify must take the rank
+    of each subinterval's probes in time order up to its first full rank.
+    """
+    n = sys.n
+    full = _rank(theta_matrices(sys, _probe_times(grid_size, probes), n)[-1]) == n
+    taken = []
+
+    def counted(mat, rtol=controllability.RANK_RTOL):
+        taken.append(int(np.prod(mat.shape[:-2])))
+        return _rank(mat, rtol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(controllability, "_rank", counted)
+        report = classify(sys, grid_size=grid_size, probes_per_subinterval=probes)
+    assert report.totally_controllable == bool(np.all(np.any(full, axis=1)))
+    read = np.where(full.any(axis=1), full.argmax(axis=1) + 1, probes)
+    assert sum(taken) == grid_size * (n + 1) + read.sum()
+    return report.totally_controllable
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 3), grid=st.sampled_from(PROBE_GRIDS))
+def test_lazy_probing_matches_exhaustive_on_random_systems(seed, n, grid):
+    _check_lazy_probing(random_controllable_system(np.random.default_rng(seed), n), *grid)
+
+
+def _chain_with_input(entries):
+    """The 2-state chain x1' = x2 with input column [0; b(t)], b from ascending coefficients."""
+    return make_system(2, 1, 1, [[0.0, 1.0], [0.0, 0.0]],
+                       MatrixPoly.from_entries([[[0.0]], [list(entries)]]),
+                       [[1.0], [0.0]], [[1.0]], [[0.0]], np.zeros((2, 2)), [[1.0]])
+
+
+@pytest.mark.parametrize("grid", PROBE_GRIDS)
+def test_lazy_probing_matches_exhaustive_where_the_input_loses_rank(grid):
+    probe = _probe_times(*grid)
+    mid = probe[len(probe) // 2]
+    # Theta_2 = [[0, -b], [b, b']] loses rank where b = 0.
+    assert _check_lazy_probing(_chain_with_input([-0.5, 1.0]), *grid)
+    # Rank lost at the middle subinterval's first probe: its second certifies it.
+    assert _check_lazy_probing(_chain_with_input([-mid[0], 1.0]), *grid)
+    # Rank lost at every probe of the middle subinterval, and nowhere else; ten
+    # roots 1e-3 apart would leave b' at its roots below b's rounding.
+    if grid[1] <= 3:
+        assert not _check_lazy_probing(_chain_with_input(P.polyfromroots(mid)), *grid)
+    assert not _check_lazy_probing(uncontrollable_pair(), *grid)
+    assert not _check_lazy_probing(zero_input_system(), *grid)
+    assert not _check_lazy_probing(make_system(1, 1, 1, [[0.0]], [[0.0]], [[1.0]], [[1.0]],
+                                               [[0.0]], [[0.0]], [[1.0]]), *grid)
 
 
 def test_theta_rank_equals_kalman_rank_constant_pairs():

@@ -315,6 +315,26 @@ def test_solve_boundary_worked_example():
     assert all(k.shape == (1, 2) for _, k in sol.gain_grid)
 
 
+def test_solve_boundary_evaluates_each_transition_value_once(monkeypatch):
+    # Phi_M(1, 0) is read by the warm start, by every Newton pass and by the
+    # cost, and the output grid by the Pi grid and by Sigma; the path
+    # evaluates each of them once.
+    evaluated = []
+    evaluate = TransitionPath._eval
+
+    def counted(path, ts):
+        evaluated.append((path, ts.copy()))
+        return evaluate(path, ts)
+
+    monkeypatch.setattr(TransitionPath, "_eval", counted)
+    sol = solve_boundary(example_system(), WORKED_TARGET, grid_size=101)
+    assert len(sol.newton_trace) > 2  # several passes read Phi_M(1, 0)
+    assert len({id(path) for path, _ in evaluated}) == 1
+    grid = np.linspace(0.0, 1.0, 101)
+    assert sum(np.array_equal(ts, [1.0]) for _, ts in evaluated) == 1
+    assert sum(np.array_equal(ts, grid) for _, ts in evaluated) == 1
+
+
 def test_solve_boundary_reports_non_convergence(monkeypatch):
     # No iterate reaches 1e-30: Newton stalls near rounding level and the
     # solve raises with its trace once the pass budget is spent.
@@ -649,11 +669,10 @@ def test_grid_below_two_points_is_rejected(contracting_case):
 
 
 def test_feedback_gain_schedule():
-    assert_allclose(feedback_gain(s1(), [(0.0, np.zeros((1, 1)))])[0][1],
-                    np.zeros((1, 1)))
+    assert_allclose(feedback_gain(s1(), [0.0], np.zeros((1, 1, 1)))[0], np.zeros((1, 1)))
     # pi(t) = 0.5/(1 - 0.5 t) gives K(1) = -1.
-    k = feedback_gain(s1(), [(1.0, np.array([[1.0]]))])
-    assert_allclose(k[0][1], [[-1.0]])
+    k = feedback_gain(s1(), [1.0], np.array([[[1.0]]]))
+    assert_allclose(k[0], [[-1.0]])
 
 
 def test_round_trip_recovers_anchor():

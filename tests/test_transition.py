@@ -343,11 +343,59 @@ def test_batched_path_evaluation_matches_per_time(batched_case, ts):
         _assert_stacks_equal(p.phi(times), np.stack([p.phi(t) for t in times]))
     pis = closed_form_on_path(path, pi0, times)
     _assert_stacks_equal(pis, np.stack([closed_form_on_path(path, pi0, t) for t in times]))
-    gains = feedback_gain(sys, list(zip(times, pis)))
-    assert [t for t, _ in gains] == list(times)
-    _assert_stacks_equal(np.stack([k for _, k in gains]),
-                         np.stack([feedback_gain(sys, [(t, pi)])[0][1]
-                                   for t, pi in zip(times, pis)]))
+    gains = feedback_gain(sys, times, pis)
+    assert gains.shape == (len(times), sys.p, sys.n)
+    _assert_stacks_equal(gains, np.stack([feedback_gain(sys, [t], pi[None])[0]
+                                          for t, pi in zip(times, pis)]))
+
+
+def test_path_reads_are_memoised_bit_for_bit(monkeypatch):
+    sys = random_controllable_system(np.random.default_rng(29), 3)
+    path = TransitionPath(sys, anchor=0.4, span=(0.0, 1.0))
+    fresh = TransitionPath(sys, anchor=0.4, span=(0.0, 1.0))
+    grid, other = np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.0, 12)
+    # First reads on a fresh path, before any memo entry exists.
+    want = {t: fresh.phi(t) for t in (0.0, 1.0, 0.7)}
+    want_grid, want_other, want_short = fresh.phi(grid), fresh.phi(other), fresh.phi(grid[:-1])
+
+    evaluated = []
+    evaluate = TransitionPath._eval
+
+    def counted(p, ts):
+        evaluated.append(ts.copy())
+        return evaluate(p, ts)
+
+    monkeypatch.setattr(TransitionPath, "_eval", counted)
+    for _ in range(2):
+        for t, phi in want.items():
+            assert path.phi(t).tobytes() == phi.tobytes()
+        assert path.phi(np.float64(1.0)).tobytes() == want[1.0].tobytes()
+    # Each span end once; 0.7 is no span end, so each of its reads evaluates.
+    assert [ts.tolist() for ts in evaluated] == [[0.0], [1.0], [0.7], [0.7]]
+
+    del evaluated[:]
+    times = grid.copy()
+    for ts, phi in ((times, want_grid), (times, want_grid), (other, want_other),
+                    (grid[:-1], want_short), (grid, want_grid)):
+        assert path.phi(ts).tobytes() == phi.tobytes()
+    # Only the last array read is kept: a repeat is free, any other read evaluates.
+    assert [len(ts) for ts in evaluated] == [11, 12, 10, 11]
+    times[3] = 0.5  # the memo keeps its own copy of the times
+    got = path.phi(times)
+    assert len(evaluated) == 5
+    assert got.tobytes() == fresh.phi(times).tobytes()
+
+
+def test_writes_into_returned_reads_do_not_reach_the_memo():
+    sys = random_controllable_system(np.random.default_rng(31), 2)
+    path, fresh = (TransitionPath(sys, anchor=0.0, span=(0.0, 1.0)) for _ in range(2))
+    grid = np.linspace(0.0, 1.0, 7)
+    for t in (1.0, grid):
+        want = fresh.phi(t)
+        path.phi(t)[...] = np.nan
+        for block in path.raw_blocks(t):
+            block[...] = np.inf
+        assert path.phi(t).tobytes() == want.tobytes()
 
 
 def _phi_of(blocks):
