@@ -26,7 +26,7 @@ from .errors import (
     NoConvergenceError,
     PreconditionError,
 )
-from .matfun import BoundaryData, MatrixPoly, SystemSpec, validate_system
+from .matfun import BoundaryData, MatrixPoly, SystemSpec, _uniform_grid, validate_system
 from .sde_sim import (
     NoiseComponent,
     NoiseModel,
@@ -211,11 +211,11 @@ def _matrix_header(prefix: str, rows: int, cols: int) -> list:
     return [f"{prefix}_{i + 1}_{j + 1}" for i in range(rows) for j in range(cols)]
 
 
-def _grid_csv(path, grid, prefix):
-    first = np.atleast_2d(grid[0][1])
-    header = ["t"] + _matrix_header(prefix, first.shape[0], first.shape[1])
-    rows = [[t] + list(np.atleast_2d(m).reshape(-1)) for t, m in grid]
-    write_csv(path, header, rows)
+def _grid_csv(path, times, mats, prefix):
+    """One row per time: t, then the matrix there, row-major."""
+    mats = np.asarray(mats)
+    header = ["t"] + _matrix_header(prefix, *mats.shape[1:])
+    write_csv(path, header, np.column_stack([times, mats.reshape(len(mats), -1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +274,11 @@ def _cmd_solve(cfg: RunConfig, out: str):
     sol = solve_boundary(cfg.system, cfg.boundary,
                          grid_size=int(cfg.options["grid"]),
                          tol=float(cfg.options["newton_tol"]))
-    _grid_csv(os.path.join(out, "gain.csv"), sol.gain_grid, "k")
-    _grid_csv(os.path.join(out, "covariance.csv"), sol.sigma_grid, "sigma")
-    _grid_csv(os.path.join(out, "pi.csv"), sol.pi_grid, "pi")
+    # Each schedule's (t, matrix) pairs, split into times and matrices.
+    for name, grid, prefix in (("gain.csv", sol.gain_grid, "k"),
+                               ("covariance.csv", sol.sigma_grid, "sigma"),
+                               ("pi.csv", sol.pi_grid, "pi")):
+        _grid_csv(os.path.join(out, name), *zip(*grid), prefix)
     write_json(os.path.join(out, "cost.json"), {
         "optimal_cost": sol.optimal_cost,
         "residual": sol.residual,
@@ -294,14 +296,15 @@ def _cmd_construct(cfg: RunConfig, out: str) -> int:
     sysd = cfg.system
     if not (sysd.A.is_constant(0.0) and sysd.B.is_constant(0.0)):
         raise PreconditionError("construct requires a constant (A, B) pair")
+    times = _uniform_grid(int(cfg.options["grid"]))  # refused before any work
     m_poly = sysd.C @ sysd.D @ sysd.C.T
     fs = construct_feasible_steering(
         sysd.A.eval(0.0), sysd.B.eval(0.0), cfg.boundary, m_poly,
-        sysd.identity_channel_nu(), h_order=int(cfg.options["construct_order"]),
-        grid_size=int(cfg.options["grid"]))
-    _grid_csv(os.path.join(out, "construct_u.csv"), fs.u_grid, "u")
-    _grid_csv(os.path.join(out, "construct_gain.csv"), fs.k_grid, "k")
-    _grid_csv(os.path.join(out, "construct_covariance.csv"), fs.sigma_grid, "sigma")
+        sysd.identity_channel_nu(), h_order=int(cfg.options["construct_order"]))
+    for name, fn, prefix in (("construct_u.csv", fs.control, "u"),
+                             ("construct_gain.csv", fs.gain, "k"),
+                             ("construct_covariance.csv", fs.covariance, "sigma")):
+        _grid_csv(os.path.join(out, name), times, fn(times), prefix)
     write_json(os.path.join(out, "construct_layers.json"), {
         "endpoint_errors": list(fs.endpoint_errors),
         "layers": [{k: (list(v) if isinstance(v, tuple) else v)

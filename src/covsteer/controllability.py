@@ -30,7 +30,7 @@ from .errors import (
     NotControllableError,
     PreconditionError,
 )
-from .matfun import BoundaryData, MatrixPoly, SystemSpec, symmetrize
+from .matfun import BoundaryData, MatrixPoly, SystemSpec, _uniform_grid, symmetrize
 
 RANK_RTOL = 1e-10
 D0_MAX = 1e6
@@ -92,13 +92,11 @@ def classify(sys: SystemSpec, grid_size: int = 101,
     its first probe, in time order, at which Theta_n has rank n, so later
     probes are evaluated only on the subintervals not yet certified.
     """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
+    times = _uniform_grid(grid_size)
     if probes_per_subinterval < 1:
         raise ValueError(
             f"probes_per_subinterval must be at least 1, got {probes_per_subinterval}")
     n = sys.n
-    times = np.linspace(0.0, 1.0, grid_size)
     ranks = np.stack([_rank(th) for th in theta_matrices(sys, times, n + 1)], axis=1)
     full = ranks[:, n - 1] == n
     index_invariant = bool(np.all(ranks == ranks[0]) and ranks[0, n - 1] == ranks[0, n])
@@ -480,22 +478,18 @@ class _DeterminedFn:
 
 @dataclass(frozen=True)
 class FeasibleSteering:
-    """A constructed steering: control schedule, gains, covariance, trace.
+    """A constructed steering: its layer trace, endpoint errors and maps.
 
-    gain/control/covariance evaluate the construction exactly at a time or a
-    1-D time array (the time axis leading), bypassing grid interpolation; the
-    grids are samples of the same maps.
+    gain, control and covariance evaluate the construction exactly at a time
+    or a 1-D time array, the time axis leading: K(t) is p x n, the control
+    U(t) = Sigma(t) K(t)' is n x p and Sigma(t) is n x n.
     """
 
-    times: np.ndarray
-    u_grid: tuple  # (t, U) with U of shape n x p
-    k_grid: tuple  # (t, K) with K of shape p x n
-    sigma_grid: tuple
     layer_trace: tuple
     endpoint_errors: tuple  # (|Sigma(0)-Sigma0|_F, |Sigma(1)-Sigma1|_F)
-    gain: object = None
-    control: object = None
-    covariance: object = None
+    gain: object
+    control: object
+    covariance: object
 
 
 def _nu_leibniz(nu, vals, j):
@@ -604,8 +598,7 @@ def _layer_entries(sig0, sig1, m_y, nu_c, h_order):
 
 def construct_feasible_steering(a: np.ndarray, b: np.ndarray, bd: BoundaryData,
                                 m_poly: MatrixPoly, nu_poly: MatrixPoly,
-                                h_order: int = 0,
-                                grid_size: int = 1001) -> FeasibleSteering:
+                                h_order: int = 0) -> FeasibleSteering:
     """Constructively steer the covariance of a constant controllable pair.
 
     Follows the two-pass layer procedure: after canonical reduction,
@@ -613,10 +606,9 @@ def construct_feasible_steering(a: np.ndarray, b: np.ndarray, bd: BoundaryData,
     k carries orders up to H + n + 1 - k), then the entries are built from
     the innermost corner outward, each corner driven by a scalar control
     whose floor enforces the Schur-complement positivity of the growing
-    block.  Desk scale: n <= 3.
+    block.  Desk scale: n <= 3.  The endpoint check reads the covariance
+    map at t = 0 and t = 1.
     """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     n = np.atleast_2d(a).shape[0]  # canonical_transform checks (A, B) itself
     if n > 3:
         raise PreconditionError("constructive steering is limited to n <= 3")
@@ -632,7 +624,7 @@ def construct_feasible_steering(a: np.ndarray, b: np.ndarray, bd: BoundaryData,
     m_y = MatrixPoly.constant(t_mat) @ m_poly @ MatrixPoly.constant(t_mat.T)
     entries, packed, layer_trace = _layer_entries(sig0, sig1, m_y, nu_poly.entry(), h_order)
 
-    # ---- exact evaluation maps and sampled grids --------------------------
+    # ---- exact evaluation maps ---------------------------------------------
     def covariance_at(at):
         return symmetrize(t_inv @ _canonical(entries, at, n) @ t_inv.T)
 
@@ -642,25 +634,18 @@ def construct_feasible_steering(a: np.ndarray, b: np.ndarray, bd: BoundaryData,
         k_y = np.linalg.solve(_canonical(entries, at, n), u_y[..., None])[..., 0]
         return f_gain + v_dir[:, None] * (k_y @ t_mat)[..., None, :]
 
-    def maps_at(at):
-        """(covariance, gain, control); the gain first, as it reads U's towers."""
-        gains = gain_at(at)
-        sigmas = covariance_at(at)
-        return sigmas, gains, sigmas @ np.swapaxes(gains, -1, -2)
+    def control_at(at):
+        gains = gain_at(at)  # first, as it reads U's towers
+        return covariance_at(at) @ np.swapaxes(gains, -1, -2)
 
-    times = np.linspace(0.0, 1.0, grid_size)
-    sigmas, gains, controls = maps_at(_At(packed, times))
-    grid_times = times.tolist()
-
-    err0 = float(np.linalg.norm(sigmas[0] - bd.sigma0))
-    err1 = float(np.linalg.norm(sigmas[-1] - bd.sigma1))
+    ends = covariance_at(_At(packed, np.array([0.0, 1.0])))
+    err0 = float(np.linalg.norm(ends[0] - bd.sigma0))
+    err1 = float(np.linalg.norm(ends[1] - bd.sigma1))
     if max(err0, err1) > 1e-6:
         raise IntegrationFailureError(
             f"constructed trajectory misses the endpoints ({err0:.3e}, {err1:.3e})")
     return FeasibleSteering(
-        times=times, u_grid=tuple(zip(grid_times, controls)),
-        k_grid=tuple(zip(grid_times, gains)), sigma_grid=tuple(zip(grid_times, sigmas)),
         layer_trace=layer_trace, endpoint_errors=(err0, err1),
         gain=lambda t: gain_at(_At(packed, t)),
-        control=lambda t: maps_at(_At(packed, t))[2],
+        control=lambda t: control_at(_At(packed, t)),
         covariance=lambda t: covariance_at(_At(packed, t)))

@@ -306,6 +306,14 @@ def _nonneg_check(name, mp, grid):
     return ValidationCheck(name, False, t, f"{name} negative at t={t:.3f} ({v[bad[0]]:.3e})")
 
 
+def _uniform_grid(grid_size: int) -> np.ndarray:
+    """grid_size equally spaced times from 0 to 1, both included.  A grid
+    below two points has no subinterval and raises ValueError."""
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
+    return np.linspace(0.0, 1.0, grid_size)
+
+
 def validate_system(sys: SystemSpec, grid_size: int = VALIDATION_GRID_SIZE) -> ValidationReport:
     """Check the SystemSpec invariants on a uniform validation grid.
 
@@ -313,9 +321,7 @@ def validate_system(sys: SystemSpec, grid_size: int = VALIDATION_GRID_SIZE) -> V
     positive semidefinite, nu(t) and every nu_i(t) nonnegative.  Shape
     mismatches raise DimensionError at SystemSpec construction already.
     """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
-    grid = np.linspace(0.0, 1.0, grid_size)
+    grid = _uniform_grid(grid_size)
     checks = [
         _definite_check("R", sys.R, grid, PD_EIG_MIN),
         _definite_check("Q", sys.Q, grid, PSD_EIG_MIN),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RiccatiNonexistenceError, SingularTransitionError
-from .matfun import SystemSpec, symmetrize
+from .matfun import SystemSpec, _uniform_grid, symmetrize
 from .transition import COND_LIMIT, TransitionPath, _moving_bound, _phi_pi, b_rinv_bt, pi_bounds
 
 BLOWUP_NORM = 1e12
@@ -192,10 +192,8 @@ def integrate_general(sys: SystemSpec, pi_0: np.ndarray,
     a reported outcome: exists=False with the escape time, never an
     exception, and the grid keeps only the times before it.
     """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
+    times = _uniform_grid(grid_size)
     pi_0 = symmetrize(np.asarray(pi_0, dtype=float))
-    times = np.linspace(0.0, 1.0, grid_size)
     if sys.has_non_identity_channels():
         return _integrate_rk45(sys, pi_0, times)
 

@@ -23,7 +23,7 @@ from .errors import (
     PreconditionError,
     RiccatiNonexistenceError,
 )
-from .matfun import BoundaryData, SystemSpec, spd_sqrt, symmetrize, unvec, vec
+from .matfun import BoundaryData, SystemSpec, _uniform_grid, spd_sqrt, symmetrize, unvec, vec
 from .riccati import closed_form_on_path
 from .transition import TransitionPath, _moving_bound, _phi_pi, b_rinv_bt
 
@@ -103,7 +103,7 @@ def map_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray) -> np.ndarray:
     """Terminal covariance reached from Sigma0 under the costate anchor Pi0:
     Sigma(1) of propagate_covariance on the jacobian_f pass at Pi0, whose
     failures it raises."""
-    return propagate_covariance(jacobian_f(sys, sigma0, pi0), 2)[0][-1][1]
+    return propagate_covariance(jacobian_f(sys, sigma0, pi0), 2)[0][-1]
 
 
 def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
@@ -266,8 +266,7 @@ def solve_boundary(sys: SystemSpec, bd: BoundaryData,
             "boundary solve supports only identity multiplicative channels")
     if bd.sigma0.shape != (sys.n, sys.n):
         raise PreconditionError("boundary data dimension differs from the system")
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
+    times = _uniform_grid(grid_size)
     path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
     start = jacobian_f(sys, bd.sigma0, _closed_form_pi0(path, bd), path=path)
     ws, rel, trace = _newton(start, bd.sigma1, tol)
@@ -276,17 +275,16 @@ def solve_boundary(sys: SystemSpec, bd: BoundaryData,
             f"Newton failed to reach relative residual {tol:.1e} (best {rel:.3e})",
             best_residual=rel, trace=trace)
 
-    times = np.linspace(0.0, 1.0, grid_size)
     pis = closed_form_on_path(path, ws.pi0, times)
-    sigma, sigma_error = propagate_covariance(ws, grid_size)
+    sigmas, sigma_error = propagate_covariance(ws, grid_size)
     cost, cost_error = optimal_cost(ws, bd.sigma1)
     ts = times.tolist()
+    pi_grid, gain_grid, sigma_grid = (tuple(zip(ts, stack)) for stack in
+                                      (pis, feedback_gain(sys, times, pis), sigmas))
     return SteeringSolution(
-        pi0=ws.pi0, pi_grid=tuple(zip(ts, pis)),
-        gain_grid=tuple(zip(ts, feedback_gain(sys, times, pis))),
-        sigma_grid=tuple(sigma), optimal_cost=cost, newton_trace=tuple(trace),
-        residual=rel, sigma_error=sigma_error, cost_error=cost_error,
-        accepted_panels=len(ws.edges) - 1)
+        pi0=ws.pi0, pi_grid=pi_grid, gain_grid=gain_grid, sigma_grid=sigma_grid,
+        optimal_cost=cost, newton_trace=tuple(trace), residual=rel,
+        sigma_error=sigma_error, cost_error=cost_error, accepted_panels=len(ws.edges) - 1)
 
 
 def _require_resolved(ws: JacobianWorkspace):
@@ -296,7 +294,8 @@ def _require_resolved(ws: JacobianWorkspace):
 
 
 def propagate_covariance(ws: JacobianWorkspace, grid_size: int = 1001) -> tuple:
-    """Covariance trajectory under the optimal gain: ((t, Sigma(t)) pairs, tail).
+    """Covariance trajectory under the optimal gain: (stack, tail), the stack
+    holding Sigma(t) as a (k, n, n) array on grid_size equal steps of [0, 1].
 
     Explicit solution Sigma(t) = PhiPi(t,0) [Sigma0 + int_0^t P(s) ds]
     PhiPi(t,0)', P the transported noise, integrated exactly on its Legendre
@@ -305,16 +304,14 @@ def propagate_covariance(ws: JacobianWorkspace, grid_size: int = 1001) -> tuple:
     they leave unresolved, and one above 1e-7 max(1, ||Sigma0 + int_0^1 P||)
     raises IntegrationFailureError, as does a saturated pass.
     """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
+    times = _uniform_grid(grid_size)
     _require_resolved(ws)
-    times = np.linspace(0.0, 1.0, grid_size)
     part, tail = interpolant_integrals(ws.edges, ws.p_nodes, times)
     acc = ws.sigma0 + part
     if not tail <= 1e-7 * max(1.0, float(np.linalg.norm(acc[-1]))):  # also refuses NaN
         raise IntegrationFailureError(f"transported noise unresolved: tail {tail:.3e}")
     g = _phi_pi(ws.path, ws.pi0, times)[0]
-    return list(zip(times.tolist(), symmetrize(g @ acc @ np.swapaxes(g, -1, -2)))), tail
+    return symmetrize(g @ acc @ np.swapaxes(g, -1, -2)), tail
 
 
 def feedback_gain(sys: SystemSpec, times, pi) -> np.ndarray:

@@ -241,7 +241,7 @@ def test_criterion_11_constructive_controllability():
         a, b = canonical_chain_pair(n)
         bd = BoundaryData(sigma0=np.eye(n), sigma1=sigma1)
         fs = construct_feasible_steering(a, b, bd, const(np.eye(n)), const([[0.0]]))
-        min_eig = min(np.min(np.linalg.eigvalsh(s)) for _, s in fs.sigma_grid)
+        min_eig = np.min(np.linalg.eigvalsh(fs.covariance(np.linspace(0.0, 1.0, 1001))))
 
         def rhs(t, y, a=a, b=b, fs=fs, n=n):
             s = y.reshape(n, n)

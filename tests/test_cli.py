@@ -18,6 +18,7 @@ from covsteer.cli import (
     main,
     parse_config,
 )
+from covsteer.controllability import construct_feasible_steering
 from covsteer.errors import ConfigError, IntegrationFailureError
 from covsteer.sde_sim import SimulationConfig, simulate_paths
 from covsteer.steering import solve_boundary
@@ -463,13 +464,16 @@ def test_unknown_command_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("grid", ["1", "0"])
 def test_construct_grid_below_two_is_config_error(tmp_path, capsys, grid):
-    rc = main(["construct", "--config", example_config_path(), "--out", str(tmp_path / "o"),
+    out = tmp_path / "o"
+    rc = main(["construct", "--config", example_config_path(), "--out", str(out),
                "--grid", grid])
     assert rc == EXIT_CONFIG
     assert f"config error: grid_size must be at least 2, got {grid}" in capsys.readouterr().out
+    assert not out.exists() or not any(out.iterdir())
 
 
-def test_construct_command(tmp_path, example_raw):
+@pytest.fixture()
+def construct_raw(example_raw):
     # Constant-channel construction: replace the noise by a unit Wiener so
     # that M = C D C' is constant, and drop the multiplicative part.
     example_raw["noise"] = {
@@ -477,8 +481,12 @@ def test_construct_command(tmp_path, example_raw):
         "multiplicative": [],
     }
     example_raw["options"]["grid"] = 101
+    return example_raw
+
+
+def test_construct_command(tmp_path, construct_raw):
     out = str(tmp_path / "o")
-    rc = main(["construct", "--config", write_cfg(tmp_path, example_raw),
+    rc = main(["construct", "--config", write_cfg(tmp_path, construct_raw),
                "--out", out])
     assert rc == EXIT_OK
     with open(os.path.join(out, "construct_layers.json"), encoding="utf-8") as fh:
@@ -486,6 +494,30 @@ def test_construct_command(tmp_path, example_raw):
     assert max(layers["endpoint_errors"]) <= 1e-6
     header, rows = read_csv(os.path.join(out, "construct_covariance.csv"))
     assert abs(rows[-1][1] - 0.3) <= 1e-6
+
+
+def test_construct_csvs_sample_the_maps(tmp_path, construct_raw):
+    # Each construct_*.csv reads back bit for bit as its map of a fresh
+    # in-memory construction, sampled at the grid option's times.
+    config = write_cfg(tmp_path, construct_raw)
+    out = tmp_path / "o"
+    assert main(["construct", "--config", config, "--out", str(out)]) == EXIT_OK
+    cfg = parse_config(config)
+    sysd = cfg.system
+    fs = construct_feasible_steering(
+        sysd.A.eval(0.0), sysd.B.eval(0.0), cfg.boundary, sysd.C @ sysd.D @ sysd.C.T,
+        sysd.identity_channel_nu(), h_order=cfg.options["construct_order"])
+    times = np.linspace(0.0, 1.0, 101)
+    for name, fn, header in (
+            ("u", fs.control, ["t", "u_1_1", "u_2_1"]),
+            ("gain", fs.gain, ["t", "k_1_1", "k_1_2"]),
+            ("covariance", fs.covariance, ["t", "sigma_1_1", "sigma_1_2", "sigma_2_1",
+                                           "sigma_2_2"])):
+        got_header, rows = read_csv(out / f"construct_{name}.csv")
+        assert got_header == header
+        rows = np.array(rows)
+        assert np.array_equal(rows[:, 0], times)
+        assert np.array_equal(rows[:, 1:], fn(times).reshape(len(times), -1))
 
 
 _SCIPY_FREE = """

@@ -84,13 +84,9 @@ def test_classify_zero_input():
 
 
 def test_classify_refuses_grids_it_cannot_probe():
-    # With one grid point no subinterval is probed, and np.all of no probes
-    # would certify the uncontrollable pair as totally controllable.
+    # Grids below two points: test_steering.py::test_grid_below_two_points_is_rejected.
     sys = uncontrollable_pair()
     assert not classify(sys).totally_controllable
-    for grid_size in (1, 0):
-        with pytest.raises(ValueError, match="grid_size must be at least 2"):
-            classify(sys, grid_size=grid_size)
     with pytest.raises(ValueError, match="probes_per_subinterval must be at least 1"):
         classify(sys, probes_per_subinterval=0)
 
@@ -405,14 +401,17 @@ def test_scalar_steering_hypothesis_check():
             rho=lambda t: 1.0))
 
 
+TIMES = np.linspace(0.0, 1.0, 1001)  # where the construction tests sample its maps
+
+
 def test_construct_n1_balanced():
     bd = BoundaryData(sigma0=[[1.0]], sigma1=[[1.0]])
     fs = construct_feasible_steering(np.array([[0.0]]), np.array([[1.0]]), bd,
                                      const([[1.0]]), const([[0.0]]))
     assert max(fs.endpoint_errors) <= 1e-6
-    us = np.array([u[1][0, 0] for u in fs.u_grid])
-    assert abs(np.trapezoid(2.0 * us, fs.times) + 1.0) <= 1e-3
-    assert min(s[1][0, 0] for s in fs.sigma_grid) > 0.0
+    us = fs.control(TIMES)[:, 0, 0]
+    assert abs(np.trapezoid(2.0 * us, TIMES) + 1.0) <= 1e-3
+    assert np.min(fs.covariance(TIMES)[:, 0, 0]) > 0.0
 
 
 def test_construct_n1_drift_reaches_target():
@@ -420,8 +419,8 @@ def test_construct_n1_drift_reaches_target():
     bd = BoundaryData(sigma0=[[1.0]], sigma1=[[2.0]])
     fs = construct_feasible_steering(np.array([[0.0]]), np.array([[1.0]]), bd,
                                      const([[1.0]]), const([[0.0]]))
-    us = np.array([u[1][0, 0] for u in fs.u_grid])
-    assert abs(np.trapezoid(us, fs.times)) <= 1e-3
+    us = fs.control(TIMES)[:, 0, 0]
+    assert abs(np.trapezoid(us, TIMES)) <= 1e-3
     assert max(fs.endpoint_errors) <= 1e-6
 
 
@@ -445,7 +444,7 @@ def test_construct_n2_verified_by_reintegration():
     bd = BoundaryData(sigma0=np.eye(2), sigma1=np.diag([2.0, 1.0]))
     fs = construct_feasible_steering(a2, b2, bd, const(np.eye(2)), const([[0.0]]))
     assert max(fs.endpoint_errors) <= 1e-6
-    assert min(np.min(np.linalg.eigvalsh(s)) for _, s in fs.sigma_grid) > 0.0
+    assert np.min(np.linalg.eigvalsh(fs.covariance(TIMES))) > 0.0
     sigma1 = _reintegrate(a2, b2, lambda t: np.eye(2), lambda t: 0.0,
                           fs.gain, np.eye(2))
     assert np.max(np.abs(sigma1 - bd.sigma1)) <= 1e-6
@@ -457,7 +456,7 @@ def test_construct_n3_with_time_varying_rate():
     nu = MatrixPoly.from_entries([[[0.1, 0.2]]])
     fs = construct_feasible_steering(a3, b3, bd, const(np.eye(3)), nu)
     assert max(fs.endpoint_errors) <= 1e-6
-    assert min(np.min(np.linalg.eigvalsh(s)) for _, s in fs.sigma_grid) > 0.0
+    assert np.min(np.linalg.eigvalsh(fs.covariance(TIMES))) > 0.0
     sigma1 = _reintegrate(a3, b3, lambda t: np.eye(3), lambda t: 0.1 + 0.2 * t,
                           fs.gain, np.eye(3))
     assert np.max(np.abs(sigma1 - bd.sigma1)) <= 1e-6

@@ -16,7 +16,8 @@ from covsteer.errors import (
     RiccatiNonexistenceError,
     SingularTransitionError,
 )
-from covsteer.matfun import BoundaryData, symmetrize, unvec, vec
+from covsteer.controllability import classify
+from covsteer.matfun import BoundaryData, symmetrize, unvec, validate_system, vec
 from covsteer.steering import (
     MAX_PASSES,
     NEWTON_TOL,
@@ -429,20 +430,20 @@ def test_special_case_rejects_mismatched_channels():
 
 
 def test_propagate_covariance_examples():
-    grid, tail = propagate_covariance(jacobian_f(s1(), [[1.0]], [[0.0]]), grid_size=11)
-    for t, sigma in grid:
-        assert abs(sigma[0, 0] - (1.0 + t)) <= 1e-9
+    sigmas, tail = propagate_covariance(jacobian_f(s1(), [[1.0]], [[0.0]]), grid_size=11)
+    assert sigmas.shape == (11, 1, 1)
+    assert np.max(np.abs(sigmas[:, 0, 0] - (1.0 + np.linspace(0.0, 1.0, 11)))) <= 1e-9
     assert 0.0 <= tail <= 1e-7
-    grid, _ = propagate_covariance(jacobian_f(s1(), [[1.0]], [[0.6339746]]), grid_size=11)
-    assert abs(grid[-1][1][0, 0] - 0.5) <= 1e-7
+    sigmas, _ = propagate_covariance(jacobian_f(s1(), [[1.0]], [[0.6339746]]), grid_size=11)
+    assert abs(sigmas[-1, 0, 0] - 0.5) <= 1e-7
 
 
 def test_read_outs_refuse_a_workspace_from_another_point():
     sys, bd = s1(), BoundaryData(sigma0=[[1.0]], sigma1=[[0.5]])
     ws = jacobian_f(sys, bd.sigma0, [[0.0]])
     assert np.array_equal(ws.pi0, [[0.0]])
-    grid, _ = propagate_covariance(ws, grid_size=11)
-    assert np.array_equal(grid[-1][1], map_f(sys, bd.sigma0, [[0.0]]))
+    sigmas, _ = propagate_covariance(ws, grid_size=11)
+    assert np.array_equal(sigmas[-1], map_f(sys, bd.sigma0, [[0.0]]))
 
 
 def test_read_outs_see_only_the_passs_symmetrized_pi0():
@@ -456,8 +457,8 @@ def test_read_outs_see_only_the_passs_symmetrized_pi0():
     skewed = jacobian_f(sys, bd.sigma0, pi0 + skew)
     cost = optimal_cost(plain, bd.sigma1)[0]
     assert abs(optimal_cost(skewed, bd.sigma1)[0] - cost) <= 1e-12 * abs(cost)
-    want = np.stack([sigma for _, sigma in propagate_covariance(plain)[0]])
-    got = np.stack([sigma for _, sigma in propagate_covariance(skewed)[0]])
+    want = propagate_covariance(plain)[0]
+    got = propagate_covariance(skewed)[0]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -479,10 +480,9 @@ def oracle_case(request):
 @pytest.mark.parametrize("grid_size", [11, 101, 1001])
 def test_sigma_grid_matches_lyapunov_oracle(oracle_case, grid_size):
     sys, sigma0, pi0 = oracle_case
-    grid, _ = propagate_covariance(jacobian_f(sys, sigma0, pi0), grid_size=grid_size)
-    times = np.array([t for t, _ in grid])
-    assert np.array_equal(times, np.linspace(0.0, 1.0, grid_size))
-    got = np.stack([sigma for _, sigma in grid])
+    got, _ = propagate_covariance(jacobian_f(sys, sigma0, pi0), grid_size=grid_size)
+    assert got.shape == (grid_size, sys.n, sys.n)
+    times = np.linspace(0.0, 1.0, grid_size)
     want = lyapunov_oracle(sys, pi0, sigma0, times)
     rel = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
     assert np.max(rel) <= 1e-7
@@ -496,7 +496,7 @@ def contracting_case():
     bd = BoundaryData(sigma0=50.0 * np.eye(2), sigma1=0.01 * np.eye(2))
     pi0 = solve_boundary(sys, bd).pi0
     fine, _ = propagate_covariance(jacobian_f(sys, bd.sigma0, pi0), grid_size=1001)
-    return sys, bd.sigma0, pi0, np.stack([sigma for _, sigma in fine])
+    return sys, bd.sigma0, pi0, fine
 
 
 @pytest.mark.parametrize("grid_size", [2, 11, 101])
@@ -504,8 +504,7 @@ def test_sigma_grid_does_not_depend_on_output_grid(contracting_case, grid_size):
     # The panels come from the jacobian_f pass at Pi0, not from the output
     # grid, so a coarse grid reads the same Sigma at the times it shares.
     sys, sigma0, pi0, fine = contracting_case
-    got = np.stack([sigma for _, sigma in
-                    propagate_covariance(jacobian_f(sys, sigma0, pi0), grid_size=grid_size)[0]])
+    got = propagate_covariance(jacobian_f(sys, sigma0, pi0), grid_size=grid_size)[0]
     # Shared times agree to rounding, which the cancellation in phi11 + phi12
     # Pi0 (terms near 1, sum near 1e-3 at t = 1) amplifies to about 4e-10.
     assert np.max(np.abs(got - fine[::1000 // (grid_size - 1)])) <= 1e-10 * np.max(np.abs(fine))
@@ -655,17 +654,25 @@ def test_solve_boundary_grids_match_independent_references(seed, n):
     assert 0.0 <= sol.sigma_error and 0.0 <= sol.cost_error
 
 
-def test_grid_below_two_points_is_rejected(contracting_case):
-    sys, sigma0, pi0, _ = contracting_case
-    ws = jacobian_f(sys, sigma0, pi0)
-    for grid_size in (1, 0):
-        with pytest.raises(ValueError, match="grid_size"):
-            propagate_covariance(ws, grid_size=grid_size)
-        with pytest.raises(ValueError, match="grid_size"):
-            solve_boundary(sys, BoundaryData(sigma0=sigma0, sigma1=sigma0), grid_size=grid_size)
-        # integrate_general answered exists=True on an empty or one-point grid.
-        with pytest.raises(ValueError, match="grid_size must be at least 2"):
-            integrate_general(example_system(), -np.eye(2), grid_size=grid_size)
+@pytest.mark.parametrize("grid_size", [1, 0])
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda case, g: validate_system(example_system(), grid_size=g),
+                 id="validate_system"),
+    # With one grid point no subinterval is probed, and np.all of no probes
+    # would certify the uncontrollable pair as totally controllable.
+    pytest.param(lambda case, g: classify(uncontrollable_pair(), grid_size=g), id="classify"),
+    pytest.param(lambda case, g: solve_boundary(
+        case[0], BoundaryData(sigma0=case[1], sigma1=case[1]), grid_size=g), id="solve_boundary"),
+    pytest.param(lambda case, g: propagate_covariance(jacobian_f(*case[:3]), grid_size=g),
+                 id="propagate_covariance"),
+    # integrate_general answered exists=True on an empty or one-point grid.
+    pytest.param(lambda case, g: integrate_general(example_system(), -np.eye(2), grid_size=g),
+                 id="integrate_general"),
+])
+def test_grid_below_two_points_is_rejected(contracting_case, entry, grid_size):
+    # Every entry point that takes a grid_size refuses it with one message.
+    with pytest.raises(ValueError, match=rf"^grid_size must be at least 2, got {grid_size}$"):
+        entry(contracting_case, grid_size)
 
 
 def test_feedback_gain_schedule():

@@ -34,7 +34,7 @@ covsteer.classify(sys_)
 a2, b2 = canonical_chain_pair(2)
 covsteer.construct_feasible_steering(
     a2, b2, BoundaryData(sigma0=np.eye(2), sigma1=np.diag([2.0, 1.0])),
-    MatrixPoly.constant(np.eye(2)), zero, grid_size=11)
+    MatrixPoly.constant(np.eye(2)), zero)
 covsteer.maximal_interval(sys_, 0.0, np.zeros((1, 1)), (-0.5, 1.5))
 covsteer.integrate_general(sys_, np.zeros((1, 1)), grid_size=11)
 assert covsteer.existence_check(sys_, 0.0, np.zeros((1, 1))).exists
