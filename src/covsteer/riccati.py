@@ -63,29 +63,35 @@ def closed_form_on_path(path: TransitionPath, pi_anchor: np.ndarray, t) -> np.nd
     """Closed-form Pi(t) on a dense path anchored at Pi_anchor's time; stacked for k times.
 
     A plain condition number misses the blow-up (PhiPi can be tiny in every
-    direction), so the smallest singular value of PhiPi is measured against
-    the magnitude of the terms that cancel.  On (k, n, n) stacks each matrix
-    is tested, and the first singular one raises.
+    direction), so _regular_inverse measures PhiPi against the magnitude of the
+    terms that cancel.  On (k, n, n) stacks each matrix is tested, and the
+    first singular one raises.
     """
     growth, (p11, p12, p21, p22) = _phi_pi(path, pi_anchor, t)
-    regular, smin, scale = _growth_guard(growth, p11, p12, pi_anchor)
+    ginv, regular, rnorm, scale = _regular_inverse(growth, p11, p12, pi_anchor)
     bad = np.flatnonzero(~regular)
     if bad.size:
         raise RiccatiNonexistenceError(
-            f"phi11 + phi12 Pi_s numerically singular (sigma_min="
-            f"{np.ravel(smin)[bad[0]]:.3e}, scale={np.ravel(scale)[bad[0]]:.3e})")
-    return symmetrize((p21 + p22 @ pi_anchor) @ np.linalg.inv(growth))
+            f"phi11 + phi12 Pi_s numerically singular (1/||inverse||_F="
+            f"{np.ravel(rnorm)[bad[0]]:.3e}, scale={np.ravel(scale)[bad[0]]:.3e})")
+    return symmetrize((p21 + p22 @ pi_anchor) @ ginv)
 
 
-def _growth_guard(growth, p11, p12, pi_anchor):
-    """(regular, sigma_min, scale) of PhiPi = p11 + p12 Pi_anchor or of each in a stack.
-
-    PhiPi is regular when its smallest singular value exceeds 1 / COND_LIMIT of
-    the magnitude of the terms that cancel in it.
-    """
+def _regular_inverse(growth, p11, p12, pi_anchor):
+    """(inverse, regular, 1/||inverse||_F, scale) of PhiPi = p11 + p12 Pi_anchor or of each in
+    a stack: regular when 1/||inverse||_F > max(scale, 1) / COND_LIMIT, the sigma_min test at
+    most sqrt(n) stricter, as sigma_min ||inverse||_F lies in [1, sqrt(n)].  An exactly
+    singular PhiPi, which np.linalg.inv refuses with its whole stack, reads an infinite inverse."""
     scale = np.linalg.norm(p11, axis=(-2, -1)) + np.linalg.norm(p12 @ pi_anchor, axis=(-2, -1))
-    smin = np.linalg.svd(growth, compute_uv=False)[..., -1]
-    return np.atleast_1d(smin > np.maximum(scale, 1.0) / COND_LIMIT), smin, scale
+    try:
+        ginv = np.linalg.inv(growth)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.det(growth) == 0.0  # an exactly zero pivot, which inv refuses
+        ginv = np.linalg.inv(np.where(singular[..., None, None], np.eye(growth.shape[-1]), growth))
+        ginv[singular] = np.inf
+    with np.errstate(over="ignore"):  # squares past 1e308 put the norm far past any threshold
+        rnorm = 1.0 / np.linalg.norm(ginv, axis=(-2, -1))
+    return ginv, np.atleast_1d(rnorm > np.maximum(scale, 1.0) / COND_LIMIT), rnorm, scale
 
 
 @dataclass(frozen=True)
@@ -165,14 +171,13 @@ class RiccatiSolution:
 
 def _general_rhs(sys: SystemSpec):
     n = sys.n
-    channels = [(e, nu) for e, nu in sys.general_channels]
 
     def rhs(t, y):
         pi = symmetrize(y.reshape(n, n))
         a = sys.A.eval(t)
         nu = float(sys.nu.eval(t)[0, 0])
         dpi = -a.T @ pi - pi @ a + pi @ b_rinv_bt(sys, t) @ pi - sys.Q.eval(t) - 2.0 * nu * pi
-        for e_mp, nu_mp in channels:
+        for e_mp, nu_mp in sys.general_channels:
             e = e_mp.eval(t)
             dpi -= 2.0 * float(nu_mp.eval(t)[0, 0]) * (e.T @ pi @ e)
         return symmetrize(dpi).reshape(-1)
@@ -204,9 +209,9 @@ def integrate_general(sys: SystemSpec, pi_0: np.ndarray,
         return _integrate_rk45(sys, pi_0, times)
     kept = times if exists else times[times < escape_time]
     growth, (p11, p12, p21, p22) = _phi_pi(path, pi_0, kept)
-    regular = _growth_guard(growth, p11, p12, pi_0)[0]
+    ginv, regular, _, _ = _regular_inverse(growth, p11, p12, pi_0)
     stop = len(kept) if regular.all() else int(np.argmin(regular))
-    pis = symmetrize((p21[:stop] + p22[:stop] @ pi_0) @ np.linalg.inv(growth[:stop]))
+    pis = symmetrize((p21[:stop] + p22[:stop] @ pi_0) @ ginv[:stop])
     # Pi blows up at a grid time next to the escape, or past a crossing that
     # the scan missed; then that time is the escape.
     return _grid_solution(kept[:stop], pis, None if exists else escape_time,

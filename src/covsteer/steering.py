@@ -92,13 +92,6 @@ def _upper_bound_10(path: TransitionPath) -> np.ndarray:
     return _moving_bound(p11, p12, what="phi12(1,0)")[0]
 
 
-def _require_admissible(pi0: np.ndarray, u10: np.ndarray):
-    margin = float(np.max(np.linalg.eigvalsh(pi0 - u10)))
-    if margin >= 0.0:
-        raise RiccatiNonexistenceError(
-            f"Pi0 is not admissible: lambda_max(Pi0 - upper bound) = {margin:.3e}")
-
-
 def map_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray) -> np.ndarray:
     """Terminal covariance reached from Sigma0 under the costate anchor Pi0:
     Sigma(1) of propagate_covariance on the jacobian_f pass at Pi0, whose
@@ -130,7 +123,10 @@ def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
     else:
         path, u10 = start.path, start.upper_bound
         edges = None if start.saturated else start.edges
-    _require_admissible(pi0, u10)
+    margin = float(np.max(np.linalg.eigvalsh(pi0 - u10)))
+    if margin >= 0.0:
+        raise RiccatiNonexistenceError(
+            f"Pi0 is not admissible: lambda_max(Pi0 - upper bound) = {margin:.3e}")
 
     phi10, (_, p12_10, _, _) = _phi_pi(path, pi0, 1.0)
     # W_10 = ((phi12)^-1 phi11 + Pi0)^-1 in the stable factored form.
@@ -155,13 +151,18 @@ def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
     p_int = integral[:n2].reshape(n, n)
     jac_int = integral[n2:].reshape(n2, n2)
 
-    s_mat = np.kron(sigma0, w10) + np.kron(w10, sigma0) + jac_int
-    jac = np.kron(phi10, phi10) @ s_mat
+    s_mat = _kron(sigma0, w10) + _kron(w10, sigma0) + jac_int
+    jac = _kron(phi10, phi10) @ s_mat
     f_value = symmetrize(phi10 @ (sigma0 + p_int) @ phi10.T)
     return JacobianWorkspace(sys=sys, sigma0=sigma0, pi0=pi0, path=path, upper_bound=u10,
                              edges=edges, nodes=node_ts,
                              p_nodes=node_vals[:, :n2].reshape(-1, n, n), S=s_mat, jac=jac,
                              f_value=f_value, quad_error=float(quad_err), saturated=saturated)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two matrices, bit for bit, as one broadcast product."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
 def _symmetric_basis(n: int) -> np.ndarray:
@@ -187,12 +188,11 @@ def special_case_pi0(sys: SystemSpec, bd: BoundaryData) -> np.ndarray:
 def _closed_form_pi0(path: TransitionPath, bd: BoundaryData) -> np.ndarray:
     """special_case_pi0's expression on path, channels unchecked: Newton's
     warm start whatever the channels."""
-    n = len(bd.sigma0)
     u10 = _upper_bound_10(path)  # first: it refuses a singular phi12(1,0) by name
-    phi12_inv = np.linalg.solve(path.raw_blocks(1.0)[1], np.eye(n))
+    phi12_inv = np.linalg.inv(path.raw_blocks(1.0)[1])
     s0_isqrt = spd_sqrt(bd.sigma0, inverse=True)
     s0_sqrt = spd_sqrt(bd.sigma0)
-    inner = 0.25 * np.eye(n) + s0_sqrt @ phi12_inv @ bd.sigma1 @ phi12_inv.T @ s0_sqrt
+    inner = 0.25 * np.eye(len(u10)) + s0_sqrt @ phi12_inv @ bd.sigma1 @ phi12_inv.T @ s0_sqrt
     root = spd_sqrt(symmetrize(inner))
     pi0 = u10 + 0.5 * np.linalg.inv(bd.sigma0) - s0_isqrt @ root @ s0_isqrt
     return symmetrize(pi0)

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from covsteer.errors import RiccatiNonexistenceError, SingularTransitionError
@@ -88,6 +89,75 @@ def test_closed_form_nonexistence_raises():
                     [2.0, 4.0], atol=1e-9)
     with pytest.raises(RiccatiNonexistenceError):
         closed_form_on_path(path, np.array([[2.0]]), np.array([0.0, 0.25, 0.5, 0.75]))
+
+
+def _zero_growth_at(monkeypatch, when):
+    """Make PhiPi exactly zero at the time when, wherever riccati reads it."""
+    real = riccati._phi_pi
+
+    def zeroed(path, pi_anchor, t):
+        growth, blocks = real(path, pi_anchor, t)
+        return np.where(np.asarray(t)[..., None, None] == when, 0.0, growth), blocks
+
+    monkeypatch.setattr(riccati, "_phi_pi", zeroed)
+
+
+def test_an_exactly_singular_growth_in_a_stack_is_a_typed_outcome(monkeypatch):
+    # np.linalg.inv refuses a whole stack for one exactly singular matrix; the
+    # guard marks only that one.  Pi = -tanh(t) exists on [0, 1], but PhiPi is
+    # made exactly zero at t = 0.5: the closed form raises there, and
+    # integrate_general truncates its grid there.
+    sys, pi0 = s1_with_q(), np.zeros((1, 1))
+    path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
+    _zero_growth_at(monkeypatch, 0.5)
+    with pytest.raises(RiccatiNonexistenceError, match=r"1/\|\|inverse\|\|_F=0\.000e\+00"):
+        closed_form_on_path(path, pi0, np.array([0.0, 0.25, 0.5, 0.75]))
+    sol = integrate_general(sys, pi0, grid_size=5)
+    assert not sol.exists and sol.escape_time == 0.5
+    assert [t for t, _ in sol.grid] == [0.0, 0.25]
+    assert_allclose([pi[0, 0] for _, pi in sol.grid], [0.0, -np.tanh(0.25)], atol=1e-12)
+
+
+def test_the_guard_inverts_the_regular_entries_of_a_stack_bit_for_bit():
+    # An exactly singular entry, and one whose inverse's squared entries
+    # overflow in the Frobenius norm (1e340), are not regular, with no
+    # warning; the others read np.linalg.inv's inverse.
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((2, 2, 2))
+    g = np.stack([a, np.zeros((2, 2)), np.diag([1e-170, 1.0]), b])
+    ginv, regular, rnorm, _ = riccati._regular_inverse(g, g, np.zeros_like(g), np.eye(2))
+    assert regular.tolist() == [True, False, False, True]
+    assert rnorm[1] == 0.0 and rnorm[2] == 0.0
+    for k, m in ((0, a), (3, b)):
+        assert ginv[k].tobytes() == np.linalg.inv(m).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3), k=st.integers(1, 4),
+       decades=st.floats(-2.0, 12.0))
+def test_the_inverse_norm_guard_is_the_sigma_min_guard_within_sqrt_n(seed, n, k, decades):
+    # sigma_min(G) ||G^-1||_F lies in [1, sqrt(n)], so the verdict "regular"
+    # (1/||G^-1||_F above the threshold) implies sigma_min above it, and a
+    # sigma_min more than sqrt(n) above it implies "regular".  Stacks of k
+    # G = U diag(s) V' place sigma_min `decades` decades above the threshold
+    # max(||G||_F, 1) / COND_LIMIT, to 2 decades below it.  Rounding moves the
+    # band by a multiple of eps cond(G): over 20000 such stacks at most
+    # 1.59 eps cond below 1 and 1.0 eps cond above sqrt(n), against 4 here.
+    rng = np.random.default_rng(seed)
+    u, v = (np.linalg.qr(rng.standard_normal((k, n, n)))[0] for _ in range(2))
+    s = rng.uniform(1.0, 10.0, (k, n))
+    s[:, -1] = 10.0 ** (decades + rng.uniform(-0.5, 0.5, k)) * np.maximum(
+        np.linalg.norm(s[:, :-1], axis=1), 1.0) / COND_LIMIT
+    g = (u * s[:, None, :]) @ np.swapaxes(v, -1, -2)
+    _, regular, rnorm, scale = riccati._regular_inverse(g, g, np.zeros_like(g), np.eye(n))
+    sv = np.linalg.svd(g, compute_uv=False)
+    smin, slack = sv[:, -1], 4.0 * np.finfo(float).eps * sv[:, 0] / sv[:, -1]
+    band = smin / rnorm
+    assert np.all(band >= 1.0 - slack) and np.all(band <= np.sqrt(n) * (1.0 + slack))
+    threshold = np.maximum(scale, 1.0) / COND_LIMIT
+    assert np.all(smin[regular] > threshold[regular] * (1.0 - slack[regular]))
+    clear = smin > np.sqrt(n) * threshold * (1.0 + slack)
+    assert np.all(regular[clear])
 
 
 def test_backward_consistency():

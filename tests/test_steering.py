@@ -273,6 +273,17 @@ def test_the_pass_integrates_only_p_and_the_jacobian_part(monkeypatch, n):
     assert widths and set(widths) == {(n * n + n ** 4,)}
 
 
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3), m=st.integers(1, 3),
+       decades=st.floats(-150.0, 150.0))
+def test_kron_helper_is_np_kron_bit_for_bit(seed, n, m, decades):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) * 10.0 ** decades
+    b = rng.standard_normal((m, m))
+    assert steering._kron(a, b).shape == np.kron(a, b).shape
+    assert steering._kron(a, b).tobytes() == np.kron(a, b).tobytes()
+
+
 def test_jacobian_commutes_with_transpose_swap():
     rng = np.random.default_rng(61)
     sys = random_controllable_system(rng, 2)
