@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import RiccatiNonexistenceError, SingularTransitionError
 from .matfun import SystemSpec, _uniform_grid, symmetrize
-from .transition import COND_LIMIT, TransitionPath, _moving_bound, _phi_pi, b_rinv_bt, pi_bounds
+from .transition import (COND_LIMIT, TransitionPath, _moving_bound, _phi_pi, b_rinv_bt,
+                         horizon_path, pi_bounds)
 
 BLOWUP_NORM = 1e12
 BISECTION_TOL = 1e-6
@@ -202,7 +203,7 @@ def integrate_general(sys: SystemSpec, pi_0: np.ndarray,
     if sys.has_non_identity_channels():
         return _integrate_rk45(sys, pi_0, times)
 
-    path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
+    path = horizon_path(sys)
     try:
         escape_time, exists = _locate_crossing(path, pi_0, 1.0, "upper")
     except SingularTransitionError:  # no moving bound: a pole could fall between grid times

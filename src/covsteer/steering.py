@@ -25,7 +25,7 @@ from .errors import (
 )
 from .matfun import BoundaryData, SystemSpec, _uniform_grid, spd_sqrt, symmetrize, unvec, vec
 from .riccati import closed_form_on_path
-from .transition import TransitionPath, _moving_bound, _phi_pi, b_rinv_bt
+from .transition import _moving_bound, _phi_pi, b_rinv_bt, horizon_path
 
 QUAD_ATOL = 1e-10
 QUAD_RTOL = 1e-9  # bounds the work when near-boundary integrands blow up
@@ -61,14 +61,13 @@ class JacobianWorkspace:
     transported noise P there as a (k, n, n) stack; jac is the full n^2 x
     n^2 Jacobian (phiPi10 x phiPi10) S and f_value the map value assembled
     from the same nodes.  quad_error is the quadrature's error estimate;
-    saturated: the 400-panel cap stopped it above tolerance.  path is the
-    transition path the pass read and upper_bound the bound U10 on it.
+    saturated: the 400-panel cap stopped it above tolerance.  upper_bound is
+    the bound U10 on the system's horizon path, which the pass read.
     """
 
     sys: SystemSpec
     sigma0: np.ndarray
     pi0: np.ndarray
-    path: TransitionPath
     upper_bound: np.ndarray
     edges: np.ndarray
     nodes: np.ndarray
@@ -87,8 +86,8 @@ def _cdct(sys: SystemSpec, s) -> np.ndarray:
     return c @ sys.D.eval(t) @ np.swapaxes(c, -1, -2)
 
 
-def _upper_bound_10(path: TransitionPath) -> np.ndarray:
-    p11, p12, _, _ = path.raw_blocks(1.0)
+def _upper_bound_10(sys: SystemSpec) -> np.ndarray:
+    p11, p12, _, _ = horizon_path(sys).raw_blocks(1.0)
     return _moving_bound(p11, p12, what="phi12(1,0)")[0]
 
 
@@ -100,34 +99,31 @@ def map_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray) -> np.ndarray:
 
 
 def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
-               path: TransitionPath | None = None,
                start: JacobianWorkspace | None = None) -> JacobianWorkspace:
     """Kronecker-product Jacobian of the boundary map at Pi0.
 
     The map value and the Jacobian integral are assembled from one adaptive
     quadrature pass, so a Newton step sees a Jacobian consistent with its
-    residual.  start, an earlier pass on the same system and path, lends
-    its upper bound and, unless it saturated, its panels as the starting
-    mesh; a start from another system or path raises PreconditionError.
+    residual.  start, an earlier pass on the same system, lends its upper
+    bound and, unless it saturated, its panels as the starting mesh; a start
+    from another system raises PreconditionError.
     """
     n = sys.n
     pi0 = symmetrize(np.asarray(pi0, dtype=float))
     sigma0 = np.asarray(sigma0, dtype=float)
     if start is None:
-        path = path or TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
-        u10, edges = _upper_bound_10(path), None
+        u10, edges = _upper_bound_10(sys), None
     elif start.sys is not sys:
         raise PreconditionError("start pass was taken on another system")
-    elif path is not None and path is not start.path:
-        raise PreconditionError("start pass was taken on another path")
     else:
-        path, u10 = start.path, start.upper_bound
+        u10 = start.upper_bound
         edges = None if start.saturated else start.edges
     margin = float(np.max(np.linalg.eigvalsh(pi0 - u10)))
     if margin >= 0.0:
         raise RiccatiNonexistenceError(
             f"Pi0 is not admissible: lambda_max(Pi0 - upper bound) = {margin:.3e}")
 
+    path = horizon_path(sys)
     phi10, (_, p12_10, _, _) = _phi_pi(path, pi0, 1.0)
     # W_10 = ((phi12)^-1 phi11 + Pi0)^-1 in the stable factored form.
     w10 = symmetrize(np.linalg.solve(phi10, p12_10))
@@ -154,7 +150,7 @@ def jacobian_f(sys: SystemSpec, sigma0: np.ndarray, pi0: np.ndarray,
     s_mat = _kron(sigma0, w10) + _kron(w10, sigma0) + jac_int
     jac = _kron(phi10, phi10) @ s_mat
     f_value = symmetrize(phi10 @ (sigma0 + p_int) @ phi10.T)
-    return JacobianWorkspace(sys=sys, sigma0=sigma0, pi0=pi0, path=path, upper_bound=u10,
+    return JacobianWorkspace(sys=sys, sigma0=sigma0, pi0=pi0, upper_bound=u10,
                              edges=edges, nodes=node_ts,
                              p_nodes=node_vals[:, :n2].reshape(-1, n, n), S=s_mat, jac=jac,
                              f_value=f_value, quad_error=float(quad_err), saturated=saturated)
@@ -182,14 +178,14 @@ def special_case_pi0(sys: SystemSpec, bd: BoundaryData) -> np.ndarray:
     if bad.size:
         raise ChannelMismatchError(
             f"C D C' != B R^-1 B' at t={grid[bad[0]]:.3f}; closed form does not apply")
-    return _closed_form_pi0(TransitionPath(sys, anchor=0.0, span=(0.0, 1.0)), bd)
+    return _closed_form_pi0(sys, bd)
 
 
-def _closed_form_pi0(path: TransitionPath, bd: BoundaryData) -> np.ndarray:
-    """special_case_pi0's expression on path, channels unchecked: Newton's
-    warm start whatever the channels."""
-    u10 = _upper_bound_10(path)  # first: it refuses a singular phi12(1,0) by name
-    phi12_inv = np.linalg.inv(path.raw_blocks(1.0)[1])
+def _closed_form_pi0(sys: SystemSpec, bd: BoundaryData) -> np.ndarray:
+    """special_case_pi0's expression on the horizon path of sys, channels
+    unchecked: Newton's warm start whatever the channels."""
+    u10 = _upper_bound_10(sys)  # first: it refuses a singular phi12(1,0) by name
+    phi12_inv = np.linalg.inv(horizon_path(sys).raw_blocks(1.0)[1])
     s0_isqrt = spd_sqrt(bd.sigma0, inverse=True)
     s0_sqrt = spd_sqrt(bd.sigma0)
     inner = 0.25 * np.eye(len(u10)) + s0_sqrt @ phi12_inv @ bd.sigma1 @ phi12_inv.T @ s0_sqrt
@@ -212,8 +208,8 @@ def _newton(ws, target, tol):
     """Damped Newton on the symmetric subspace from the pass ws; returns
     (ws, residual, trace).
 
-    Every point tried gets one jacobian_f pass on ws's system, Sigma0 and
-    path, started from the current point's pass.  The step is first capped
+    Every point tried gets one jacobian_f pass on ws's system and Sigma0,
+    started from the current point's pass.  The step is first capped
     at STEP_FRACTION of the distance to the admissibility boundary along the
     Newton direction, then halved until the candidate's pass succeeds with a
     smaller residual; the accepted pass is the next iteration's workspace.
@@ -267,15 +263,14 @@ def solve_boundary(sys: SystemSpec, bd: BoundaryData,
     if bd.sigma0.shape != (sys.n, sys.n):
         raise PreconditionError("boundary data dimension differs from the system")
     times = _uniform_grid(grid_size)
-    path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
-    start = jacobian_f(sys, bd.sigma0, _closed_form_pi0(path, bd), path=path)
+    start = jacobian_f(sys, bd.sigma0, _closed_form_pi0(sys, bd))
     ws, rel, trace = _newton(start, bd.sigma1, tol)
     if ws is None:
         raise NoConvergenceError(
             f"Newton failed to reach relative residual {tol:.1e} (best {rel:.3e})",
             best_residual=rel, trace=trace)
 
-    pis = closed_form_on_path(path, ws.pi0, times)
+    pis = closed_form_on_path(horizon_path(sys), ws.pi0, times)
     sigmas, sigma_error = propagate_covariance(ws, grid_size)
     cost, cost_error = optimal_cost(ws, bd.sigma1)
     ts = times.tolist()
@@ -299,8 +294,8 @@ def propagate_covariance(ws: JacobianWorkspace, grid_size: int = 1001) -> tuple:
 
     Explicit solution Sigma(t) = PhiPi(t,0) [Sigma0 + int_0^t P(s) ds]
     PhiPi(t,0)', P the transported noise, integrated exactly on its Legendre
-    interpolants on the panels of the pass ws, which supplies Pi0, Sigma0
-    and the path, so the accuracy does not depend on grid_size; tail is what
+    interpolants on the panels of the pass ws, which supplies the system,
+    Pi0 and Sigma0, so the accuracy does not depend on grid_size; tail is what
     they leave unresolved, and one above 1e-7 max(1, ||Sigma0 + int_0^1 P||)
     raises IntegrationFailureError, as does a saturated pass.
     """
@@ -310,7 +305,7 @@ def propagate_covariance(ws: JacobianWorkspace, grid_size: int = 1001) -> tuple:
     acc = ws.sigma0 + part
     if not tail <= 1e-7 * max(1.0, float(np.linalg.norm(acc[-1]))):  # also refuses NaN
         raise IntegrationFailureError(f"transported noise unresolved: tail {tail:.3e}")
-    g = _phi_pi(ws.path, ws.pi0, times)[0]
+    g = _phi_pi(horizon_path(ws.sys), ws.pi0, times)[0]
     return symmetrize(g @ acc @ np.swapaxes(g, -1, -2)), tail
 
 
@@ -329,7 +324,7 @@ def optimal_cost(ws: JacobianWorkspace, sigma1: np.ndarray) -> tuple:
     or a cost quadrature that saturates, raises IntegrationFailureError.
     """
     _require_resolved(ws)
-    sys, path, pi0 = ws.sys, ws.path, ws.pi0
+    sys, path, pi0 = ws.sys, horizon_path(ws.sys), ws.pi0
 
     def integrand(ts):
         return np.einsum("kij,kji->k", closed_form_on_path(path, pi0, ts), _cdct(sys, ts))

@@ -7,12 +7,14 @@ matrix with blocks Phi11, Phi12, Phi21, Phi22.  They satisfy a family of
 symplectic identities, which symplectic_residuals checks, and furnish the
 existence bounds and Gramian identity used by the Riccati and steering
 layers.  Every block is read from a TransitionPath, a piecewise
-Chebyshev series; transition_blocks builds one anchored at s for a single
-pair of times.
+Chebyshev series; horizon_path keeps one Phi_M(., 0) over [0, 1] per live
+system, and transition_blocks builds one anchored at s for a single pair
+of times.
 """
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,6 +197,21 @@ class TransitionPath:
         return phi[..., :n, :n], phi[..., :n, n:], phi[..., n:, :n], phi[..., n:, n:]
 
 
+_HORIZON_PATHS = weakref.WeakKeyDictionary()  # system -> its horizon path
+
+
+def horizon_path(sys: SystemSpec) -> TransitionPath:
+    """Phi_M(., 0) over the horizon [0, 1] of sys, built on first use and kept
+    while sys lives: one path per live system, shared by every reader.
+    Systems that compare equal hold the same polynomial objects and share it.
+    Threads racing on a first use may each build one; both read the same.
+    """
+    path = _HORIZON_PATHS.get(sys)
+    if path is None:
+        path = _HORIZON_PATHS[sys] = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
+    return path
+
+
 def transition_blocks(sys: SystemSpec, t: float, s: float) -> TransitionBlocks:
     """Blocks of Phi_M(t, s), read from a TransitionPath anchored at s."""
     path = TransitionPath(sys, anchor=s, span=(min(s, t), max(s, t)))
@@ -293,7 +310,7 @@ def pi_bounds(sys: SystemSpec, t):
     outside = flat[~((flat >= 0.0) & (flat <= 1.0))]
     if outside.size:
         raise ValueError(f"existence bounds need times in [0, 1], got {outside[0]}")
-    path, n = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0)), sys.n
+    path, n = horizon_path(sys), sys.n
     phi_0t = _symplectic_inverse(path.phi(flat))
     phi_1t = path.phi(1.0) @ phi_0t
     lower = [PiBound("neg_inf")] * flat.size

@@ -32,7 +32,7 @@ from covsteer.steering import (
     special_case_pi0,
 )
 from covsteer.riccati import closed_form_on_path, integrate_general
-from covsteer.transition import TransitionPath, _phi_pi, transition_blocks
+from covsteer.transition import TransitionPath, _phi_pi, horizon_path, transition_blocks
 
 from helpers import (
     const,
@@ -110,7 +110,7 @@ def test_jacobian_workspace_invariants():
     ws = jacobian_f(sys, sigma0, pi0)
     assert not ws.saturated
     assert 0.0 <= ws.quad_error < np.inf
-    g, (_, p12, _, _) = _phi_pi(ws.path, ws.pi0, ws.nodes)
+    g, (_, p12, _, _) = _phi_pi(horizon_path(sys), ws.pi0, ws.nodes)
     w_s = symmetrize(np.linalg.solve(g, p12))
     assert np.all(np.max(np.linalg.eigvalsh(w_s[ws.nodes > 1e-8]), axis=1) < 0.0)
     assert np.min(np.linalg.eigvalsh(symmetrize(ws.p_nodes))) > -1e-10
@@ -181,13 +181,13 @@ def test_warm_started_pass_agrees_with_a_cold_pass(seed, n):
     step = symmetrize(rng.standard_normal((n, n)))
     pi0 = near - 0.1 * np.eye(n) + 0.05 * step / np.linalg.norm(step, 2)
     start = jacobian_f(sys, sigma0, near)
-    warm = jacobian_f(sys, sigma0, pi0, path=start.path, start=start)
-    cold = jacobian_f(sys, sigma0, pi0, path=start.path)
+    warm = jacobian_f(sys, sigma0, pi0, start=start)
+    cold = jacobian_f(sys, sigma0, pi0)
     assert not (start.saturated or warm.saturated or cold.saturated)
     assert set(start.edges) <= set(warm.edges)
     assert np.array_equal(warm.upper_bound, cold.upper_bound)
     errors = warm.quad_error + cold.quad_error
-    gain = np.linalg.norm(_phi_pi(start.path, pi0, 1.0)[0], np.inf) ** 2
+    gain = np.linalg.norm(_phi_pi(horizon_path(sys), pi0, 1.0)[0], np.inf) ** 2
     assert np.max(np.abs(_p_integral(warm) - _p_integral(cold))) <= errors
     assert np.max(np.abs(warm.f_value - cold.f_value)) <= errors * gain
     assert np.max(np.abs(warm.jac - cold.jac)) <= errors * gain
@@ -196,21 +196,16 @@ def test_warm_started_pass_agrees_with_a_cold_pass(seed, n):
 def test_a_start_pass_lends_its_bound_and_unsaturated_panels():
     rng = np.random.default_rng(73)
     sys = random_controllable_system(rng, 2)
-    path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
-    upper = steering._upper_bound_10(path)
-    inside = jacobian_f(sys, np.eye(2), upper - 1e-2 * np.eye(2), path=path)
+    upper = steering._upper_bound_10(sys)
+    inside = jacobian_f(sys, np.eye(2), upper - 1e-2 * np.eye(2))
     assert np.array_equal(inside.upper_bound, upper)
     # A saturated start seeds no panels: the pass is the one from [0, 1].
-    edge = jacobian_f(sys, np.eye(2), upper - 1e-8 * np.eye(2), path=path)
+    edge = jacobian_f(sys, np.eye(2), upper - 1e-8 * np.eye(2))
     assert edge.saturated and np.array_equal(edge.upper_bound, upper)
-    seeded = jacobian_f(sys, np.eye(2), inside.pi0, path=path, start=edge)
+    seeded = jacobian_f(sys, np.eye(2), inside.pi0, start=edge)
     for field in ("edges", "nodes", "p_nodes", "S", "jac", "f_value", "quad_error",
                   "saturated", "upper_bound"):
         assert np.array_equal(getattr(seeded, field), getattr(inside, field)), field
-    # A start read on another path, even an equal one, is refused.
-    other = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
-    with pytest.raises(PreconditionError, match="another path"):
-        jacobian_f(sys, np.eye(2), inside.pi0, path=other, start=inside)
 
 
 def test_a_start_pass_from_another_system_is_refused():
@@ -362,12 +357,11 @@ def test_solve_boundary_reports_non_convergence(monkeypatch):
 
 def test_newton_reads_each_point_from_one_jacobian_pass(monkeypatch):
     sys = example_system()
-    path = TransitionPath(sys, anchor=0.0, span=(0.0, 1.0))
-    pi_init = steering._closed_form_pi0(path, WORKED_TARGET)
+    pi_init = steering._closed_form_pi0(sys, WORKED_TARGET)
     points = _count_jacobian_passes(monkeypatch)
     map_calls = []
     monkeypatch.setattr(steering, "map_f", lambda *args, **kwargs: map_calls.append(args))
-    ws, rel, trace = steering._newton(steering.jacobian_f(sys, np.eye(2), pi_init, path=path),
+    ws, rel, trace = steering._newton(steering.jacobian_f(sys, np.eye(2), pi_init),
                                       WORKED_TARGET.sigma1, NEWTON_TOL)
     assert ws is not None and rel <= NEWTON_TOL and not map_calls
     # The start, then every candidate once: accepted ones are the iterates.

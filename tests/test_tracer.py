@@ -5,7 +5,9 @@ refactor that drops or moves one of them, or changes what the tracer reads
 off a result (the Jacobian workspace's nodes), breaks every traced
 benchmark run.  A solve that stopped calling a traced read-out through its
 module global would zero that read-out's per-layer time on solve-sweep, so
-the solve's child spans are checked too.
+the solve's child spans are checked too.  A system keeps its horizon path
+for its lifetime, so the solve runs on a freshly built system to build and
+read a path of its own, and a second solve of it builds none.
 The check runs in a fresh interpreter because the rebinding lasts for the
 rest of the process.
 """
@@ -43,7 +45,12 @@ covsteer.transition_blocks(sys_, 1.0, 0.0)
 covsteer.map_f(sys_, [[1.0]], [[0.0]])  # solve_boundary itself calls no map_f
 counts = tracer.counts["setup"]
 before = counts.copy()
-covsteer.solve_boundary(sys_, BoundaryData(sigma0=[[1.0]], sigma1=[[0.5]]), grid_size=11)
+# New polynomial objects: a dataclasses.replace copy of sys_ compares equal
+# and would share sys_'s path.
+one, zero = MatrixPoly.constant([[1.0]]), MatrixPoly.constant([[0.0]])
+fresh = SystemSpec(n=1, p=1, q=1, A=zero, B=one, C=one, D=one, nu=zero, Q=zero, R=one)
+target = BoundaryData(sigma0=[[1.0]], sigma1=[[0.5]])
+covsteer.solve_boundary(fresh, target, grid_size=11)
 names = {span[0] for span in tracer.spans}
 want = {"riccati.existence", "transition.path_build", "riccati.closed_form",
         "transition.direct", "steering.solve", "steering.jacobian", "steering.map_f",
@@ -62,6 +69,10 @@ for name in ("steering.jacobian", "steering.propagate", "steering.cost",
 for name in ("transition.rhs_evals", "transition.phi_evals"):
     assert counts[name] > before[name], (name, before, counts)
 assert counts["steering.jacobian_nodes"] > 0, counts
+# A repeat solve of the same system reads the path its first solve built.
+builds = sum(span[0] == "transition.path_build" for span in tracer.spans)
+covsteer.solve_boundary(fresh, target, grid_size=11)
+assert sum(span[0] == "transition.path_build" for span in tracer.spans) == builds
 """
 
 

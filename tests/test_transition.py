@@ -1,3 +1,8 @@
+import gc
+import pickle
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,14 +16,20 @@ from covsteer.errors import (
     RiccatiNonexistenceError,
     SingularTransitionError,
 )
-from covsteer.matfun import symmetrize
-from covsteer.riccati import closed_form_on_path
-from covsteer.steering import feedback_gain
+from covsteer.matfun import BoundaryData, symmetrize
+from covsteer.riccati import (
+    closed_form_on_path,
+    existence_check,
+    integrate_general,
+    maximal_interval,
+)
+from covsteer.steering import feedback_gain, solve_boundary, special_case_pi0
 from covsteer.transition import (
     CHEB_DEGREES,
     CHEB_TAIL_RTOL,
     TransitionPath,
     gramian_identity,
+    horizon_path,
     pi_bounds,
     symplectic_residuals,
     transition_blocks,
@@ -453,3 +464,55 @@ def test_unresolved_path_raises(monkeypatch):
     monkeypatch.setattr(transition, "CHEB_DEGREES", (16,))
     with pytest.raises(IntegrationFailureError, match="unresolved at degree 16"):
         TransitionPath(example_system(), anchor=0.0, span=(0.0, 1.0))
+
+
+def _count_builds(monkeypatch):
+    """Record (anchor, span) of every TransitionPath built from now on."""
+    builds = []
+    build = TransitionPath.__init__
+
+    def counted(path, sys, anchor=0.0, span=(0.0, 1.0)):
+        builds.append((anchor, tuple(span)))
+        build(path, sys, anchor, span)
+
+    monkeypatch.setattr(TransitionPath, "__init__", counted)
+    return builds
+
+
+def test_a_system_builds_its_horizon_path_once(monkeypatch):
+    # The sandwich, the closed-form Pi grid, the warm start and every solve
+    # read the one Phi_M(., 0) over [0, 1] that the system keeps; a repeat
+    # solve reads it again and returns the same bytes.
+    sys = random_controllable_system(np.random.default_rng(17), 2, channel_match=True)
+    bd = BoundaryData(sigma0=np.eye(2), sigma1=np.diag([0.5, 0.3]))
+    builds = _count_builds(monkeypatch)
+    pi0 = special_case_pi0(sys, bd)
+    assert existence_check(sys, 0.0, pi0).exists
+    assert integrate_general(sys, pi0, grid_size=11).exists
+    first = solve_boundary(sys, bd, grid_size=11)
+    second = solve_boundary(sys, bd, grid_size=11)
+    assert builds == [(0.0, (0.0, 1.0))]
+    assert pickle.dumps(second) == pickle.dumps(first)
+    # maximal_interval still builds its own path over its window, anchored at s.
+    maximal_interval(sys, 0.0, pi0, (-0.5, 1.5))
+    assert len(builds) == 2 and builds[1] != builds[0]
+    assert horizon_path(sys) is horizon_path(sys) and len(builds) == 2
+
+
+def test_a_system_with_another_polynomial_object_gets_its_own_path():
+    # Systems compare by their polynomial objects: an equal copy shares the
+    # path, a copy with one new (even equal-valued) polynomial does not.
+    sys = random_controllable_system(np.random.default_rng(19), 2)
+    path = horizon_path(sys)
+    assert horizon_path(replace(sys)) is path
+    other = replace(sys, Q=sys.Q.scale(1.0))
+    assert other.Q is not sys.Q and horizon_path(other) is not path
+
+
+def test_the_horizon_path_is_freed_with_its_system():
+    sys = random_controllable_system(np.random.default_rng(23), 1)
+    ref = weakref.ref(horizon_path(sys))
+    assert ref() is not None
+    del sys
+    gc.collect()
+    assert ref() is None
